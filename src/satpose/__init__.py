@@ -10,6 +10,7 @@ from .errors import (
     ConsensusFailureError,
     DegenerateBaselineError,
     DegenerateGeometryError,
+    InsufficientLandmarksError,
     ManifestError,
     NoValidPoseError,
     NumericalFailureError,

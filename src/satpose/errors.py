@@ -34,6 +34,10 @@ class NoValidPoseError(SatposeError):
     """No pose candidate placed the target in front of the camera."""
 
 
+class InsufficientLandmarksError(SatposeError):
+    """Too few usable landmarks remain to attempt a robust pose solve."""
+
+
 class ConsensusFailureError(SatposeError):
     """RANSAC found no hypothesis with enough inlier support."""
 

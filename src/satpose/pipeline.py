@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ManifestError, SatposeError
+from .errors import InsufficientLandmarksError, ManifestError, SatposeError
 from .geometry import (
     CameraIntrinsics,
     WireframeModel,
@@ -126,9 +126,9 @@ def oracle_landmarks(record: SampleRecord, noise: NoiseModel) -> list[np.ndarray
     dropped.
     """
     if record.landmarks_gt is None:
-        raise ValueError(f"record {record.id!r} has no ground-truth landmarks")
+        raise ManifestError(f"record {record.id!r} has no ground-truth landmarks")
     if record.bbox_gt is None:
-        raise ValueError(f"record {record.id!r} has no ground-truth bounding box")
+        raise ManifestError(f"record {record.id!r} has no ground-truth bounding box")
     rng = stream(noise.seed, "oracle", record.id)
     box = record.bbox_gt
     out: list[np.ndarray | None] = []
@@ -192,7 +192,10 @@ def _solve_record(
     detected = record.bbox_pred if record.bbox_pred is not None else record.bbox_gt
     if detected is None:
         raise ManifestError(f"record {record.id!r} has no bounding box")
-    roi = make_roi(detected, roi_cfg)
+    try:
+        roi = make_roi(detected, roi_cfg)
+    except ValueError as exc:  # zero-area box, or one that misses the image
+        raise ManifestError(f"record {record.id!r}: unusable bounding box: {exc}") from exc
     t1 = time.perf_counter()
 
     normalized = provider.landmarks(record, roi)
@@ -206,13 +209,15 @@ def _solve_record(
         if norm_pt is None:
             continue
         pixel = denormalize_landmarks(norm_pt, roi)[0]
+        if not np.all(np.isfinite(pixel)):
+            raise ManifestError(f"record {record.id!r}: provider landmark {k} is not finite")
         correspondences.append(
             Correspondence(image=pixel, world=wireframe.keypoints[k], id=k)
         )
     t2 = time.perf_counter()
 
     if len(correspondences) < ransac_cfg.min_sample:
-        raise ManifestError(
+        raise InsufficientLandmarksError(
             f"record {record.id!r}: only {len(correspondences)} usable landmarks, "
             f"RANSAC needs {ransac_cfg.min_sample}"
         )
@@ -240,10 +245,12 @@ def run_pipeline(
 ) -> PipelineRun:
     """Score every record: ROI -> provider landmarks -> RANSAC EPnP -> LM.
 
-    Per-record solver failures become failure entries and are excluded from
-    the aggregate; scored + failed always equals the manifest size. With
-    ``record_predictions`` the provider outputs are written back into a copy
-    of the manifest, which a :class:`FileProvider` rerun reproduces exactly.
+    Per-record satpose failures (:class:`SatposeError`) become failure
+    entries and are excluded from the aggregate; scored + failed always
+    equals the manifest size. Any other exception, from a provider, numpy
+    or a bug, propagates. With ``record_predictions`` the provider outputs
+    are written back into a copy of the manifest, which a
+    :class:`FileProvider` rerun reproduces exactly.
     """
     if not manifest.records:
         raise ValueError("manifest has no records")
@@ -264,7 +271,7 @@ def run_pipeline(
             score, normalized = _solve_record(
                 record, provider, wireframe, cam, roi_cfg, ransac_cfg, lm_cfg, stage_ms
             )
-        except (SatposeError, ValueError) as exc:
+        except SatposeError as exc:
             failures.append((record.id, str(exc)))
             if record_predictions:
                 predicted_records.append(replace(record))

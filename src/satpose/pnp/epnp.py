@@ -1,23 +1,28 @@
-"""EPnP: non-iterative O(n) Perspective-n-Point solving.
+"""EPnP: non-iterative O(n) Perspective-n-Point solving, stacked over problems.
 
-Implements the method of Lepetit, Moreno-Noguer and Fua (IJCV 2009). World
-points are expressed as barycentric combinations of four control points
-(centroid plus principal directions); the camera-frame control points are a
-combination of the four smallest eigenvectors of the projection-constraint
-normal matrix; candidate combination weights (betas) are estimated for
-assumed null-space dimensions 1..3, each refined by Gauss-Newton on the
+Implements the method of Lepetit, Moreno-Noguer and Fua (IJCV 2009) as one
+array kernel, :func:`epnp_stack`, that solves H independent problems given
+as ``image (H, n, 2)`` and ``world (H, n, 3)``. World points are expressed as
+barycentric combinations of four control points (centroid plus principal
+directions); the camera-frame control points are a combination of the four
+smallest eigenvectors of the projection-constraint normal matrix; candidate
+combination weights (betas) are estimated for assumed null-space dimensions
+1..3 and all of them are refined together by Gauss-Newton on the
 inter-control-point distance constraints; the rigid transform then follows
-from orthogonal Procrustes alignment with det=+1 enforcement.
+from orthogonal Procrustes alignment with det=+1 enforcement, and the
+candidate with the lowest reprojection RMS wins.
 
 Near-planar point sets fall back to three control points, which keeps the
 barycentric system well conditioned when a face-on solar panel dominates
-the correspondences.
+the correspondences; problems are grouped by control-point count. Every
+stacked linear-algebra call is guarded per problem, so one degenerate
+problem never fails the others. :func:`epnp` is the single-problem entry
+point over a correspondence list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -27,6 +32,18 @@ from ..geometry import CameraIntrinsics, Pose, quat_from_matrix
 PLANAR_EIGENVALUE_RATIO = 1e-8
 _COLLINEAR_EIGENVALUE_RATIO = 1e-10
 _BETA_GN_ITERATIONS = 20
+_BETA_GN_STEP_TOL = 1e-13
+_BETA_GN_DAMPING = 1e-12
+_MIN_DEPTH = 1e-9  # metres; shallower points count as behind the camera
+# restart offsets along the softest curvature direction, in units of |beta|
+_RESTART_OFFSETS = np.array(
+    [sign * step for step in (0.05, 0.2, 0.5, 1.0) for sign in (1.0, -1.0)]
+)
+
+# per-problem status returned by epnp_stack
+EPNP_OK = 0
+EPNP_DEGENERATE = 1  # collinear or coincident world points
+EPNP_NO_POSE = 2  # every candidate puts the target behind the camera
 
 
 @dataclass(frozen=True)
@@ -59,221 +76,288 @@ def split_correspondences(correspondences) -> tuple[np.ndarray, np.ndarray]:
     return image, world
 
 
-def _control_points(world: np.ndarray) -> np.ndarray:
-    """Centroid plus principal directions; 3 points for near-planar sets."""
-    c0 = world.mean(axis=0)
-    centered = world - c0
-    cov = centered.T @ centered / world.shape[0]
-    lam, vec = np.linalg.eigh(cov)  # ascending eigenvalues
-    if lam[2] <= 0 or lam[1] <= _COLLINEAR_EIGENVALUE_RATIO * lam[2]:
-        raise DegenerateGeometryError(
-            "world points are collinear or coincident; control points undefined"
-        )
-    if lam[0] < PLANAR_EIGENVALUE_RATIO * lam[2]:
-        order = [2, 1]
-    else:
-        order = [2, 1, 0]
-    rows = [c0]
-    for idx in order:
-        rows.append(c0 + np.sqrt(lam[idx]) * vec[:, idx])
-    return np.array(rows)
-
-
-def _barycentric(world: np.ndarray, ctrl: np.ndarray) -> np.ndarray:
-    """Coordinates alpha with world_i = sum_j alpha_ij * ctrl_j, sum_j alpha_ij = 1."""
-    m = ctrl.shape[0]
-    lhs = np.vstack([ctrl.T, np.ones(m)])  # (4, m)
-    rhs = np.vstack([world.T, np.ones(world.shape[0])])  # (4, n)
-    if m == 4:
-        alphas = np.linalg.solve(lhs, rhs)
-    else:
-        # planar: 3 unknowns, exact for in-plane points
-        alphas, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    return alphas.T  # (n, m)
-
-
-def _projection_system(
-    alphas: np.ndarray, image: np.ndarray, cam: CameraIntrinsics
+def point_errors(
+    rot: np.ndarray, t: np.ndarray, world: np.ndarray, image: np.ndarray, cam: CameraIntrinsics
 ) -> np.ndarray:
-    """2n x 3m matrix whose null space contains the camera-frame control points."""
-    n, m = alphas.shape
-    M = np.zeros((2 * n, 3 * m))
-    u, v = image[:, 0], image[:, 1]
-    for j in range(m):
-        a = alphas[:, j]
-        M[0::2, 3 * j] = a * cam.fx
-        M[0::2, 3 * j + 2] = a * (cam.cx - u)
-        M[1::2, 3 * j + 1] = a * cam.fy
-        M[1::2, 3 * j + 2] = a * (cam.cy - v)
-    return M
+    """Per-point reprojection error norms (..., n); inf at or behind the camera.
+
+    ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``
+    and ``image (..., n, 2)``; a non-finite pose gives inf everywhere.
+    """
+    cam_pts = np.einsum("...ij,...nj->...ni", rot, world) + t[..., None, :]
+    z = cam_pts[..., 2]
+    front = z > _MIN_DEPTH
+    z = np.where(front, z, 1.0)
+    du = cam.fx * cam_pts[..., 0] / z + cam.cx - image[..., 0]
+    dv = cam.fy * cam_pts[..., 1] / z + cam.cy - image[..., 1]
+    return np.where(front, np.hypot(du, dv), np.inf)
+
+
+def _finite_or(a: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
+    """Swap matrix slices holding non-finite values for ``fill``; mask of kept slices."""
+    ok = np.isfinite(a).all(axis=(-2, -1))
+    if not ok.all():
+        a = np.where(ok[..., None, None], a, fill)
+    return a, ok
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked ``a x = b``; NaN for slices that are non-finite or exactly singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # LAPACK fails the whole stack on one bad slice; det factors every
+        # slice the same way and reads exactly 0 for the singular ones
+        eye = np.eye(a.shape[-1])
+        a, ok = _finite_or(a, eye)
+        ok &= np.linalg.det(a) != 0.0
+        ok &= np.isfinite(b).all(axis=-1)
+        a = np.where(ok[..., None, None], a, eye)
+        x = np.linalg.solve(a, np.where(ok[..., None], b, 0.0)[..., None])[..., 0]
+        return np.where(ok[..., None], x, np.nan)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked symmetric eigen-decomposition; NaN for non-finite slices."""
+    a, ok = _finite_or(a, np.eye(a.shape[-1]))
+    lam, vec = np.linalg.eigh(a)
+    return np.where(ok[..., None], lam, np.nan), np.where(ok[..., None, None], vec, np.nan)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked minimum-norm least squares with ``numpy.linalg.lstsq``'s cutoff."""
+    a, ok = _finite_or(a, 0.0)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+    x = np.einsum("...ji,...j->...i", vt, inv * np.einsum("...ji,...j->...i", u, b))
+    return np.where(ok[..., None], x, np.nan)
+
+
+def _control_frame(world: np.ndarray):
+    """Centroid, principal axes (largest first) and eigenvalues per problem.
+
+    Also returns the degenerate (collinear or coincident) and near-planar masks.
+    """
+    c0 = world.mean(axis=1)
+    centered = world - c0[:, None]
+    cov = np.einsum("hni,hnj->hij", centered, centered) / world.shape[1]
+    lam, vec = _eigh(cov)  # ascending eigenvalues
+    lam, axes = lam[:, ::-1], vec[:, :, ::-1]
+    # written so that NaN eigenvalues count as degenerate
+    degenerate = ~((lam[:, 0] > 0) & (lam[:, 1] > _COLLINEAR_EIGENVALUE_RATIO * lam[:, 0]))
+    planar = ~degenerate & (lam[:, 2] < PLANAR_EIGENVALUE_RATIO * lam[:, 0])
+    return c0, axes, lam, degenerate, planar
+
+
+def _null_basis(alphas: np.ndarray, image: np.ndarray, cam: CameraIntrinsics, k: int):
+    """Smallest-k eigenvectors (H, 3m, k) of the projection system's normal matrix."""
+    h, n, m = alphas.shape
+    system = np.zeros((h, n, 2, m, 3))  # (point, u/v row, control point, xyz)
+    system[:, :, 0, :, 0] = alphas * cam.fx
+    system[:, :, 1, :, 1] = alphas * cam.fy
+    system[:, :, 0, :, 2] = alphas * (cam.cx - image[:, :, 0:1])
+    system[:, :, 1, :, 2] = alphas * (cam.cy - image[:, :, 1:2])
+    system = system.reshape(h, 2 * n, 3 * m)
+    _, vec = _eigh(np.swapaxes(system, 1, 2) @ system)
+    return vec[:, :, :k]
 
 
 def _distance_terms(basis: np.ndarray, ctrl: np.ndarray):
-    """Pairwise basis differences and squared control-point distances."""
-    m = ctrl.shape[0]
-    pairs = list(combinations(range(m), 2))
-    k = basis.shape[1]
-    vectors = basis.T.reshape(k, m, 3)  # basis vector k, control point j
-    dv = np.array([[vectors[b, i] - vectors[b, j] for (i, j) in pairs] for b in range(k)])
-    rho = np.array([np.sum((ctrl[i] - ctrl[j]) ** 2) for (i, j) in pairs])
-    return dv, rho  # dv: (k, n_pairs, 3)
+    """Distance Gram matrices (H, P, k, k) and squared control distances (H, P).
+
+    For betas b, the squared distance between the camera-frame control
+    points of pair p is b^T G_p b, with G_p the Gram matrix of the pair's
+    basis-vector differences.
+    """
+    h, m = ctrl.shape[:2]
+    i, j = np.triu_indices(m, 1)
+    vectors = np.swapaxes(basis, 1, 2).reshape(h, basis.shape[2], m, 3)
+    dv = vectors[:, :, i] - vectors[:, :, j]
+    gram = np.einsum("hapi,hbpi->hpab", dv, dv)
+    rho = np.sum((ctrl[:, i] - ctrl[:, j]) ** 2, axis=-1)
+    return gram, rho
 
 
-def _monomial_column(dv: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Column of the distance system for the beta_a*beta_b monomial."""
-    col = np.einsum("pi,pi->p", dv[a], dv[b])
-    if a != b:
-        col = 2.0 * col
-    return col
+def _leading_pair(sol: np.ndarray) -> np.ndarray:
+    """(beta_1, beta_2) per problem from the [b11 b12 b22] linearisation."""
+    b11, b12, b22 = sol[:, 0], sol[:, 1], sol[:, 2]
+    sign = np.where(b11 < 0, -1.0, 1.0)
+    beta1 = np.sqrt(sign * b11)
+    beta2 = np.sqrt(np.maximum(sign * b22, 0.0))
+    return np.stack([np.where(b12 < 0, -beta1, beta1), beta2], axis=-1)
 
 
-def _init_assuming_dim1(dv, rho) -> np.ndarray:
-    """Betas when the null space is essentially one-dimensional."""
-    k = dv.shape[0]
-    cols = [_monomial_column(dv, 0, b) for b in range(k)]  # [b11, b12, b13, b14]
-    sol, *_ = np.linalg.lstsq(np.column_stack(cols), rho, rcond=None)
-    beta = np.zeros(k)
-    lead = sol[0]
-    if abs(lead) < 1e-15:
-        return beta
-    sign = -1.0 if lead < 0 else 1.0
-    beta[0] = np.sqrt(abs(lead))
-    beta[1:] = sign * sol[1:] / beta[0]
-    return beta
+def _beta_inits(gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Betas (H, I, k) assuming null-space dimension 1, 2 and, for k = 4, 3."""
+    h, k = gram.shape[0], gram.shape[2]
+
+    def columns(pairs):  # one column per beta_a * beta_b monomial
+        return np.stack([(1.0 if a == b else 2.0) * gram[:, :, a, b] for a, b in pairs], axis=-1)
+
+    # [b11 b12 .. b1k] -> beta = sign(b11) [b11 b12 .. b1k] / sqrt|b11|
+    sol = _lstsq(columns([(0, b) for b in range(k)]), rho)
+    lead = sol[:, :1]
+    vanished = np.abs(lead) < 1e-15
+    scale = np.sign(lead) / np.sqrt(np.where(vanished, 1.0, np.abs(lead)))
+    inits = [np.where(vanished, 0.0, scale * sol)]
+
+    dim2 = np.zeros((h, k))
+    dim2[:, :2] = _leading_pair(_lstsq(columns([(0, 0), (0, 1), (1, 1)]), rho))
+    inits.append(dim2)
+
+    if k == 4:
+        sol = _lstsq(columns([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)]), rho)
+        dim3 = np.zeros((h, k))
+        dim3[:, :2] = _leading_pair(sol)
+        lead = dim3[:, 0]
+        usable = np.abs(lead) > 1e-15
+        dim3[:, 2] = np.where(usable, sol[:, 3] / np.where(usable, lead, 1.0), 0.0)
+        inits.append(dim3)
+    return np.stack(inits, axis=1)
 
 
-def _leading_pair(sol) -> tuple[float, float]:
-    """Shared sign logic for the (beta_1, beta_2) extraction from [b11 b12 b22]."""
-    b11, b12, b22 = sol[0], sol[1], sol[2]
-    if b11 < 0:
-        beta1 = np.sqrt(-b11)
-        beta2 = np.sqrt(-b22) if b22 < 0 else 0.0
-    else:
-        beta1 = np.sqrt(b11)
-        beta2 = np.sqrt(b22) if b22 > 0 else 0.0
-    if b12 < 0:
-        beta1 = -beta1
-    return beta1, beta2
+def _distance_jacobian(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray):
+    """Per-row Jacobian (N, P, k) and residuals (N, P) of b^T G_p b - rho_p."""
+    half = np.einsum("npkl,nl->npk", gram, beta)
+    return 2.0 * half, np.einsum("npk,nk->np", half, beta) - rho
 
 
-def _init_assuming_dim2(dv, rho) -> np.ndarray:
-    k = dv.shape[0]
-    cols = [
-        _monomial_column(dv, 0, 0),
-        _monomial_column(dv, 0, 1),
-        _monomial_column(dv, 1, 1),
-    ]
-    sol, *_ = np.linalg.lstsq(np.column_stack(cols), rho, rcond=None)
-    beta = np.zeros(k)
-    beta[0], beta[1] = _leading_pair(sol)
-    return beta
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("nk,nk->n", x, x))
 
 
-def _init_assuming_dim3(dv, rho) -> np.ndarray:
-    k = dv.shape[0]
-    cols = [
-        _monomial_column(dv, 0, 0),
-        _monomial_column(dv, 0, 1),
-        _monomial_column(dv, 1, 1),
-        _monomial_column(dv, 0, 2),
-        _monomial_column(dv, 1, 2),
-    ]
-    sol, *_ = np.linalg.lstsq(np.column_stack(cols), rho, rcond=None)
-    beta = np.zeros(k)
-    beta[0], beta[1] = _leading_pair(sol)
-    if abs(beta[0]) > 1e-15:
-        beta[2] = sol[3] / beta[0]
-    return beta
+def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the distance constraints b^T G_p b = rho_p, per row.
 
-
-def _refine_betas(dv, rho, beta: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on ||sum_k beta_k dv_k||^2 = rho over the full beta vector."""
-    k = beta.shape[0]
+    A row stops after the step cap, on a step below the relative tolerance,
+    or when its damped normal equations cannot be solved.
+    """
     beta = beta.copy()
+    damping = _BETA_GN_DAMPING * np.eye(beta.shape[1])
+    active = np.arange(beta.shape[0])
+    b = beta
     for _ in range(_BETA_GN_ITERATIONS):
-        x = np.tensordot(beta, dv, axes=1)  # (n_pairs, 3)
-        residual = np.einsum("pi,pi->p", x, x) - rho
-        jac = 2.0 * np.einsum("pi,kpi->pk", x, dv)
-        hess = jac.T @ jac
-        grad = jac.T @ residual
-        try:
-            delta = np.linalg.solve(hess + 1e-12 * np.eye(k), -grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        beta += delta
-        if np.linalg.norm(delta) < 1e-13 * max(1.0, np.linalg.norm(beta)):
-            break
+        jac, residual = _distance_jacobian(b, gram, rho)
+        hess = np.swapaxes(jac, 1, 2) @ jac
+        delta = _solve(hess + damping, -np.einsum("npk,np->nk", jac, residual))
+        stepped = np.isfinite(delta).all(axis=1)
+        b = b + np.where(stepped[:, None], delta, 0.0)
+        beta[active] = b
+        keep = stepped & ~(_norm(delta) < _BETA_GN_STEP_TOL * np.maximum(1.0, _norm(b)))
+        if not keep.all():
+            active, b, gram, rho = active[keep], b[keep], gram[keep], rho[keep]
+            if not active.size:
+                break
     return beta
 
 
-def _distance_misfit(dv, rho, beta: np.ndarray) -> float:
-    x = np.tensordot(beta, dv, axes=1)
-    return float(np.linalg.norm(np.einsum("pi,pi->p", x, x) - rho))
-
-
-def _stall_restarts(dv, rho, beta: np.ndarray) -> list[np.ndarray]:
-    """Deterministic restarts along the flattest curvature direction.
+def _curvature_restarts(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Deterministic restarts (N, 8k, k) along every curvature direction of each row.
 
     With exactly four points the projection kernel is four-dimensional and
     the eigen-basis inside it is arbitrary, which gives the distance cost
-    shallow spurious minima; stepping the stalled solution along the softest
-    eigendirection of the true Hessian reliably crosses the ridge.
+    shallow spurious minima. Stepping the stalled solution along the
+    eigendirections of the true Hessian, softest first, crosses the ridge;
+    the softest direction alone misses it for about one problem in ten.
     """
-    x = np.tensordot(beta, dv, axes=1)
-    residual = np.einsum("pi,pi->p", x, x) - rho
-    jac = 2.0 * np.einsum("pi,kpi->pk", x, dv)
-    second = 2.0 * np.einsum("kpi,lpi->pkl", dv, dv)
-    hess = jac.T @ jac + np.einsum("p,pkl->kl", residual, 2.0 * second)
-    _, eigvec = np.linalg.eigh(hess)
-    soft = eigvec[:, 0]
-    scale = max(1.0, np.linalg.norm(beta))
-    return [
-        beta + sign * step * scale * soft
-        for step in (0.05, 0.2, 0.5, 1.0)
-        for sign in (1.0, -1.0)
-    ]
+    jac, residual = _distance_jacobian(beta, gram, rho)
+    hess = np.swapaxes(jac, 1, 2) @ jac + 4.0 * np.einsum("np,npkl->nkl", residual, gram)
+    _, vec = _eigh(hess)
+    scale = np.maximum(1.0, _norm(beta))
+    steps = _RESTART_OFFSETS[None, None, :, None] * scale[:, None, None, None]
+    restarts = beta[:, None, None] + steps * np.swapaxes(vec, 1, 2)[:, :, None]
+    return restarts.reshape(beta.shape[0], -1, beta.shape[1])
 
 
 def _procrustes(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-fit rigid map world -> camera with a proper (det=+1) rotation."""
-    wc = world.mean(axis=0)
-    cc = camera.mean(axis=0)
-    h = (world - wc).T @ (camera - cc)
+    """Best-fit rigid maps world -> camera per row, with proper (det=+1) rotations."""
+    wc = world.mean(axis=1)
+    cc = camera.mean(axis=1)
+    h, ok = _finite_or(np.swapaxes(world - wc[:, None], 1, 2) @ (camera - cc[:, None]), np.eye(3))
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return rot, cc - rot @ wc
+    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+    v[:, :, 2] *= np.where(np.linalg.det(v @ ut) < 0, -1.0, 1.0)[:, None]
+    rot = np.where(ok[:, None, None], v @ ut, np.nan)
+    return rot, cc - np.einsum("nij,nj->ni", rot, wc)
 
 
-def _reprojection_rms(
-    rot: np.ndarray, t: np.ndarray, world: np.ndarray, image: np.ndarray, cam: CameraIntrinsics
-) -> float:
-    cam_pts = world @ rot.T + t
-    z = cam_pts[:, 2]
-    if np.any(z <= 1e-9):
-        return np.inf
-    u = cam.fx * cam_pts[:, 0] / z + cam.cx
-    v = cam.fy * cam_pts[:, 1] / z + cam.cy
-    return float(np.sqrt(np.mean((u - image[:, 0]) ** 2 + (v - image[:, 1]) ** 2)))
-
-
-def _candidate_pose(beta, basis, alphas, world, image, cam):
-    """Reconstruct (rms, R, t) from betas; None if behind the camera."""
-    ctrl_cam = (basis @ beta).reshape(-1, 3)
-    point_depths = (alphas @ ctrl_cam)[:, 2]
-    # beta sign ambiguity: distances are preserved under negation, cheirality is not
-    if np.count_nonzero(point_depths < 0) > point_depths.size / 2:
-        ctrl_cam = -ctrl_cam
+def _candidate_poses(beta, basis, alphas, world, image, cam):
+    """Rotation, translation and reprojection RMS per beta row (inf RMS if invalid)."""
+    ctrl_cam = (basis @ beta[:, :, None]).reshape(beta.shape[0], -1, 3)
     cam_pts = alphas @ ctrl_cam
+    # beta sign ambiguity: distances are preserved under negation, cheirality is not
+    behind = np.count_nonzero(cam_pts[:, :, 2] < 0, axis=1) > cam_pts.shape[1] / 2
+    cam_pts = np.where(behind[:, None, None], -cam_pts, cam_pts)
     rot, t = _procrustes(world, cam_pts)
-    if t[2] <= 0:
-        return None
-    rms = _reprojection_rms(rot, t, world, image, cam)
-    if not np.isfinite(rms):
-        return None
-    return rms, rot, t
+    rms = np.sqrt(np.mean(point_errors(rot, t, world, image, cam) ** 2, axis=1))
+    rms[~(t[:, 2] > 0) | ~np.isfinite(rms)] = np.inf
+    return rot, t, rms
+
+
+def _solve_group(image, world, c0, axes, lam, cam):
+    """Solve problems that share one control-point count m = axes.shape[2] + 1."""
+    g, n = world.shape[:2]
+    m = axes.shape[2] + 1
+    k = 4 if m == 4 else 2
+    scales = np.sqrt(lam)
+    ctrl = c0[:, None] + np.concatenate(
+        [np.zeros((g, 1, 3)), scales[:, :, None] * np.swapaxes(axes, 1, 2)], axis=1
+    )
+    # barycentric coordinates in the orthonormal principal frame; they sum to 1
+    coords = np.einsum("gni,gik->gnk", world - c0[:, None], axes) / scales[:, None]
+    alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
+    basis = _null_basis(alphas, image, cam, k)
+    gram, rho = _distance_terms(basis, ctrl)
+
+    inits = _beta_inits(gram, rho)
+    owner = np.repeat(np.arange(g), inits.shape[1])  # problem index of each beta row
+    betas = _gauss_newton(inits.reshape(-1, k), gram[owner], rho[owner])
+    if n == 4 and m == 4:  # only n = 4 leaves the whole 4-dim basis degenerate
+        _, residual = _distance_jacobian(betas, gram[owner], rho[owner])
+        stalled = np.flatnonzero(_norm(residual) > 1e-9 * np.maximum(1.0, _norm(rho[owner])))
+        if stalled.size:
+            who = owner[stalled]
+            restarts = _curvature_restarts(betas[stalled], gram[who], rho[who])
+            who = np.repeat(who, restarts.shape[1])
+            restarts = _gauss_newton(restarts.reshape(-1, k), gram[who], rho[who])
+            betas = np.concatenate([betas, restarts])
+            owner = np.concatenate([owner, who])
+
+    rot, t, rms = _candidate_poses(
+        betas, basis[owner], alphas[owner], world[owner], image[owner], cam
+    )
+    # lowest RMS per problem; the stable sort keeps the first row on ties
+    order = np.lexsort((rms, owner))
+    first = order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
+    return rot[first], t[first], np.isfinite(rms[first])
+
+
+def epnp_stack(image, world, cam: CameraIntrinsics):
+    """Solve H independent EPnP problems at once.
+
+    Takes ``image (H, n, 2)`` pixels and ``world (H, n, 3)`` body-frame points
+    with n >= 4, and returns ``R (H, 3, 3)``, ``t (H, 3)`` and a status per
+    problem: :data:`EPNP_OK`, :data:`EPNP_DEGENERATE` for collinear or
+    coincident world points, or :data:`EPNP_NO_POSE` when every candidate
+    puts the target behind the camera. R and t are NaN where the status is
+    not ok. Each problem's result does not depend on the others in the stack.
+    """
+    image = np.asarray(image, dtype=float)
+    world = np.asarray(world, dtype=float)
+    h = world.shape[0]
+    rot = np.full((h, 3, 3), np.nan)
+    t = np.full((h, 3), np.nan)
+    status = np.full(h, EPNP_DEGENERATE, dtype=np.int8)
+    c0, axes, lam, degenerate, planar = _control_frame(world)
+    for m, group in ((4, ~degenerate & ~planar), (3, planar)):
+        idx = np.flatnonzero(group)
+        if idx.size:
+            rot[idx], t[idx], found = _solve_group(
+                image[idx], world[idx], c0[idx], axes[idx, :, : m - 1], lam[idx, : m - 1], cam
+            )
+            status[idx] = np.where(found, EPNP_OK, EPNP_NO_POSE)
+    return rot, t, status
 
 
 def epnp(correspondences, cam: CameraIntrinsics) -> Pose:
@@ -290,33 +374,11 @@ def epnp(correspondences, cam: CameraIntrinsics) -> Pose:
     if len(set(ids)) != len(ids):
         raise ValueError("correspondence ids must be unique")
     image, world = split_correspondences(corrs)
-
-    ctrl = _control_points(world)
-    alphas = _barycentric(world, ctrl)
-    m_sys = _projection_system(alphas, image, cam)
-    _, eigvecs = np.linalg.eigh(m_sys.T @ m_sys)
-    basis = eigvecs[:, : (4 if ctrl.shape[0] == 4 else 2)]
-
-    dv, rho = _distance_terms(basis, ctrl)
-    inits = [_init_assuming_dim1(dv, rho), _init_assuming_dim2(dv, rho)]
-    if ctrl.shape[0] == 4:
-        inits.append(_init_assuming_dim3(dv, rho))
-
-    # only n=4 leaves the whole 4-dim basis degenerate; see _stall_restarts
-    probe_stalls = world.shape[0] == 4 and ctrl.shape[0] == 4
-    misfit_floor = 1e-9 * max(1.0, float(np.linalg.norm(rho)))
-
-    best = None
-    for beta0 in inits:
-        beta = _refine_betas(dv, rho, beta0)
-        betas = [beta]
-        if probe_stalls and _distance_misfit(dv, rho, beta) > misfit_floor:
-            betas.extend(_refine_betas(dv, rho, b) for b in _stall_restarts(dv, rho, beta))
-        for b in betas:
-            candidate = _candidate_pose(b, basis, alphas, world, image, cam)
-            if candidate is not None and (best is None or candidate[0] < best[0]):
-                best = candidate
-    if best is None:
+    rot, t, status = epnp_stack(image[None], world[None], cam)
+    if status[0] == EPNP_DEGENERATE:
+        raise DegenerateGeometryError(
+            "world points are collinear or coincident; control points undefined"
+        )
+    if status[0] == EPNP_NO_POSE:
         raise NoValidPoseError("all EPnP candidates place the target behind the camera")
-    _, rot, t = best
-    return Pose(position=t, attitude=quat_from_matrix(rot))
+    return Pose(position=t[0], attitude=quat_from_matrix(rot[0]))

@@ -88,21 +88,18 @@ def _apply_step(t: np.ndarray, q: np.ndarray, delta: np.ndarray):
     return t + delta[:3], quat_multiply(q, quat_from_rotvec(delta[3:]))
 
 
-def _stacked_residuals(t, q, world, image, cam) -> np.ndarray | None:
-    """Flat residual vector, or None when the step puts points behind the camera."""
-    try:
-        projected = project(Pose(position=t, attitude=q), cam, world)
-    except BehindCameraError:
-        return None
-    return (projected - image).ravel()
+def _stacked_residuals(t, q, world, image, cam) -> np.ndarray:
+    """Flat residual vector; raises :class:`BehindCameraError` naming the point."""
+    return (project(Pose(position=t, attitude=q), cam, world) - image).ravel()
 
 
 def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConfig) -> Pose:
     """Minimize the summed squared reprojection error from ``initial``.
 
     Terminates on the gradient, step, or relative-cost tolerance, or after
-    ``max_iterations``. Raises :class:`NumericalFailureError` on non-finite
-    residuals at the starting point.
+    ``max_iterations``. Raises :class:`BehindCameraError` naming the first
+    point at or behind the camera at the starting pose, and
+    :class:`NumericalFailureError` on non-finite residuals there.
     """
     image, world = split_correspondences(correspondences)
     if image.shape[0] == 0:
@@ -111,8 +108,6 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConf
     t = np.array(initial.position, dtype=float)
     q = np.array(initial.attitude, dtype=float)
     residual = _stacked_residuals(t, q, world, image, cam)
-    if residual is None:
-        raise BehindCameraError(0, 0.0)
     if not np.all(np.isfinite(residual)):
         raise NumericalFailureError("non-finite reprojection residuals at initial pose")
     cost = float(residual @ residual)
@@ -136,10 +131,14 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConf
             if np.linalg.norm(delta) < cfg.step_tol:
                 break
             t_new, q_new = _apply_step(t, q, delta)
-            residual_new = _stacked_residuals(t_new, q_new, world, image, cam)
             cost_new = np.inf
-            if residual_new is not None and np.all(np.isfinite(residual_new)):
-                cost_new = float(residual_new @ residual_new)
+            try:
+                residual_new = _stacked_residuals(t_new, q_new, world, image, cam)
+            except BehindCameraError:
+                pass  # a step that puts points behind the camera is rejected
+            else:
+                if np.all(np.isfinite(residual_new)):
+                    cost_new = float(residual_new @ residual_new)
             if cost_new < cost:
                 t, q, residual = t_new, q_new, residual_new
                 drop = cost - cost_new

@@ -1,10 +1,13 @@
 """RANSAC wrapper around the EPnP solver.
 
 Hypotheses are minimal correspondence samples drawn without replacement from
-a seeded Philox stream, scored by per-point reprojection error. The standard
-adaptive stopping rule shortens the loop once a high-inlier hypothesis is
-found, and the winning consensus set is re-solved with EPnP over all of its
-inliers. Identical seed and inputs reproduce the identical result.
+a seeded Philox stream. They are solved in chunks by one stacked EPnP call
+and scored together by per-point reprojection error. The first chunk holds
+a single hypothesis, so clean data still stops after one solve; later
+chunks hold up to 16. Results are taken in draw order under the standard
+adaptive stopping rule, and hypotheses drawn past the stop are discarded
+and not counted. The winning consensus set is re-solved with EPnP over all
+of its inliers. Identical seed and inputs reproduce the identical result.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import numpy as np
 from ..errors import ConsensusFailureError, DegenerateGeometryError, NoValidPoseError
 from ..geometry import CameraIntrinsics, Pose
 from ..rng import stream
-from .epnp import epnp, split_correspondences
+from .epnp import EPNP_OK, epnp, epnp_stack, point_errors, split_correspondences
+
+_CHUNK = 16  # hypotheses per stacked EPnP call after the first
 
 
 @dataclass(frozen=True)
@@ -45,18 +50,6 @@ class PnPResult:
     inlier_mask: np.ndarray  # bool, aligned with the input correspondences
     rms_reprojection: float  # pixels, over inliers only
     iterations_used: int
-
-
-def _point_errors(pose: Pose, world: np.ndarray, image: np.ndarray, cam) -> np.ndarray:
-    """Per-point reprojection error norms; inf for points behind the camera."""
-    cam_pts = world @ pose.rotation_matrix().T + pose.position
-    z = cam_pts[:, 2]
-    errors = np.full(world.shape[0], np.inf)
-    ok = z > 1e-9
-    u = cam.fx * cam_pts[ok, 0] / z[ok] + cam.cx
-    v = cam.fy * cam_pts[ok, 1] / z[ok] + cam.cy
-    errors[ok] = np.hypot(u - image[ok, 0], v - image[ok, 1])
-    return errors
 
 
 def _required_iterations(inlier_ratio: float, sample_size: int, confidence: float, cap: int) -> int:
@@ -90,25 +83,34 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
     best_rms = np.inf
     required = cfg.max_iterations
     iterations = 0
+    chunk = 1
 
     while iterations < required:
-        iterations += 1
-        sample = rng.choice(n, size=cfg.min_sample, replace=False)
-        try:
-            hypothesis = epnp([corrs[i] for i in sample], cam)
-        except (DegenerateGeometryError, NoValidPoseError):
-            continue
-        errors = _point_errors(hypothesis, world, image, cam)
-        mask = errors < cfg.inlier_threshold
-        count = int(mask.sum())
-        if count < cfg.min_sample:
-            continue
-        rms = float(np.sqrt(np.mean(errors[mask] ** 2)))
-        if count > best_count or (count == best_count and rms < best_rms):
-            best_mask, best_count, best_rms = mask, count, rms
-            required = _required_iterations(
-                count / n, cfg.min_sample, cfg.confidence, cfg.max_iterations
-            )
+        samples = np.array(
+            [
+                rng.choice(n, size=cfg.min_sample, replace=False)
+                for _ in range(min(chunk, required - iterations))
+            ]
+        )
+        chunk = _CHUNK
+        rot, t, status = epnp_stack(image[samples], world[samples], cam)
+        errors = point_errors(rot, t, world, image, cam)
+        for h in range(len(samples)):
+            if iterations >= required:
+                break  # the stop came earlier in this chunk
+            iterations += 1
+            if status[h] != EPNP_OK:
+                continue
+            mask = errors[h] < cfg.inlier_threshold
+            count = int(mask.sum())
+            if count < cfg.min_sample:
+                continue
+            rms = float(np.sqrt(np.mean(errors[h, mask] ** 2)))
+            if count > best_count or (count == best_count and rms < best_rms):
+                best_mask, best_count, best_rms = mask, count, rms
+                required = _required_iterations(
+                    count / n, cfg.min_sample, cfg.confidence, cfg.max_iterations
+                )
 
     if best_mask is None:
         raise ConsensusFailureError(
@@ -120,7 +122,7 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
         pose = epnp(inliers, cam)
     except (DegenerateGeometryError, NoValidPoseError) as exc:
         raise ConsensusFailureError(f"re-solve on {best_count} inliers failed: {exc}") from exc
-    final_errors = _point_errors(pose, world, image, cam)
+    final_errors = point_errors(pose.rotation_matrix(), pose.position, world, image, cam)
     rms = float(np.sqrt(np.mean(final_errors[best_mask] ** 2)))
     return PnPResult(
         pose=pose,

@@ -54,7 +54,7 @@ def _dlt_point(poses: list[Pose], pixels: np.ndarray, cam: CameraIntrinsics) -> 
         skew = np.array([[0.0, -1.0, v], [1.0, 0.0, -u], [-v, u, 0.0]])
         rows.append(skew @ p_mat)
     a = np.vstack(rows)
-    _, _, vt = np.linalg.svd(a)
+    _, _, vt = np.linalg.svd(a, full_matrices=False)
     hom = vt[-1]
     if abs(hom[3]) < 1e-12 * np.linalg.norm(hom):
         raise DegenerateBaselineError("triangulated point is at infinity")

@@ -6,6 +6,7 @@ import pytest
 from satpose import Correspondence, attitude_error, epnp, reprojection_residuals
 from satpose.errors import DegenerateGeometryError
 from satpose.geometry import Pose, project, quat_to_matrix
+from satpose.pnp.epnp import EPNP_DEGENERATE, EPNP_OK, _solve, epnp_stack, split_correspondences
 from satpose.rng import stream
 from tests.conftest import random_pose, synthesize
 
@@ -98,3 +99,73 @@ def test_returned_attitude_is_proper_rotation(cam, wireframe, make_case):
         rot = quat_to_matrix(est.attitude)
         assert abs(np.linalg.det(rot) - 1.0) < 1e-9
         assert est.position[2] > 0
+
+
+def _minimal_samples(corrs, rng, count, size=5):
+    draws = [rng.choice(len(corrs), size=size, replace=False) for _ in range(count)]
+    return [[corrs[i] for i in draw] for draw in draws]
+
+
+def _stacked(samples):
+    arrays = [split_correspondences(sample) for sample in samples]
+    return np.array([a[0] for a in arrays]), np.array([a[1] for a in arrays])
+
+
+def test_stack_matches_single_solves_noise_free(cam, wireframe, make_case):
+    rng = stream(103, "epnp")
+    for seed in range(5):
+        _, corrs = make_case(900 + seed)
+        samples = _minimal_samples(corrs, rng, 16)
+        image, world = _stacked(samples)
+        rot, t, status = epnp_stack(image, world, cam)
+        for h, sample in enumerate(samples):
+            single = epnp(sample, cam)
+            assert status[h] == EPNP_OK
+            np.testing.assert_allclose(rot[h], quat_to_matrix(single.attitude), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(t[h], single.position, rtol=0, atol=1e-9)
+
+
+def test_stack_mixed_chunk_keeps_each_problem_apart(cam, wireframe):
+    rng = stream(104, "epnp")
+    pose = random_pose(rng)
+    general = [wireframe.keypoints[[0, 2, 5, 8, 9]], wireframe.keypoints[[1, 3, 4, 6, 10]]]
+    planar = np.array(
+        [[-2.0, -1.5, 0.0], [2.0, -1.5, 0.0], [0.7, 1.5, 0.0], [-0.7, 0.0, 0.0], [2.0, 1.5, 0.0]]
+    )
+    collinear = np.array([[float(i), 0.0, 0.0] for i in range(5)])
+    world = np.array([general[0], collinear, planar, general[1]])
+    image = np.array([project(pose, cam, w) for w in world])
+    rot, t, status = epnp_stack(image, world, cam)
+    assert list(status) == [EPNP_OK, EPNP_DEGENERATE, EPNP_OK, EPNP_OK]
+    assert np.all(np.isnan(rot[1])) and np.all(np.isnan(t[1]))
+    # the planar problem is solved by the three-control-point group
+    np.testing.assert_allclose(rot[2], pose.rotation_matrix(), atol=1e-9)
+    np.testing.assert_allclose(t[2], pose.position, atol=1e-9 * 70)
+    # general problems come out exactly as they do in a stack of their own
+    alone_rot, alone_t, _ = epnp_stack(image[[0, 3]], world[[0, 3]], cam)
+    np.testing.assert_array_equal(rot[[0, 3]], alone_rot)
+    np.testing.assert_array_equal(t[[0, 3]], alone_t)
+
+
+def test_stack_non_finite_problem_does_not_fail_the_others(cam, wireframe):
+    rng = stream(105, "epnp")
+    pose = random_pose(rng)
+    world = np.array([wireframe.keypoints[:6]] * 3)
+    image = np.array([project(pose, cam, w) for w in world])
+    world[1, 2, 0] = np.inf
+    image[2, 0, 1] = np.nan
+    with np.errstate(invalid="ignore"):  # inf - inf while centring problem 1
+        rot, t, status = epnp_stack(image, world, cam)
+    assert status[0] == EPNP_OK and status[1] == EPNP_DEGENERATE and status[2] != EPNP_OK
+    np.testing.assert_allclose(rot[0], pose.rotation_matrix(), atol=1e-9)
+
+
+def test_stacked_solve_isolates_singular_slices():
+    a = np.array(
+        [np.eye(3) * 2.0, np.zeros((3, 3)), [[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]]
+    )
+    b = np.ones((3, 3))
+    x = _solve(a, b)
+    assert np.all(np.isnan(x[1]))
+    np.testing.assert_allclose(x[0], np.linalg.solve(a[0], b[0]))
+    np.testing.assert_allclose(x[2], np.linalg.solve(a[2], b[2]))

@@ -1,17 +1,21 @@
 """Label generation, noise oracle, and end-to-end pipeline tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from satpose import (
+    BBox,
     FileProvider,
+    LMConfig,
     Manifest,
     NoiseModel,
     OracleProvider,
     Pose,
     RansacConfig,
+    RoiConfig,
     SampleRecord,
     emit_report,
     epnp,
@@ -19,8 +23,10 @@ from satpose import (
     oracle_landmarks,
     run_pipeline,
 )
-from satpose.pipeline import report_payload
+from satpose.errors import InsufficientLandmarksError
+from satpose.pipeline import _solve_record, report_payload
 from satpose.pnp import Correspondence
+from satpose.rng import stream
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
 
 
@@ -205,6 +211,60 @@ class TestRunPipeline:
     def test_empty_manifest_rejected(self, cam, wireframe):
         with pytest.raises(ValueError):
             run_pipeline(Manifest(camera=cam, records=[]), OracleProvider(NoiseModel()), wireframe)
+
+    def test_scores_do_not_depend_on_record_order(self, labeled, wireframe):
+        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, seed=41)
+        cfg = RansacConfig(seed=7)
+        forward = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
+        order = stream(8, "permute").permutation(len(labeled.records))
+        shuffled = Manifest(camera=labeled.camera, records=[labeled.records[i] for i in order])
+        permuted = run_pipeline(shuffled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
+        assert sorted(forward.failures) == sorted(permuted.failures)
+        by_id = dict(zip(permuted.scored_ids, permuted.scores))
+        assert set(by_id) == set(forward.scored_ids)
+        for rid, score in zip(forward.scored_ids, forward.scores):
+            assert (score.e_t, score.e_q, score.score) == (
+                by_id[rid].e_t, by_id[rid].e_q, by_id[rid].score
+            )
+
+    def test_provider_value_error_propagates(self, labeled, wireframe):
+        class BrokenProvider:
+            def landmarks(self, record, roi):
+                raise ValueError("provider bug")
+
+        with pytest.raises(ValueError, match="provider bug"):
+            run_pipeline(labeled, BrokenProvider(), wireframe)
+
+    def test_starved_record_is_its_own_failure_type(self, cam, labeled, wireframe):
+        stage_ms = {"detection": 0.0, "landmarks": 0.0, "pnp": 0.0}
+        roi_cfg = RoiConfig(image_width=cam.width, image_height=cam.height)
+        with pytest.raises(InsufficientLandmarksError, match="only 0 usable landmarks"):
+            _solve_record(
+                labeled.records[1],
+                OracleProvider(NoiseModel(dropout_rate=1.0)),
+                wireframe,
+                cam,
+                roi_cfg,
+                RansacConfig(),
+                LMConfig(),
+                stage_ms,
+            )
+
+    def test_unusable_box_and_non_finite_landmark_are_failures(self, labeled, wireframe):
+        class NanProvider(OracleProvider):
+            def landmarks(self, record, roi):
+                out = super().landmarks(record, roi)
+                if record.id == poisoned:
+                    out[0] = np.array([np.nan, 0.5])
+                return out
+
+        poisoned = labeled.records[2].id
+        records = list(labeled.records)
+        records[4] = replace(records[4], bbox_pred=BBox(3000.0, 100.0, 3100.0, 200.0))
+        manifest = Manifest(camera=labeled.camera, records=records)
+        run = run_pipeline(manifest, NanProvider(NoiseModel()), wireframe)
+        assert sorted(rid for rid, _ in run.failures) == sorted([poisoned, records[4].id])
+        assert len(run.scores) == len(records) - 2
 
     def test_provider_k_mismatch_is_schema_failure(self, labeled, wireframe):
         seeded = run_pipeline(

@@ -6,6 +6,8 @@ import pytest
 from satpose import RansacConfig, attitude_error, ransac_pnp
 from satpose.errors import ConsensusFailureError
 from satpose.pnp import Correspondence
+from satpose.pnp.epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
+from satpose.pnp.robust import _required_iterations
 from satpose.rng import stream
 
 
@@ -85,6 +87,48 @@ def test_adaptive_stop_on_clean_data(cam, wireframe, make_case):
     _, corrs = make_case(19)
     result = ransac_pnp(corrs, cam, RansacConfig(seed=8, max_iterations=1000))
     assert result.iterations_used == 1  # first all-inlier hypothesis ends the loop
+
+
+def test_degenerate_hypotheses_are_counted(cam):
+    # every minimal sample of a collinear set is skipped, yet each one is an iteration
+    world = np.array([[float(i), 0.0, 0.0] for i in range(8)])
+    corrs = [Correspondence(image=[500.0 + 10 * i, 600.0], world=world[i], id=i) for i in range(8)]
+    with pytest.raises(ConsensusFailureError, match=r"in 40 iterations"):
+        ransac_pnp(corrs, cam, RansacConfig(seed=3, max_iterations=40))
+
+
+def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
+    # the chunked loop keeps the draw order and the stopping rule of a
+    # one-hypothesis-at-a-time loop over the same stream
+    used = []
+    for seed in range(6):
+        _, corrs = make_case(1200 + seed, noise_sigma=1.0)
+        rng = stream(seed, "outliers")
+        noisy = corrupt(corrs, rng.choice(len(corrs), size=4, replace=False), rng)
+        cfg = RansacConfig(inlier_threshold=4.0, seed=seed)
+        image, world = split_correspondences(noisy)
+        draws = stream(cfg.seed, "ransac")
+        best_mask, best_count, best_rms = None, 0, np.inf
+        required, iterations = cfg.max_iterations, 0
+        while iterations < required:
+            iterations += 1
+            sample = draws.choice(len(noisy), size=cfg.min_sample, replace=False)
+            rot, t, status = epnp_stack(image[sample][None], world[sample][None], cam)
+            errors = point_errors(rot[0], t[0], world, image, cam)
+            mask = errors < cfg.inlier_threshold
+            if status[0] != EPNP_OK or mask.sum() < cfg.min_sample:
+                continue
+            rms = float(np.sqrt(np.mean(errors[mask] ** 2)))
+            if mask.sum() > best_count or (mask.sum() == best_count and rms < best_rms):
+                best_mask, best_count, best_rms = mask, int(mask.sum()), rms
+                required = _required_iterations(
+                    best_count / len(noisy), cfg.min_sample, cfg.confidence, cfg.max_iterations
+                )
+        result = ransac_pnp(noisy, cam, cfg)
+        assert result.iterations_used == iterations
+        used.append(iterations)
+        np.testing.assert_array_equal(result.inlier_mask, best_mask)
+    assert max(used) > 1 + 16  # some runs reach a third chunk
 
 
 def test_too_few_correspondences_rejected(cam, wireframe, make_case):

@@ -124,6 +124,20 @@ class TestLMRefine:
             _, rms_refined = reprojection_residuals(refined, corrs, cam)
             assert rms_refined <= rms_coarse + 1e-12
 
+def test_start_behind_camera_names_point_and_depth(cam, wireframe, make_case):
+    pose, corrs = make_case(46)
+    # shift the target so keypoint 3 sits on the camera plane; nearer ones fall behind it
+    depth = pose.rotation_matrix()[2] @ wireframe.keypoints.T
+    shift = np.array([0.0, 0.0, pose.position[2] + depth[3]])
+    start = Pose(position=pose.position - shift, attitude=pose.attitude)
+    z = start.transform(wireframe.keypoints)[:, 2]
+    expected = int(np.nonzero(z <= 1e-6)[0][0])
+    with pytest.raises(BehindCameraError) as err:
+        lm_refine(start, corrs, cam, LMConfig())
+    assert err.value.index == expected
+    assert err.value.z == z[expected]
+
+
 def test_non_finite_residuals_raise(cam, wireframe, make_case, monkeypatch):
     pose, corrs = make_case(45)
     import satpose.pnp.refine as refine_mod
