@@ -27,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateGeometryError, NoValidPoseError
-from ..geometry import CameraIntrinsics, Pose, quat_from_matrix
+from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, Pose, quat_from_matrix
 
 PLANAR_EIGENVALUE_RATIO = 1e-8
 _COLLINEAR_EIGENVALUE_RATIO = 1e-10
 _BETA_GN_ITERATIONS = 20
 _BETA_GN_STEP_TOL = 1e-13
 _BETA_GN_DAMPING = 1e-12
-_MIN_DEPTH = 1e-9  # metres; shallower points count as behind the camera
 # restart offsets along the softest curvature direction, in units of |beta|
 _RESTART_OFFSETS = np.array(
     [sign * step for step in (0.05, 0.2, 0.5, 1.0) for sign in (1.0, -1.0)]
@@ -81,12 +80,15 @@ def point_errors(
 ) -> np.ndarray:
     """Per-point reprojection error norms (..., n); inf at or behind the camera.
 
+    The depth cut is ``MIN_PROJECTION_DEPTH``, the one ``project`` rejects at,
+    so a point scored here as an inlier never fails refinement from this pose.
+
     ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``
     and ``image (..., n, 2)``; a non-finite pose gives inf everywhere.
     """
     cam_pts = np.einsum("...ij,...nj->...ni", rot, world) + t[..., None, :]
     z = cam_pts[..., 2]
-    front = z > _MIN_DEPTH
+    front = z > MIN_PROJECTION_DEPTH
     z = np.where(front, z, 1.0)
     du = cam.fx * cam_pts[..., 0] / z + cam.cx - image[..., 0]
     dv = cam.fy * cam_pts[..., 1] / z + cam.cy - image[..., 1]

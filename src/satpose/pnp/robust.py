@@ -6,8 +6,11 @@ and scored together by per-point reprojection error. The first chunk holds
 a single hypothesis, so clean data still stops after one solve; later
 chunks hold up to 16. Results are taken in draw order under the standard
 adaptive stopping rule, and hypotheses drawn past the stop are discarded
-and not counted. The winning consensus set is re-solved with EPnP over all
-of its inliers. Identical seed and inputs reproduce the identical result.
+and not counted. The returned pose is the winning minimal-sample hypothesis
+itself; the one fit over all of its inliers is left to the nonlinear
+refinement that follows (:func:`satpose.pnp.refine.lm_refine`), as in the
+gold-standard scheme of linear start plus reprojection-error minimisation.
+Identical seed and inputs reproduce the identical result.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConsensusFailureError, DegenerateGeometryError, NoValidPoseError
-from ..geometry import CameraIntrinsics, Pose
+from ..errors import ConsensusFailureError
+from ..geometry import CameraIntrinsics, Pose, quat_from_matrix
 from ..rng import stream
-from .epnp import EPNP_OK, epnp, epnp_stack, point_errors, split_correspondences
+from .epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
+
+# not called here: bench/tracing.py wraps this name as the pnp.epnp layer
+from .epnp import epnp  # noqa: F401
 
 _CHUNK = 16  # hypotheses per stacked EPnP call after the first
 
@@ -68,8 +74,9 @@ def _required_iterations(inlier_ratio: float, sample_size: int, confidence: floa
 def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnPResult:
     """Robust pose fit; raises :class:`ConsensusFailureError` without support.
 
-    The returned mask is the best hypothesis's consensus set; the pose is
-    EPnP re-solved over all of those inliers.
+    The returned pose is the best minimal-sample hypothesis, the mask its
+    consensus set and ``rms_reprojection`` its RMS error over that mask. The
+    pose is a starting point, to be refined over the masked correspondences.
     """
     corrs = list(correspondences)
     n = len(corrs)
@@ -79,6 +86,7 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
 
     rng = stream(cfg.seed, "ransac")
     best_mask: np.ndarray | None = None
+    best_rot = best_t = None
     best_count = 0
     best_rms = np.inf
     required = cfg.max_iterations
@@ -108,6 +116,7 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
             rms = float(np.sqrt(np.mean(errors[h, mask] ** 2)))
             if count > best_count or (count == best_count and rms < best_rms):
                 best_mask, best_count, best_rms = mask, count, rms
+                best_rot, best_t = rot[h], t[h]
                 required = _required_iterations(
                     count / n, cfg.min_sample, cfg.confidence, cfg.max_iterations
                 )
@@ -117,16 +126,9 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
             f"no hypothesis reached {cfg.min_sample} inliers in {iterations} iterations"
         )
 
-    inliers = [c for c, keep in zip(corrs, best_mask) if keep]
-    try:
-        pose = epnp(inliers, cam)
-    except (DegenerateGeometryError, NoValidPoseError) as exc:
-        raise ConsensusFailureError(f"re-solve on {best_count} inliers failed: {exc}") from exc
-    final_errors = point_errors(pose.rotation_matrix(), pose.position, world, image, cam)
-    rms = float(np.sqrt(np.mean(final_errors[best_mask] ** 2)))
     return PnPResult(
-        pose=pose,
+        pose=Pose(position=best_t, attitude=quat_from_matrix(best_rot)),
         inlier_mask=best_mask,
-        rms_reprojection=rms,
+        rms_reprojection=best_rms,
         iterations_used=iterations,
     )

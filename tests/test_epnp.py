@@ -6,7 +6,14 @@ import pytest
 from satpose import Correspondence, attitude_error, epnp, reprojection_residuals
 from satpose.errors import DegenerateGeometryError
 from satpose.geometry import Pose, project, quat_to_matrix
-from satpose.pnp.epnp import EPNP_DEGENERATE, EPNP_OK, _solve, epnp_stack, split_correspondences
+from satpose.pnp.epnp import (
+    EPNP_DEGENERATE,
+    EPNP_OK,
+    _solve,
+    epnp_stack,
+    point_errors,
+    split_correspondences,
+)
 from satpose.rng import stream
 from tests.conftest import random_pose, synthesize
 
@@ -169,3 +176,13 @@ def test_stacked_solve_isolates_singular_slices():
     assert np.all(np.isnan(x[1]))
     np.testing.assert_allclose(x[0], np.linalg.solve(a[0], b[0]))
     np.testing.assert_allclose(x[2], np.linalg.solve(a[2], b[2]))
+
+
+def test_point_errors_use_the_projection_depth_cut(cam):
+    # a point closer than MIN_PROJECTION_DEPTH is one project() rejects, so it
+    # must not score as an inlier either
+    world = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 1.0], [0.0, 0.2, 2.0], [-0.1, 0.1, 3.0]])
+    t = np.array([0.0, 0.0, 5e-7])
+    errors = point_errors(np.eye(3), t, world, np.zeros((4, 2)), cam)
+    assert errors[0] == np.inf
+    assert np.all(np.isfinite(errors[1:]))

@@ -24,9 +24,12 @@ from satpose import (
     run_pipeline,
 )
 from satpose.errors import InsufficientLandmarksError
+from satpose.geometry import denormalize_landmarks
+from satpose.metrics import image_score
 from satpose.pipeline import _solve_record, report_payload
-from satpose.pnp import Correspondence
-from satpose.rng import stream
+from satpose.pnp import Correspondence, lm_refine, ransac_pnp
+from satpose.rng import derive_seed, stream
+from satpose.roi import make_roi
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
 
 
@@ -193,6 +196,42 @@ class TestRunPipeline:
         assert t.fps > 0
         stage_total = (t.detection_ms + t.landmarks_ms + t.pnp_ms) / 1e3
         assert stage_total <= t.total_s
+
+    def test_stage_split_sums_to_pnp(self, labeled, wireframe):
+        five = Manifest(camera=labeled.camera, records=labeled.records[:5])
+        run = run_pipeline(five, OracleProvider(NoiseModel(sigma_px=1.0)), wireframe)
+        t = run.timing
+        assert t.ransac_ms > 0 and t.refine_ms > 0
+        assert t.ransac_ms + t.refine_ms == t.pnp_ms
+        timed = report_payload(run.report, timing=t)
+        assert timed["ransac_ms"] + timed["refine_ms"] == timed["pnp_ms"]
+        untimed = report_payload(run.report)
+        assert not {"pnp_ms", "ransac_ms", "refine_ms"} & set(untimed)
+
+    def test_scores_match_epnp_resolve_reference(self, cam, labeled, wireframe):
+        # LM from the winning hypothesis reaches the minimum that LM from an
+        # EPnP re-solve over the same inliers reaches
+        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, seed=41)
+        ransac_cfg, lm_cfg = RansacConfig(seed=7), LMConfig()
+        run = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=ransac_cfg)
+        assert not run.failures
+        roi_cfg = RoiConfig(image_width=cam.width, image_height=cam.height)
+        for record, score in zip(labeled.records, run.scores):
+            roi = make_roi(record.bbox_gt, roi_cfg)
+            corrs = [
+                Correspondence(image=denormalize_landmarks(p, roi)[0], world=world, id=k)
+                for k, (p, world) in enumerate(
+                    zip(OracleProvider(noise).landmarks(record, roi), wireframe.keypoints)
+                )
+            ]
+            record_cfg = replace(ransac_cfg, seed=derive_seed(ransac_cfg.seed, record.id))
+            result = ransac_pnp(corrs, cam, record_cfg)
+            inliers = [c for c, keep in zip(corrs, result.inlier_mask) if keep]
+            reference = image_score(
+                record.pose_gt, lm_refine(epnp(inliers, cam), inliers, cam, lm_cfg)
+            )
+            assert abs(score.e_q - reference.e_q) <= 1e-7
+            assert abs(score.e_t - reference.e_t) <= 1e-7 * reference.e_t
 
     def test_deterministic_given_seeds(self, labeled, wireframe):
         noise = NoiseModel(sigma_px=2.0, seed=31)

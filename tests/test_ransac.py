@@ -83,6 +83,23 @@ def test_rms_computed_over_inliers_only(cam, wireframe, make_case):
     assert result.rms_reprojection < 2.0
 
 
+def test_returned_rms_and_mask_belong_to_returned_pose(cam, wireframe, make_case):
+    # the pose is the winning hypothesis: its own errors give the mask and the RMS
+    for seed in range(20):
+        _, corrs = make_case(1300 + seed, noise_sigma=1.5)
+        rng = stream(seed, "outliers")
+        noisy = corrupt(corrs, rng.choice(len(corrs), size=2, replace=False), rng)
+        cfg = RansacConfig(inlier_threshold=5.0, seed=seed)
+        result = ransac_pnp(noisy, cam, cfg)
+        image, world = split_correspondences(noisy)
+        pose = result.pose
+        errors = point_errors(pose.rotation_matrix(), pose.position, world, image, cam)
+        mask = result.inlier_mask
+        assert np.all(errors[mask] < cfg.inlier_threshold)
+        rms = np.sqrt(np.mean(errors[mask] ** 2))
+        assert abs(result.rms_reprojection - rms) < 1e-9
+
+
 def test_adaptive_stop_on_clean_data(cam, wireframe, make_case):
     _, corrs = make_case(19)
     result = ransac_pnp(corrs, cam, RansacConfig(seed=8, max_iterations=1000))
