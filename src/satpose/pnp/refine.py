@@ -3,10 +3,7 @@
 The pose is optimized over 6 degrees of freedom: a translation increment and
 a 3-parameter axis-angle attitude increment composed onto the quaternion from
 the right (body-frame perturbation). Steps are accepted only when they lower
-the cost, so the refined cost never exceeds the initial one. Trial steps are
-scored straight from the rotation matrix and translation arrays; the starting
-pose goes through :func:`~satpose.geometry.project`, whose error names the
-first point at or behind the camera.
+the cost, so the refined cost never exceeds the initial one.
 """
 
 from __future__ import annotations
@@ -15,16 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NumericalFailureError
-from ..geometry import (
-    MIN_PROJECTION_DEPTH,
-    CameraIntrinsics,
-    Pose,
-    project,
-    quat_from_rotvec,
-    quat_multiply,
-    quat_to_matrix,
-)
+from ..errors import BehindCameraError, NumericalFailureError
+from ..geometry import CameraIntrinsics, Pose, project, quat_from_rotvec, quat_multiply
 from .epnp import split_correspondences
 
 _DAMPING_UP = 10.0
@@ -104,18 +93,6 @@ def _stacked_residuals(t, q, world, image, cam) -> np.ndarray:
     return (project(Pose(position=t, attitude=q), cam, world) - image).ravel()
 
 
-def _trial_residuals(t, q, world, image, cam) -> np.ndarray | None:
-    """Flat residual vector at a trial pose; None if a point is at or behind the camera."""
-    cam_pts = world @ quat_to_matrix(q).T + t
-    z = cam_pts[:, 2]
-    if np.any(z <= MIN_PROJECTION_DEPTH):
-        return None
-    uv = np.column_stack(
-        [cam.fx * cam_pts[:, 0] / z + cam.cx, cam.fy * cam_pts[:, 1] / z + cam.cy]
-    )
-    return (uv - image).ravel()
-
-
 def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConfig) -> Pose:
     """Minimize the summed squared reprojection error from ``initial``.
 
@@ -154,10 +131,14 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConf
             if np.linalg.norm(delta) < cfg.step_tol:
                 break
             t_new, q_new = _apply_step(t, q, delta)
-            residual_new = _trial_residuals(t_new, q_new, world, image, cam)
-            cost_new = np.inf  # also for a step that puts points behind the camera
-            if residual_new is not None and np.all(np.isfinite(residual_new)):
-                cost_new = float(residual_new @ residual_new)
+            cost_new = np.inf
+            try:
+                residual_new = _stacked_residuals(t_new, q_new, world, image, cam)
+            except BehindCameraError:
+                pass  # a step that puts points behind the camera is rejected
+            else:
+                if np.all(np.isfinite(residual_new)):
+                    cost_new = float(residual_new @ residual_new)
             if cost_new < cost:
                 t, q, residual = t_new, q_new, residual_new
                 drop = cost - cost_new

@@ -52,7 +52,7 @@ class RansacConfig:
 
 @dataclass(frozen=True)
 class PnPResult:
-    pose: Pose
+    pose: Pose  # winning minimal-sample hypothesis, to be refined over the mask
     inlier_mask: np.ndarray  # bool, aligned with the input correspondences
     rms_reprojection: float  # pixels, over inliers only
     iterations_used: int

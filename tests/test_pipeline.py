@@ -197,14 +197,14 @@ class TestRunPipeline:
         stage_total = (t.detection_ms + t.landmarks_ms + t.pnp_ms) / 1e3
         assert stage_total <= t.total_s
 
-    def test_stage_split_sums_to_pnp(self, labeled, wireframe):
+    def test_pose_solve_timed_in_two_stages(self, labeled, wireframe):
         five = Manifest(camera=labeled.camera, records=labeled.records[:5])
         run = run_pipeline(five, OracleProvider(NoiseModel(sigma_px=1.0)), wireframe)
         t = run.timing
         assert t.ransac_ms > 0 and t.refine_ms > 0
-        assert t.ransac_ms + t.refine_ms == t.pnp_ms
+        assert t.detection_ms + t.landmarks_ms + t.ransac_ms + t.refine_ms <= 1e3 * t.total_s
         timed = report_payload(run.report, timing=t)
-        assert timed["ransac_ms"] + timed["refine_ms"] == timed["pnp_ms"]
+        assert (timed["ransac_ms"], timed["refine_ms"]) == (t.ransac_ms, t.refine_ms)
         untimed = report_payload(run.report)
         assert not {"pnp_ms", "ransac_ms", "refine_ms"} & set(untimed)
 
