@@ -68,7 +68,7 @@ from .pnp import (
     reprojection_residuals,
     triangulate,
 )
-from .roi import BBox, RoiConfig, contains, iou, make_roi, roi_transform
+from .roi import BBox, RoiConfig, contains, iou, make_roi
 from .sampler import (
     PanelConfig,
     PoseSamplerConfig,

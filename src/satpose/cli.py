@@ -143,8 +143,11 @@ class Config:
                 section[key] = value
         return _from_dict(NoiseModel, section, "config: noise")
 
-    def wireframe_path(self):
-        return self.data.get("wireframe")
+    def wireframe_path(self) -> str | None:
+        path = self.data.get("wireframe")
+        if path is not None and not isinstance(path, str):
+            raise ManifestError(f"config: wireframe: expected a file path string, got {path!r}")
+        return path
 
 
 def _resolve_wireframe(args, manifest: Manifest | None, manifest_path) -> WireframeModel:

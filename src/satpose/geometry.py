@@ -26,6 +26,7 @@ from .errors import BehindCameraError, DegenerateGeometryError, OutOfFrameError
 from .roi import BBox
 
 MIN_PROJECTION_DEPTH = 1e-6  # metres
+_MAX_IMAGE_SIDE = 1 << 16  # pixels
 _UNIT_TOL = 1e-9
 
 
@@ -195,10 +196,19 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
+        for name in ("width", "height"):
+            side = getattr(self, name)
+            if not (float(side).is_integer() and 0 < side <= _MAX_IMAGE_SIDE):
+                raise ValueError(
+                    f"{name} must be a whole number of pixels in [1, {_MAX_IMAGE_SIDE}], "
+                    f"got {side!r}"
+                )
+            object.__setattr__(self, name, int(side))
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

@@ -89,8 +89,8 @@ def _parse_camera(data: dict) -> CameraIntrinsics:
             fy=float(_field(data, "fy", "camera")),
             cx=float(_field(data, "cx", "camera")),
             cy=float(_field(data, "cy", "camera")),
-            width=int(_field(data, "width", "camera")),
-            height=int(_field(data, "height", "camera")),
+            width=float(_field(data, "width", "camera")),
+            height=float(_field(data, "height", "camera")),
         )
     except (TypeError, ValueError) as exc:
         raise ManifestError(f"camera: {exc}") from exc
@@ -110,9 +110,10 @@ def _parse_vector(raw, length: int, where: str) -> np.ndarray:
 
 def _parse_quaternion(raw, where: str, convention: str) -> np.ndarray:
     q = _parse_vector(raw, 4, where)
-    norm = np.linalg.norm(q)
-    if norm < 1e-12:
-        raise ManifestError(f"{where}: zero-norm quaternion")
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norm = np.linalg.norm(q)
+    if not 1e-12 <= norm < np.inf:
+        raise ManifestError(f"{where}: quaternion norm {norm:.3g} is zero or overflows")
     if abs(norm - 1.0) > _QUAT_NORM_WARN:
         warnings.warn(
             f"{where}: quaternion norm deviates by {abs(norm - 1.0):.3g}; renormalizing",
@@ -199,6 +200,8 @@ def load_manifest(path) -> Manifest:
         raise ManifestError("records: expected a list")
     records = [_parse_record(r, i, convention) for i, r in enumerate(raw_records)]
     wireframe = data.get("wireframe")
+    if wireframe is not None and not isinstance(wireframe, str):
+        raise ManifestError(f"wireframe: expected a file path string, got {wireframe!r}")
     return Manifest(camera=camera, records=records, wireframe=wireframe)
 
 

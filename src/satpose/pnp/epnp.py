@@ -7,8 +7,8 @@ barycentric combinations of four control points (centroid plus principal
 directions); the camera-frame control points are a combination of the four
 smallest eigenvectors of the projection-constraint normal matrix; candidate
 combination weights (betas) are estimated for assumed null-space dimensions
-1..3 and all of them are refined together by Gauss-Newton on the
-inter-control-point distance constraints; the rigid transform then follows
+1..3 and all of them are refined together by 10 fixed Gauss-Newton steps on
+the inter-control-point distance constraints; the rigid transform then follows
 from orthogonal Procrustes alignment with det=+1 enforcement, and the
 candidate with the lowest reprojection RMS wins.
 
@@ -31,10 +31,9 @@ from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, Pose, quat_from_m
 
 PLANAR_EIGENVALUE_RATIO = 1e-8
 _COLLINEAR_EIGENVALUE_RATIO = 1e-10
-_BETA_GN_ITERATIONS = 20
-_BETA_GN_STEP_TOL = 1e-13
+_BETA_GN_STEPS = 10
 _BETA_GN_DAMPING = 1e-12
-# restart offsets along the softest curvature direction, in units of |beta|
+# restart offsets along each curvature direction, in units of |beta|
 _RESTART_OFFSETS = np.array(
     [sign * step for step in (0.05, 0.2, 0.5, 1.0) for sign in (1.0, -1.0)]
 )
@@ -230,27 +229,18 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the distance constraints b^T G_p b = rho_p, per row.
+    """Gauss-Newton on the distance constraints b^T G_p b = rho_p: 10 fixed steps.
 
-    A row stops after the step cap, on a step below the relative tolerance,
-    or when its damped normal equations cannot be solved.
+    Every row takes every step; a row whose damped step is not finite keeps
+    its betas. Rows reach round-off within about 8 steps, so there is no
+    stop test.
     """
-    beta = beta.copy()
     damping = _BETA_GN_DAMPING * np.eye(beta.shape[1])
-    active = np.arange(beta.shape[0])
-    b = beta
-    for _ in range(_BETA_GN_ITERATIONS):
-        jac, residual = _distance_jacobian(b, gram, rho)
+    for _ in range(_BETA_GN_STEPS):
+        jac, residual = _distance_jacobian(beta, gram, rho)
         hess = np.swapaxes(jac, 1, 2) @ jac
         delta = _solve(hess + damping, -np.einsum("npk,np->nk", jac, residual))
-        stepped = np.isfinite(delta).all(axis=1)
-        b = b + np.where(stepped[:, None], delta, 0.0)
-        beta[active] = b
-        keep = stepped & ~(_norm(delta) < _BETA_GN_STEP_TOL * np.maximum(1.0, _norm(b)))
-        if not keep.all():
-            active, b, gram, rho = active[keep], b[keep], gram[keep], rho[keep]
-            if not active.size:
-                break
+        beta = beta + np.where(np.isfinite(delta).all(axis=1, keepdims=True), delta, 0.0)
     return beta
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SQUARE_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class BBox:
@@ -132,29 +130,3 @@ def contains(outer: BBox, inner: BBox) -> bool:
         and inner.xmax <= outer.xmax
         and inner.ymax <= outer.ymax
     )
-
-
-def roi_transform(
-    p: np.ndarray, roi: BBox, target_side: float, direction: str
-) -> np.ndarray:
-    """Map pixel coordinates between the full image and the resized crop.
-
-    ``direction="to_roi"`` sends full-image pixels into the coordinates of the
-    square ROI resized to ``target_side``; ``"to_image"`` is the exact inverse.
-    Accepts a single point ``(2,)`` or a batch ``(N, 2)``.
-    """
-    if roi.width <= 0 or roi.height <= 0:
-        raise ValueError("ROI has zero area")
-    if abs(roi.width - roi.height) > _SQUARE_RTOL * max(roi.width, roi.height):
-        raise ValueError("ROI must be square")
-    if target_side <= 0:
-        raise ValueError("target_side must be positive")
-    if direction not in ("to_roi", "to_image"):
-        raise ValueError(f"direction must be 'to_roi' or 'to_image', got {direction!r}")
-
-    pts = np.asarray(p, dtype=float)
-    origin = np.array([roi.xmin, roi.ymin])
-    scale = target_side / roi.width
-    if direction == "to_roi":
-        return (pts - origin) * scale
-    return pts / scale + origin

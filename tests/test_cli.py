@@ -117,6 +117,26 @@ def test_schema_error_exit_code(tmp_path):
     assert code == EXIT_SCHEMA
 
 
+def test_non_string_wireframe_is_schema_error(workspace):
+    tmp_path, labeled = workspace
+    data = json.loads(labeled.read_text())
+    data["wireframe"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = main(["generate-labels", "--manifest", str(bad), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_SCHEMA
+
+
+def test_non_string_config_wireframe_is_schema_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"wireframe": 5}))
+    out = tmp_path / "m.json"
+    code = main(
+        ["sample-poses", "--n", "2", "--seed", "1", "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == EXIT_SCHEMA
+
+
 def test_failure_rate_exit_code(workspace):
     tmp_path, labeled = workspace
     report = tmp_path / "report.json"

@@ -5,10 +5,12 @@ import pytest
 
 from satpose import Correspondence, attitude_error, epnp, reprojection_residuals
 from satpose.errors import DegenerateGeometryError
-from satpose.geometry import Pose, project, quat_to_matrix
+from satpose.geometry import Pose, project, quat_from_matrix, quat_to_matrix
 from satpose.pnp.epnp import (
     EPNP_DEGENERATE,
     EPNP_OK,
+    _distance_terms,
+    _gauss_newton,
     _solve,
     epnp_stack,
     point_errors,
@@ -54,6 +56,24 @@ def test_minimal_four_point_case_exact(cam, wireframe):
         corrs = [Correspondence(image=pixels[k], world=world[k], id=k) for k in range(4)]
         _, rms = reprojection_residuals(epnp(corrs, cam), corrs, cam)
         assert rms < 1e-6
+
+
+def test_random_four_point_problems_solve_exactly(cam):
+    # n = 4 leaves the projection kernel 4-dimensional, so these exercise the
+    # curvature restarts after the fixed Gauss-Newton steps
+    rng = stream(102, "epnp")
+    worlds = []
+    while len(worlds) < 400:
+        world = rng.uniform(-2.0, 2.0, size=(4, 3))
+        lam = np.linalg.eigvalsh(np.cov(world.T))
+        if lam[0] > 1e-3 * lam[2]:  # well away from planar or collinear
+            worlds.append(world)
+    world = np.array(worlds)
+    image = np.array([project(random_pose(rng), cam, w) for w in world])
+    rot, t, status = epnp_stack(image, world, cam)
+    assert np.all(status == EPNP_OK)
+    rms = np.sqrt(np.mean(point_errors(rot, t, world, image, cam) ** 2, axis=1))
+    assert np.all(rms < 1e-6)
 
 
 def test_planar_target_uses_fallback_and_solves(cam):
@@ -165,6 +185,37 @@ def test_stack_non_finite_problem_does_not_fail_the_others(cam, wireframe):
         rot, t, status = epnp_stack(image, world, cam)
     assert status[0] == EPNP_OK and status[1] == EPNP_DEGENERATE and status[2] != EPNP_OK
     np.testing.assert_allclose(rot[0], pose.rotation_matrix(), atol=1e-9)
+
+
+def test_stack_solves_noise_free_minimal_samples_exactly(cam, wireframe):
+    # RANSAC returns a 5-point hypothesis as its pose, so exact data must give
+    # the exact pose from the hypothesis kernel alone
+    rng = stream(106, "epnp")
+    poses = [random_pose(rng) for _ in range(200)]
+    world = np.array(
+        [wireframe.keypoints[rng.choice(wireframe.count, 5, replace=False)] for _ in poses]
+    )
+    image = np.array([project(pose, cam, w) for pose, w in zip(poses, world)])
+    rot, _, status = epnp_stack(image, world, cam)
+    assert np.all(status == EPNP_OK)
+    for pose, r in zip(poses, rot):
+        assert attitude_error(pose.attitude, quat_from_matrix(r)) < 1e-9
+
+
+def test_gauss_newton_keeps_a_non_finite_row_apart():
+    rng = stream(107, "epnp")
+    basis = rng.normal(size=(3, 12, 4))
+    gram, _ = _distance_terms(basis, rng.normal(size=(3, 4, 3)))
+    truth = rng.normal(size=(3, 4))
+    rho = np.einsum("hk,hpkl,hl->hp", truth, gram, truth)
+    start = truth + 0.05 * rng.normal(size=(3, 4))
+    gram[1, 2, 0, 0] = np.nan
+    beta = _gauss_newton(start, gram, rho)
+    np.testing.assert_array_equal(beta[1], start[1])
+    np.testing.assert_array_equal(
+        beta[[0, 2]], _gauss_newton(start[[0, 2]], gram[[0, 2]], rho[[0, 2]])
+    )
+    np.testing.assert_allclose(beta[[0, 2]], truth[[0, 2]], rtol=0, atol=1e-9)
 
 
 def test_stacked_solve_isolates_singular_slices():

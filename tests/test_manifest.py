@@ -113,6 +113,34 @@ class TestSchemaErrors:
         with pytest.raises(ManifestError, match="attitude_convention"):
             load_manifest(self.write(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width", float("inf")),  # int() would raise OverflowError
+            ("fx", float("inf")),
+            ("width", 1920.7),  # int() would truncate it to 1920
+            ("width", 1e30),
+        ],
+        ids=["width-inf", "fx-inf", "width-fractional", "width-huge"],
+    )
+    def test_malformed_camera_value_rejected(self, cam, tmp_path, field, value):
+        payload = self.base_payload(cam)
+        payload["camera"][field] = value
+        with pytest.raises(ManifestError, match=f"camera: {field}"):
+            load_manifest(self.write(tmp_path, payload))
+
+    def test_overflowing_quaternion_norm_rejected(self, cam, tmp_path):
+        payload = self.base_payload(cam)
+        payload["records"][0]["q"] = [1e300, 1e300, 0, 0]
+        with pytest.raises(ManifestError, match=r"records\[0\].*overflows"):
+            load_manifest(self.write(tmp_path, payload))
+
+    def test_non_string_wireframe_rejected(self, cam, tmp_path):
+        payload = self.base_payload(cam)
+        payload["wireframe"] = 5
+        with pytest.raises(ManifestError, match="wireframe"):
+            load_manifest(self.write(tmp_path, payload))
+
 
 class TestQuaternionPolicy:
     def test_non_unit_quaternion_normalized_with_warning(self, cam, tmp_path):

@@ -1,9 +1,8 @@
 """ROI construction rules and box-overlap metric tests."""
 
-import numpy as np
 import pytest
 
-from satpose import BBox, RoiConfig, contains, iou, make_roi, roi_transform
+from satpose import BBox, RoiConfig, contains, iou, make_roi
 from satpose.rng import stream
 
 CFG = RoiConfig(image_width=1920.0, image_height=1200.0)
@@ -111,36 +110,3 @@ class TestContains:
     def test_overhanging_corner(self):
         assert not contains(BBox(0, 0, 100, 100), BBox(90, 90, 110, 110))
 
-
-class TestRoiTransform:
-    ROI = BBox(100.0, 50.0, 400.0, 350.0)  # square side 300
-
-    def test_corner_maps_to_origin(self):
-        np.testing.assert_allclose(
-            roi_transform(np.array([100.0, 50.0]), self.ROI, 224.0, "to_roi"), [0.0, 0.0]
-        )
-
-    def test_center_maps_to_half_side(self):
-        np.testing.assert_allclose(
-            roi_transform(np.array([250.0, 200.0]), self.ROI, 224.0, "to_roi"),
-            [112.0, 112.0],
-        )
-
-    def test_round_trip_identity(self):
-        rng = stream(25, "roi-t")
-        pts = rng.uniform(0, 1920, size=(100, 2))
-        crop = roi_transform(pts, self.ROI, 224.0, "to_roi")
-        back = roi_transform(crop, self.ROI, 224.0, "to_image")
-        assert np.max(np.abs(back - pts)) < 1e-9
-
-    def test_zero_area_roi_rejected(self):
-        with pytest.raises(ValueError):
-            roi_transform(np.array([0.0, 0.0]), BBox(1, 1, 1, 1), 224.0, "to_roi")
-
-    def test_non_square_roi_rejected(self):
-        with pytest.raises(ValueError):
-            roi_transform(np.array([0.0, 0.0]), BBox(0, 0, 100, 50), 224.0, "to_roi")
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ValueError):
-            roi_transform(np.array([0.0, 0.0]), self.ROI, 224.0, "sideways")
