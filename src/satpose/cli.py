@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,6 +38,8 @@ from .geometry import (
 )
 from .manifest import Manifest, SampleRecord, load_manifest, save_manifest, split_dataset
 from .pipeline import (
+    REPORT_KEYS,
+    TIMING_KEYS,
     FileProvider,
     NoiseModel,
     OracleProvider,
@@ -273,14 +276,28 @@ def _cmd_triangulate(args) -> int:
     return EXIT_OK
 
 
+def _check_report(data, path) -> dict:
+    """``data`` if it has ``report_payload``'s keys and numbers; ``ManifestError`` if not."""
+    if not isinstance(data, dict):
+        raise ManifestError(f"{path}: expected a report object")
+    missing = [key for key in REPORT_KEYS if key not in data]
+    unknown = sorted(set(data) - set(REPORT_KEYS) - set(TIMING_KEYS))
+    if missing or unknown:
+        raise ManifestError(f"{path}: not a satpose report (missing {missing}, unknown {unknown})")
+    for key, value in data.items():
+        # untimed values are finite; fps is inf when no wall time elapsed
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ManifestError(f"{path}: {key} must be a number, got {value!r}")
+        if key in REPORT_KEYS and not math.isfinite(value):
+            raise ManifestError(f"{path}: {key} must be finite, got {value!r}")
+    return data
+
+
 def _cmd_report(args) -> int:
     payloads = []
     for path in args.reports:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ManifestError(f"{path}: expected a report object")
-        payloads.append(data)
+            payloads.append(_check_report(json.load(fh), path))
     if args.format == "csv":
         write_csv_reports(payloads, args.out)
     else:
@@ -333,7 +350,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-rate", type=float, default=None)
     p.add_argument("--dropout-rate", type=float, default=None)
     p.add_argument("--noise-seed", type=int, default=None)
-    p.add_argument("--seed", type=int, default=int(_env("SEED", 0)), help="RANSAC seed")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=None if _env("SEED") is None else int(_env("SEED")),
+        help="RANSAC seed (default: SATPOSE_SEED, else the config's ransac.seed, else 0)",
+    )
     p.add_argument("--format", choices=["json", "csv"], default=_env("FORMAT", "json"))
     p.add_argument("--dump-predictions", help="write provider outputs to this manifest")
     p.add_argument(

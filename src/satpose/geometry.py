@@ -48,6 +48,13 @@ def _quat(q, name: str = "quaternion") -> np.ndarray:
     return out
 
 
+def whole_number(value, name: str, lo: int, hi: float = np.inf) -> int:
+    """``value`` as an ``int``; raises ``ValueError`` unless it is a whole number in [lo, hi]."""
+    if not (float(value).is_integer() and lo <= value <= hi):
+        raise ValueError(f"{name} must be a whole number in [{lo}, {hi}], got {value!r}")
+    return int(value)
+
+
 def quat_normalize(q) -> np.ndarray:
     """Rescale to unit norm; raises on (near-)zero input.
 
@@ -202,13 +209,8 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         for name in ("width", "height"):
-            side = getattr(self, name)
-            if not (float(side).is_integer() and 0 < side <= _MAX_IMAGE_SIDE):
-                raise ValueError(
-                    f"{name} must be a whole number of pixels in [1, {_MAX_IMAGE_SIDE}], "
-                    f"got {side!r}"
-                )
-            object.__setattr__(self, name, int(side))
+            side = whole_number(getattr(self, name), name, 1, _MAX_IMAGE_SIDE)
+            object.__setattr__(self, name, side)
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 

@@ -319,6 +319,13 @@ def run_pipeline(
     )
 
 
+# report_payload's keys: REPORT_KEYS always, TIMING_KEYS only when timed
+_STAT_FIELDS = ("e_t_m", "e_t_norm", "e_q_deg")
+_STATS = ("mean", "std", "median")
+REPORT_KEYS = ("n", "failures", "E") + tuple(f"{f}_{s}" for f in _STAT_FIELDS for s in _STATS)
+TIMING_KEYS = ("fps", "detection_ms", "landmarks_ms", "pnp_ms", "ransac_ms", "refine_ms")
+
+
 def report_payload(
     report: AggregateReport,
     failures: int = 0,
@@ -330,31 +337,11 @@ def report_payload(
     only present when a timing report is supplied (wall time is not seeded,
     so deterministic reports must omit it).
     """
-    payload = {
-        "n": report.n,
-        "failures": failures,
-        "E": report.e,
-        "e_t_m_mean": report.e_t_m.mean,
-        "e_t_m_std": report.e_t_m.std,
-        "e_t_m_median": report.e_t_m.median,
-        "e_t_norm_mean": report.e_t_norm.mean,
-        "e_t_norm_std": report.e_t_norm.std,
-        "e_t_norm_median": report.e_t_norm.median,
-        "e_q_deg_mean": report.e_q_deg.mean,
-        "e_q_deg_std": report.e_q_deg.std,
-        "e_q_deg_median": report.e_q_deg.median,
-    }
+    payload = {"n": report.n, "failures": failures, "E": report.e}
+    for field in _STAT_FIELDS:
+        payload.update({f"{field}_{s}": getattr(getattr(report, field), s) for s in _STATS})
     if timing is not None:
-        payload.update(
-            {
-                "fps": timing.fps,
-                "detection_ms": timing.detection_ms,
-                "landmarks_ms": timing.landmarks_ms,
-                "pnp_ms": timing.pnp_ms,
-                "ransac_ms": timing.ransac_ms,
-                "refine_ms": timing.refine_ms,
-            }
-        )
+        payload.update({key: getattr(timing, key) for key in TIMING_KEYS})
     return payload
 
 

@@ -3,7 +3,8 @@
 The pose is optimized over 6 degrees of freedom: a translation increment and
 a 3-parameter axis-angle attitude increment composed onto the quaternion from
 the right (body-frame perturbation). Steps are accepted only when they lower
-the cost, so the refined cost never exceeds the initial one.
+the cost, so the refined cost never exceeds the initial one. The damped loop,
+:func:`least_squares`, also refines triangulated points.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BehindCameraError, NumericalFailureError
-from ..geometry import CameraIntrinsics, Pose, project, quat_from_rotvec, quat_multiply
+from ..geometry import (
+    CameraIntrinsics,
+    Pose,
+    project,
+    quat_from_rotvec,
+    quat_multiply,
+    whole_number,
+)
 from .epnp import split_correspondences
 
 _DAMPING_UP = 10.0
@@ -30,12 +38,12 @@ class LMConfig:
     initial_damping: float = 1e-3
 
     def __post_init__(self):
+        whole = whole_number(self.max_iterations, "max_iterations", 1)
+        object.__setattr__(self, "max_iterations", whole)
         if min(self.gradient_tol, self.step_tol, self.cost_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.initial_damping <= 0:
             raise ValueError("initial_damping must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def reprojection_residuals(
@@ -84,38 +92,30 @@ def reprojection_jacobian(pose: Pose, world: np.ndarray, cam: CameraIntrinsics) 
     return jac
 
 
-def _apply_step(t: np.ndarray, q: np.ndarray, delta: np.ndarray):
-    return t + delta[:3], quat_multiply(q, quat_from_rotvec(delta[3:]))
-
-
 def _stacked_residuals(t, q, world, image, cam) -> np.ndarray:
     """Flat residual vector; raises :class:`BehindCameraError` naming the point."""
     return (project(Pose(position=t, attitude=q), cam, world) - image).ravel()
 
 
-def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConfig) -> Pose:
-    """Minimize the summed squared reprojection error from ``initial``.
+def least_squares(x, residual, jacobian, step, cfg: LMConfig):
+    """Levenberg-Marquardt on ``|residual(x)|^2`` from ``x``, for pose and point alike.
 
-    Terminates on the gradient, step, or relative-cost tolerance, or after
-    ``max_iterations``. Raises :class:`BehindCameraError` naming the first
-    point at or behind the camera at the starting pose, and
-    :class:`NumericalFailureError` on non-finite residuals there.
+    ``jacobian(x)`` is the (m, k) Jacobian of the flat ``residual(x)`` and
+    ``step(x, delta)`` applies a k-vector update. A trial whose residual raises
+    :class:`BehindCameraError` or is not finite is rejected like an uphill one.
+    Stops on the gradient, step or relative-cost tolerance, or after
+    ``max_iterations``; raises :class:`NumericalFailureError` on non-finite
+    residuals at the start.
     """
-    image, world = split_correspondences(correspondences)
-    if image.shape[0] == 0:
-        raise ValueError("need at least one correspondence")
-
-    t = np.array(initial.position, dtype=float)
-    q = np.array(initial.attitude, dtype=float)
-    residual = _stacked_residuals(t, q, world, image, cam)
-    if not np.all(np.isfinite(residual)):
-        raise NumericalFailureError("non-finite reprojection residuals at initial pose")
-    cost = float(residual @ residual)
+    r = residual(x)
+    if not np.all(np.isfinite(r)):
+        raise NumericalFailureError("non-finite residuals at the starting point")
+    cost = float(r @ r)
 
     damping = cfg.initial_damping
     for _ in range(cfg.max_iterations):
-        jac = reprojection_jacobian(Pose(position=t, attitude=q), world, cam)
-        grad = jac.T @ residual
+        jac = jacobian(x)
+        grad = jac.T @ r
         if np.max(np.abs(grad)) < cfg.gradient_tol:
             break
         jtj = jac.T @ jac
@@ -130,25 +130,42 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConf
                 continue
             if np.linalg.norm(delta) < cfg.step_tol:
                 break
-            t_new, q_new = _apply_step(t, q, delta)
+            x_new = step(x, delta)
             cost_new = np.inf
             try:
-                residual_new = _stacked_residuals(t_new, q_new, world, image, cam)
+                r_new = residual(x_new)
             except BehindCameraError:
-                pass  # a step that puts points behind the camera is rejected
+                pass  # a step that puts points behind a camera is rejected
             else:
-                if np.all(np.isfinite(residual_new)):
-                    cost_new = float(residual_new @ residual_new)
+                if np.all(np.isfinite(r_new)):
+                    cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                t, q, residual = t_new, q_new, residual_new
-                drop = cost - cost_new
-                cost = cost_new
+                # a relative cost drop below cost_tol ends the loop after this step
+                improved = cost - cost_new >= cfg.cost_tol * max(cost_new, 1e-30)
+                x, r, cost = x_new, r_new, cost_new
                 damping = max(damping * _DAMPING_DOWN, 1e-15)
-                improved = True
-                if drop < cfg.cost_tol * max(cost, 1e-30):
-                    improved = False  # converged on relative cost change
                 break
             damping *= _DAMPING_UP
         if not improved:
             break
+    return x
+
+
+def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConfig) -> Pose:
+    """Minimize the summed squared reprojection error from ``initial``.
+
+    Raises :class:`BehindCameraError` naming the first point at or behind the
+    camera at the starting pose, and :class:`NumericalFailureError` on
+    non-finite residuals there.
+    """
+    image, world = split_correspondences(correspondences)
+    if image.shape[0] == 0:
+        raise ValueError("need at least one correspondence")
+    t, q = least_squares(
+        (np.array(initial.position, dtype=float), np.array(initial.attitude, dtype=float)),
+        lambda x: _stacked_residuals(*x, world, image, cam),
+        lambda x: reprojection_jacobian(Pose(position=x[0], attitude=x[1]), world, cam),
+        lambda x, delta: (x[0] + delta[:3], quat_multiply(x[1], quat_from_rotvec(delta[3:]))),
+        cfg,
+    )
     return Pose(position=t, attitude=q)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConsensusFailureError
-from ..geometry import CameraIntrinsics, Pose, quat_from_matrix
+from ..geometry import CameraIntrinsics, Pose, quat_from_matrix, whole_number
 from ..rng import stream
 from .epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
 
@@ -40,14 +40,12 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.min_sample < 4:
-            raise ValueError("min_sample must be >= 4 for PnP")
+        for name, lo in (("max_iterations", 1), ("min_sample", 4)):  # PnP needs 4 points
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, lo))
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCameraError, SamplingFailureError, UndefinedTrackingError
-from .geometry import CameraIntrinsics, Pose, WireframeModel, _vec3, project
+from .geometry import CameraIntrinsics, Pose, WireframeModel, _vec3, project, whole_number
 from .rng import stream
 
 _HINGE_ALIGNMENT_TOL = 1e-6  # radians
@@ -45,8 +45,7 @@ class PoseSamplerConfig:
             raise ValueError("dist_sigma must be >= 0")
         if self.offset_sigma_frac < 0:
             raise ValueError("offset_sigma_frac must be >= 0")
-        if self.max_rejects < 1:
-            raise ValueError("max_rejects must be >= 1")
+        object.__setattr__(self, "max_rejects", whole_number(self.max_rejects, "max_rejects", 1))
 
 
 @dataclass(frozen=True)

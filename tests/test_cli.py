@@ -198,3 +198,90 @@ def test_env_overrides_seed_and_format(workspace, monkeypatch):
     code = main(["run", "--manifest", str(labeled), "--out", str(report)])
     assert code == EXIT_OK
     assert report.read_text().startswith("n,")  # csv header, not json
+
+
+def test_config_ransac_seed_applies_and_flag_and_env_win(workspace, monkeypatch):
+    tmp_path, labeled = workspace
+
+    def run(config: dict, *extra) -> bytes:
+        cfg = tmp_path / "seed_cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "seed_report.json"
+        code = main(
+            ["run", "--manifest", str(labeled), "--sigma", "2", "--outlier-rate", "0.2",
+             "--noise-seed", "5", "--no-timing", "--config", str(cfg), "--out", str(out), *extra]
+        )
+        assert code == EXIT_OK
+        return out.read_bytes()
+
+    default = run({})
+    seeded = run({"ransac": {"seed": 7}})
+    assert seeded != default  # the config's seed reaches RANSAC
+    assert run({"ransac": {"seed": 0}}) == default  # 0 is the last fallback
+    assert run({"ransac": {"seed": 123456}}, "--seed", "7") == seeded
+    monkeypatch.setenv("SATPOSE_SEED", "7")
+    assert run({"ransac": {"seed": 123456}}) == seeded
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("run", '{"lm": {"max_iterations": 2.5}}'),
+        ("run", '{"lm": {"max_iterations": Infinity}}'),
+        ("run", '{"ransac": {"min_sample": 5.5}}'),
+        ("run", '{"ransac": {"max_iterations": 2.5}}'),
+        ("sample-poses", '{"sampler": {"max_rejects": 2.5}}'),
+    ],
+)
+def test_non_integer_counts_are_schema_errors(workspace, command, config):
+    tmp_path, labeled = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    args = ["--manifest", str(labeled)] if command == "run" else ["--n", "2"]
+    code = main([command, *args, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+    assert code == EXIT_SCHEMA
+
+
+def test_whole_float_counts_are_stored_as_int():
+    from satpose import LMConfig, RansacConfig
+    from satpose.sampler import PoseSamplerConfig
+
+    assert type(LMConfig(max_iterations=3.0).max_iterations) is int
+    ransac = RansacConfig(max_iterations=10.0, min_sample=4.0)
+    assert type(ransac.max_iterations) is int and type(ransac.min_sample) is int
+    assert type(PoseSamplerConfig(max_rejects=5.0).max_rejects) is int
+
+
+@pytest.mark.parametrize("payload", [{}, {"e": "x", "n": [1]}])
+def test_report_rejects_non_reports(tmp_path, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    merged = tmp_path / "merged.csv"
+    assert main(["report", str(bad), "--out", str(merged)]) == EXIT_SCHEMA
+    assert not merged.exists()
+
+
+def test_report_rejects_bad_values_and_unknown_keys(workspace):
+    tmp_path, labeled = workspace
+    good = tmp_path / "good.json"
+    assert main(["run", "--manifest", str(labeled), "--out", str(good)]) == EXIT_OK
+    payload = json.loads(good.read_text())
+    for key, value in (("E", "0.1"), ("E", float("nan")), ("fps", None), ("extra", 1.0)):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**payload, key: value}))
+        assert main(["report", str(bad), "--out", str(tmp_path / "m.csv")]) == EXIT_SCHEMA
+
+
+def test_report_merges_timed_and_untimed(workspace):
+    tmp_path, labeled = workspace
+    timed, untimed = tmp_path / "timed.json", tmp_path / "untimed.json"
+    assert main(["run", "--manifest", str(labeled), "--out", str(timed)]) == EXIT_OK
+    assert (
+        main(["run", "--manifest", str(labeled), "--no-timing", "--out", str(untimed)]) == EXIT_OK
+    )
+    merged = tmp_path / "merged.json"
+    code = main(["report", str(timed), str(untimed), "--format", "json", "--out", str(merged)])
+    assert code == EXIT_OK
+    rows = json.loads(merged.read_text())
+    assert "fps" in rows[0] and "fps" not in rows[1]
+    assert rows[0]["E"] == rows[1]["E"]
