@@ -17,7 +17,6 @@ from .errors import (
     OutOfFrameError,
     SamplingFailureError,
     SatposeError,
-    UndefinedTrackingError,
 )
 from .geometry import (
     DEFAULT_CAMERA,
@@ -70,12 +69,8 @@ from .pnp import (
 )
 from .roi import BBox, RoiConfig, contains, iou, make_roi
 from .sampler import (
-    PanelConfig,
     PoseSamplerConfig,
     SampleStreams,
-    SceneGeometry,
-    lighting_feasible,
-    panel_track_angle,
     sample_attitude,
     sample_attitudes,
     sample_distance,

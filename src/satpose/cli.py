@@ -50,13 +50,7 @@ from .pipeline import (
 )
 from .pnp import LMConfig, RansacConfig, triangulate
 from .roi import RoiConfig
-from .sampler import (
-    PanelConfig,
-    PoseSamplerConfig,
-    SampleStreams,
-    SceneGeometry,
-    sample_pose,
-)
+from .sampler import PoseSamplerConfig, SampleStreams, sample_pose
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -68,18 +62,15 @@ def _env(name: str, fallback=None):
     return os.environ.get(f"SATPOSE_{name}", fallback)
 
 
-def _from_dict(cls, data: dict, where: str):
-    """Instantiate a config dataclass from a JSON mapping, strictly."""
-    if not isinstance(data, dict):
-        raise ManifestError(f"{where}: expected an object")
-    valid = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        raise ManifestError(f"{where}: unknown keys {unknown}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"{where}: {exc}") from exc
+# config file sections and the dataclass each one builds
+_SECTIONS = {
+    "camera": CameraIntrinsics,
+    "sampler": PoseSamplerConfig,
+    "roi": RoiConfig,
+    "ransac": RansacConfig,
+    "lm": LMConfig,
+    "noise": NoiseModel,
+}
 
 
 class Config:
@@ -99,52 +90,30 @@ class Config:
             raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ManifestError(f"{path}: top level must be an object")
+        unknown = sorted(set(data) - set(_SECTIONS) - {"wireframe"})
+        if unknown:
+            raise ManifestError(f"{path}: unknown config sections {unknown}")
         return cls(data)
 
-    def camera(self) -> CameraIntrinsics:
-        if "camera" not in self.data:
-            return DEFAULT_CAMERA
-        return _from_dict(CameraIntrinsics, self.data["camera"], "config: camera")
+    def section(self, name: str, defaults: dict | None = None, **overrides):
+        """Section ``name`` as its dataclass.
 
-    def sampler(self) -> PoseSamplerConfig:
-        return _from_dict(PoseSamplerConfig, self.data.get("sampler", {}), "config: sampler")
-
-    def scene(self) -> SceneGeometry | None:
-        if "scene" not in self.data:
-            return None
-        return _from_dict(SceneGeometry, self.data["scene"], "config: scene")
-
-    def panel(self) -> PanelConfig | None:
-        if "panel" not in self.data:
-            return None
-        return _from_dict(PanelConfig, self.data["panel"], "config: panel")
-
-    def roi(self, cam: CameraIntrinsics) -> RoiConfig:
-        section = dict(self.data.get("roi", {}))
-        section.setdefault("image_width", cam.width)
-        section.setdefault("image_height", cam.height)
-        return _from_dict(RoiConfig, section, "config: roi")
-
-    def ransac(self, seed: int | None) -> RansacConfig:
-        section = dict(self.data.get("ransac", {}))
-        if seed is not None:
-            section["seed"] = seed
-        return _from_dict(RansacConfig, section, "config: ransac")
-
-    def lm(self) -> LMConfig:
-        return _from_dict(LMConfig, self.data.get("lm", {}), "config: lm")
-
-    def noise(self, args) -> NoiseModel:
-        section = dict(self.data.get("noise", {}))
-        for key, value in (
-            ("sigma_px", args.sigma),
-            ("outlier_rate", args.outlier_rate),
-            ("dropout_rate", args.dropout_rate),
-            ("seed", args.noise_seed),
-        ):
-            if value is not None:
-                section[key] = value
-        return _from_dict(NoiseModel, section, "config: noise")
+        Fields come from ``defaults``, then the file, then every override
+        that is not ``None`` (command-line flags).
+        """
+        data = self.data.get(name, {})
+        if not isinstance(data, dict):
+            raise ManifestError(f"config: {name}: expected an object")
+        data = {**(defaults or {}), **data}
+        data.update((key, value) for key, value in overrides.items() if value is not None)
+        cls = _SECTIONS[name]
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ManifestError(f"config: {name}: unknown keys {unknown}")
+        try:
+            return cls(**data)
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"config: {name}: {exc}") from exc
 
     def wireframe_path(self) -> str | None:
         path = self.data.get("wireframe")
@@ -167,10 +136,8 @@ def _resolve_wireframe(args, manifest: Manifest | None, manifest_path) -> Wirefr
 
 def _cmd_sample_poses(args) -> int:
     cfg = Config.load(args.config)
-    cam = cfg.camera()
-    sampler_cfg = cfg.sampler()
-    cfg.scene()  # validate lighting/articulation sections when present
-    cfg.panel()
+    cam = cfg.section("camera") if "camera" in cfg.data else DEFAULT_CAMERA
+    sampler_cfg = cfg.section("sampler")
     out_path = Path(args.out)
 
     wireframe_ref = args.wireframe or cfg.wireframe_path()
@@ -199,8 +166,8 @@ def _cmd_generate_labels(args) -> int:
     labeled, rejects = generate_labels(manifest, wireframe)
     save_manifest(labeled, args.out)
     print(f"labeled {len(labeled.records)} records, {len(rejects)} rejected")
-    for reject in rejects:
-        print(f"  reject {reject.record_id}: {reject.reason}", file=sys.stderr)
+    for record_id, reason in rejects:
+        print(f"  reject {record_id}: {reason}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -220,7 +187,15 @@ def _cmd_run(args) -> int:
     cam = manifest.camera
 
     if args.provider == "oracle":
-        provider = OracleProvider(cfg.noise(args))
+        provider = OracleProvider(
+            cfg.section(
+                "noise",
+                sigma_px=args.sigma,
+                outlier_rate=args.outlier_rate,
+                dropout_rate=args.dropout_rate,
+                seed=args.noise_seed,
+            )
+        )
     else:
         provider = FileProvider()
 
@@ -228,9 +203,9 @@ def _cmd_run(args) -> int:
         manifest,
         provider,
         wireframe,
-        roi_cfg=cfg.roi(cam),
-        ransac_cfg=cfg.ransac(args.seed),
-        lm_cfg=cfg.lm(),
+        roi_cfg=cfg.section("roi", {"image_width": cam.width, "image_height": cam.height}),
+        ransac_cfg=cfg.section("ransac", seed=args.seed),
+        lm_cfg=cfg.section("lm"),
         record_predictions=args.dump_predictions is not None,
     )
     if args.dump_predictions is not None:

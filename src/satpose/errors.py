@@ -54,9 +54,5 @@ class SamplingFailureError(SatposeError):
     """Rejection sampling exhausted its retry budget."""
 
 
-class UndefinedTrackingError(SatposeError):
-    """Sun direction is parallel to the panel hinge; tracking angle undefined."""
-
-
 class ManifestError(SatposeError):
     """A dataset manifest violates the expected schema."""

@@ -50,7 +50,11 @@ def _quat(q, name: str = "quaternion") -> np.ndarray:
 
 def whole_number(value, name: str, lo: int, hi: float = np.inf) -> int:
     """``value`` as an ``int``; raises ``ValueError`` unless it is a whole number in [lo, hi]."""
-    if not (float(value).is_integer() and lo <= value <= hi):
+    try:
+        whole = float(value).is_integer()
+    except OverflowError:  # an int too large for a float
+        whole = False
+    if not (whole and lo <= value <= hi):
         raise ValueError(f"{name} must be a whole number in [{lo}, {hi}], got {value!r}")
     return int(value)
 

@@ -92,7 +92,7 @@ def _parse_camera(data: dict) -> CameraIntrinsics:
             width=float(_field(data, "width", "camera")),
             height=float(_field(data, "height", "camera")),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int too large
         raise ManifestError(f"camera: {exc}") from exc
 
 

@@ -26,11 +26,12 @@ from .geometry import (
     denormalize_landmarks,
     normalize_landmarks,
     project,
+    whole_number,
 )
 from .manifest import Manifest, SampleRecord
 from .metrics import AggregateReport, ImageScore, aggregate, image_score
 from .pnp import Correspondence, LMConfig, RansacConfig, lm_refine, ransac_pnp
-from .rng import derive_seed, stream
+from .rng import MAX_SEED, derive_seed, stream
 from .roi import BBox, RoiConfig, make_roi
 
 
@@ -52,11 +53,12 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_px < 0:
+        if not self.sigma_px >= 0:  # NaN fails
             raise ValueError("sigma_px must be >= 0")
         for name in ("outlier_rate", "dropout_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0, MAX_SEED))
 
 
 @dataclass(frozen=True)
@@ -92,31 +94,26 @@ class PipelineRun:
     predicted: Manifest | None = None  # provider outputs written back, if requested
 
 
-@dataclass
-class LabelReject:
-    record_id: str
-    reason: str
-
-
 def generate_labels(
     manifest: Manifest,
     wireframe: WireframeModel,
     cam: CameraIntrinsics | None = None,
-) -> tuple[Manifest, list[LabelReject]]:
+) -> tuple[Manifest, list[tuple[str, str]]]:
     """Derive ground-truth landmark pixels and bounding boxes from poses.
 
     Records whose pose projects behind the camera or fully out of frame are
-    collected as rejects; the run continues with the rest.
+    collected as ``(record id, reason)`` rejects, the shape of
+    :attr:`PipelineRun.failures`; the run continues with the rest.
     """
     cam = cam or manifest.camera
     labeled: list[SampleRecord] = []
-    rejects: list[LabelReject] = []
+    rejects: list[tuple[str, str]] = []
     for record in manifest.records:
         try:
             landmarks = project(record.pose_gt, cam, wireframe.keypoints)
             bbox = bbox_from_points(landmarks, cam)
         except SatposeError as exc:
-            rejects.append(LabelReject(record_id=record.id, reason=str(exc)))
+            rejects.append((record.id, str(exc)))
             continue
         labeled.append(replace(record, landmarks_gt=landmarks, bbox_gt=bbox))
     return (

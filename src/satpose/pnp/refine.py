@@ -40,9 +40,9 @@ class LMConfig:
     def __post_init__(self):
         whole = whole_number(self.max_iterations, "max_iterations", 1)
         object.__setattr__(self, "max_iterations", whole)
-        if min(self.gradient_tol, self.step_tol, self.cost_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.initial_damping <= 0:
+        if not (self.gradient_tol > 0 and self.step_tol > 0 and self.cost_tol > 0):
+            raise ValueError("gradient_tol, step_tol and cost_tol must be positive")
+        if not self.initial_damping > 0:
             raise ValueError("initial_damping must be positive")
 
 

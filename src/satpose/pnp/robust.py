@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConsensusFailureError
 from ..geometry import CameraIntrinsics, Pose, quat_from_matrix, whole_number
-from ..rng import stream
+from ..rng import MAX_SEED, stream
 from .epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
 
 # not called here: bench/tracing.py wraps this name as the pnp.epnp layer
@@ -40,11 +40,13 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, lo in (("max_iterations", 1), ("min_sample", 4)):  # PnP needs 4 points
-            object.__setattr__(self, name, whole_number(getattr(self, name), name, lo))
+        # PnP needs 4 points; per-record seeds from derive_seed span [0, MAX_SEED]
+        for name, lo, hi in (("max_iterations", 1, np.inf), ("min_sample", 4, np.inf),
+                             ("seed", 0, MAX_SEED)):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, lo, hi))
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if self.inlier_threshold <= 0:
+        if not self.inlier_threshold > 0:
             raise ValueError("inlier_threshold must be positive")
 
 

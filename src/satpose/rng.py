@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+MAX_SEED = 0xFFFFFFFFFFFFFFFF  # seeds are unsigned 64-bit, the range derive_seed returns
+
 
 def _label_words(label: str) -> list[int]:
     """Fold a label into four 32-bit words via SHA-256 (stable across runs)."""
@@ -22,16 +24,16 @@ def _label_words(label: str) -> list[int]:
 
 def stream(seed: int, *labels: str) -> np.random.Generator:
     """Return an independent Philox generator keyed by ``seed`` and ``labels``."""
-    entropy: list[int] = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy: list[int] = [int(seed) & MAX_SEED]
     for label in labels:
         entropy.extend(_label_words(label))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def derive_seed(seed: int, *labels: str) -> int:
-    """Collapse (seed, labels) into a single 64-bit seed for sub-components."""
+    """Collapse a seed in [0, MAX_SEED] and labels into one seed in that range."""
     h = hashlib.sha256()
-    h.update(int(seed).to_bytes(8, "big", signed=True))
+    h.update(int(seed).to_bytes(8, "big"))
     for label in labels:
         h.update(b"\x00")
         h.update(label.encode("utf-8"))

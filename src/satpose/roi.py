@@ -77,11 +77,12 @@ class RoiConfig:
     min_side: float = 0.0
 
     def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0:
+        # each guard states what is valid, so a NaN setting fails it
+        if not (self.image_width > 0 and self.image_height > 0):
             raise ValueError("image dimensions must be positive")
-        if self.enlargement_factor < 1.0:
+        if not self.enlargement_factor >= 1.0:
             raise ValueError("enlargement_factor must be >= 1")
-        if self.min_side < 0:
+        if not self.min_side >= 0:
             raise ValueError("min_side must be >= 0")
 
 

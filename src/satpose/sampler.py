@@ -1,10 +1,8 @@
-"""Random pose, articulation, and lighting-feasibility sampling.
+"""Random pose sampling.
 
 Reproduces the synthetic-dataset pose distribution: range drawn from a
 normal rejected outside hard bounds, lateral offsets scaled to the visible
-extent at that range, attitude exactly uniform over SO(3), solar panels
-rotated about their hinge to face the Sun, and a feasibility predicate for
-the Sun/Earth/camera lighting geometry.
+extent at that range, and attitude exactly uniform over SO(3).
 
 Each sampled field draws from its own Philox stream (see :mod:`satpose.rng`),
 so streams can be split across workers and adding a field never perturbs the
@@ -17,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, SamplingFailureError, UndefinedTrackingError
-from .geometry import CameraIntrinsics, Pose, WireframeModel, _vec3, project, whole_number
+from .errors import BehindCameraError, SamplingFailureError
+from .geometry import CameraIntrinsics, Pose, WireframeModel, project, whole_number
 from .rng import stream
-
-_HINGE_ALIGNMENT_TOL = 1e-6  # radians
 
 
 @dataclass(frozen=True)
@@ -37,54 +33,18 @@ class PoseSamplerConfig:
     max_rejects: int = 10_000
 
     def __post_init__(self):
-        if self.dist_min > self.dist_mean:
+        # each guard states what is valid, so a NaN setting fails it
+        if not self.dist_min <= self.dist_mean:
             raise ValueError("dist_min must not exceed dist_mean")
-        if self.dist_max <= self.dist_min:
+        if not self.dist_max > self.dist_min:
             raise ValueError("dist_max must exceed dist_min")
-        if self.dist_sigma < 0:
+        if not self.dist_sigma >= 0:
             raise ValueError("dist_sigma must be >= 0")
-        if self.offset_sigma_frac < 0:
+        if not self.offset_sigma_frac >= 0:
             raise ValueError("offset_sigma_frac must be >= 0")
+        if not np.isfinite(self.in_frame_margin):
+            raise ValueError("in_frame_margin must be finite")
         object.__setattr__(self, "max_rejects", whole_number(self.max_rejects, "max_rejects", 1))
-
-
-@dataclass(frozen=True)
-class SceneGeometry:
-    """Directions (camera frame, from the target) and lighting-angle floors."""
-
-    sun_dir: np.ndarray
-    earth_dir: np.ndarray
-    min_sun_earth_angle: float = np.radians(10.0)
-    min_sun_camera_angle: float = np.radians(10.0)
-
-    def __post_init__(self):
-        for name in ("sun_dir", "earth_dir"):
-            v = _vec3(getattr(self, name), name)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be unit length")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class PanelConfig:
-    """Solar-panel articulation: hinge axis and the normal at zero angle."""
-
-    hinge_axis: np.ndarray
-    reference_normal: np.ndarray
-
-    def __post_init__(self):
-        axis = _vec3(self.hinge_axis, "hinge_axis")
-        normal = _vec3(self.reference_normal, "reference_normal")
-        for name, v in (("hinge_axis", axis), ("reference_normal", normal)):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be unit length")
-        if abs(np.dot(axis, normal)) > 1e-9:
-            raise ValueError("reference_normal must be perpendicular to hinge_axis")
-        axis.setflags(write=False)
-        normal.setflags(write=False)
-        object.__setattr__(self, "hinge_axis", axis)
-        object.__setattr__(self, "reference_normal", normal)
 
 
 class SampleStreams:
@@ -185,43 +145,3 @@ def sample_pose(
         f"no fully in-frame pose after {cfg.max_rejects} attempts"
     )
 
-
-def panel_track_angle(sun_dir_body, panel: PanelConfig) -> float:
-    """Hinge rotation in (-pi, pi] aligning the panel normal with the Sun.
-
-    Closed form: with hinge a, zero-angle normal n (n perpendicular to a), the
-    rotated normal is n*cos(phi) + (a x n)*sin(phi), so the alignment
-    s . n(phi) is maximized at phi = atan2(s . (a x n), s . n).
-    """
-    sun = _vec3(sun_dir_body, "sun_dir_body")
-    norm = np.linalg.norm(sun)
-    if norm < 1e-12:
-        raise ValueError("sun direction must be nonzero")
-    sun = sun / norm
-    a = panel.hinge_axis
-    angle_to_hinge = np.arctan2(np.linalg.norm(np.cross(a, sun)), abs(np.dot(a, sun)))
-    if angle_to_hinge <= _HINGE_ALIGNMENT_TOL:
-        raise UndefinedTrackingError(
-            "sun direction is parallel to the panel hinge; any angle is equivalent"
-        )
-    n = panel.reference_normal
-    phi = float(np.arctan2(np.dot(sun, np.cross(a, n)), np.dot(sun, n)))
-    if phi <= -np.pi:
-        phi = np.pi
-    return phi
-
-
-def lighting_feasible(pose: Pose, scene: SceneGeometry) -> bool:
-    """True when Sun-Earth and Sun-camera separations clear their floors.
-
-    Guards against renders where the camera-facing side is unlit: the Sun
-    direction must stay at least the configured angles away from both the
-    Earth direction and the target-to-camera direction.
-    """
-    to_camera = -pose.position / np.linalg.norm(pose.position)
-    sun_earth = np.arccos(np.clip(np.dot(scene.sun_dir, scene.earth_dir), -1.0, 1.0))
-    sun_camera = np.arccos(np.clip(np.dot(scene.sun_dir, to_camera), -1.0, 1.0))
-    return bool(
-        sun_earth >= scene.min_sun_earth_angle
-        and sun_camera >= scene.min_sun_camera_angle
-    )

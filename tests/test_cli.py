@@ -165,8 +165,6 @@ def test_config_file_sections_applied(tmp_path):
                     "width": 1280, "height": 1024,
                 },
                 "sampler": {"dist_max": 60.0, "in_frame_margin": 4.0},
-                "scene": {"sun_dir": [0, 0, 1], "earth_dir": [1, 0, 0]},
-                "panel": {"hinge_axis": [0, 1, 0], "reference_normal": [0, 0, 1]},
             }
         )
     )
@@ -240,6 +238,88 @@ def test_non_integer_counts_are_schema_errors(workspace, command, config):
     args = ["--manifest", str(labeled)] if command == "run" else ["--n", "2"]
     code = main([command, *args, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
     assert code == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"ransac": 5},
+        {"ransac": [["seed", 7]]},
+        {"roi": 5},
+        {"noise": "ab"},
+        {"panel": {"hinge_axis": [0, 1, 0], "reference_normal": [0, 0, 1]}},
+        {"foo": 1},
+    ],
+)
+def test_malformed_config_sections_are_schema_errors(workspace, capsys, config):
+    tmp_path, labeled = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    report = tmp_path / "r.json"
+    code = main(["run", "--manifest", str(labeled), "--config", str(cfg), "--out", str(report)])
+    assert code == EXIT_SCHEMA
+    assert not report.exists()
+    assert next(iter(config)) in capsys.readouterr().err  # the message names the section
+
+
+@pytest.mark.parametrize(
+    "config, flags, camera",
+    [
+        ({"ransac": {"seed": 2.5}}, [], {}),
+        ({"noise": {"seed": -1}}, [], {}),
+        ({}, ["--seed", "99999999999999999999999"], {}),
+        ({"ransac": {"seed": 1e30}}, [], {}),
+        ({"lm": {"max_iterations": 10**400}}, [], {}),
+        ({}, [], {"width": 10**400}),
+    ],
+)
+def test_bad_seeds_and_huge_integers_are_schema_errors(workspace, config, flags, camera):
+    tmp_path, labeled = workspace
+    manifest = json.loads(labeled.read_text())
+    manifest["camera"].update(camera)
+    labeled.write_text(json.dumps(manifest))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    report = tmp_path / "r.json"
+    code = main(
+        ["run", "--manifest", str(labeled), "--config", str(cfg), "--out", str(report), *flags]
+    )
+    assert code == EXIT_SCHEMA
+    assert not report.exists()
+
+
+def test_largest_seed_runs(workspace):
+    tmp_path, labeled = workspace
+    report = tmp_path / "r.json"
+    code = main(
+        ["run", "--manifest", str(labeled), "--seed", str(2**64 - 1), "--noise-seed",
+         str(2**64 - 1), "--sigma", "1", "--out", str(report)]
+    )
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("run", "lm", "gradient_tol"),
+        ("run", "noise", "sigma_px"),
+        ("run", "ransac", "inlier_threshold"),
+        ("run", "roi", "enlargement_factor"),
+        ("sample-poses", "sampler", "dist_sigma"),
+        ("sample-poses", "sampler", "in_frame_margin"),
+    ],
+)
+def test_nan_settings_are_schema_errors(workspace, capsys, command, section, key):
+    tmp_path, labeled = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{section}": {{"{key}": NaN}}}}')
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args = ["--manifest", str(labeled)] if command == "run" else ["--n", "2"]
+    code = main([command, *args, "--config", str(cfg), "--out", str(out_dir / "o.json")])
+    assert code == EXIT_SCHEMA
+    assert not any(out_dir.iterdir())
+    assert key in capsys.readouterr().err  # refused by the setting's guard, not by the run
 
 
 def test_whole_float_counts_are_stored_as_int():

@@ -1,5 +1,6 @@
 """Label generation, noise oracle, and end-to-end pipeline tests."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from satpose.geometry import denormalize_landmarks
 from satpose.metrics import image_score
 from satpose.pipeline import _solve_record, report_payload
 from satpose.pnp import Correspondence, lm_refine, ransac_pnp
-from satpose.rng import derive_seed, stream
+from satpose.rng import MAX_SEED, derive_seed, stream
 from satpose.roi import make_roi
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
 
@@ -79,7 +80,7 @@ class TestGenerateLabels:
         manifest = Manifest(camera=cam, records=[good, bad])
         labeled, rejects = generate_labels(manifest, wireframe)
         assert [r.id for r in labeled.records] == ["good"]
-        assert len(rejects) == 1 and rejects[0].record_id == "bad"
+        assert len(rejects) == 1 and rejects[0][0] == "bad"
 
 
 class TestOracleLandmarks:
@@ -342,3 +343,12 @@ class TestEmitReport:
         run = run_pipeline(labeled, OracleProvider(NoiseModel()), wireframe)
         with pytest.raises(ValueError):
             emit_report(run.report, "xml", tmp_path / "r.xml")
+
+
+def test_derive_seed_packs_unsigned():
+    # below 2**63 the bytes, and so every derived stream, match signed packing
+    for seed in (0, 7, 2**63 - 1):
+        digest = hashlib.sha256(seed.to_bytes(8, "big", signed=True) + b"\x00img1").digest()
+        assert derive_seed(seed, "img1") == int.from_bytes(digest[:8], "big")
+    assert 0 <= derive_seed(MAX_SEED, "img1") <= MAX_SEED
+    assert RansacConfig(seed=derive_seed(MAX_SEED, "img1")).seed <= MAX_SEED

@@ -1,24 +1,20 @@
-"""Pose-distribution sampler tests: range law, SO(3) uniformity, panel tracking."""
+"""Pose-distribution sampler tests: range law, SO(3) uniformity, in-frame poses."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from satpose import (
-    PanelConfig,
     PoseSamplerConfig,
     SampleStreams,
-    SceneGeometry,
-    lighting_feasible,
-    panel_track_angle,
     sample_attitude,
     sample_attitudes,
     sample_distance,
     sample_distances,
     sample_pose,
 )
-from satpose.errors import SamplingFailureError, UndefinedTrackingError
-from satpose.geometry import Pose, project, quat_multiply
+from satpose.errors import SamplingFailureError
+from satpose.geometry import project, quat_multiply
 from satpose.rng import stream
 
 CFG = PoseSamplerConfig()
@@ -153,78 +149,6 @@ class TestSamplePose:
         cfg = PoseSamplerConfig(in_frame_margin=900.0, max_rejects=25)  # impossible inset
         with pytest.raises(SamplingFailureError):
             sample_pose(SampleStreams(seed=94), cfg, cam, wireframe)
-
-
-class TestPanelTracking:
-    PANEL = PanelConfig(hinge_axis=[0.0, 1.0, 0.0], reference_normal=[0.0, 0.0, 1.0])
-
-    def test_sun_along_reference_normal(self):
-        assert panel_track_angle([0.0, 0.0, 1.0], self.PANEL) == 0.0
-
-    def test_sun_along_quarter_turn_direction(self):
-        cross = np.cross(self.PANEL.hinge_axis, self.PANEL.reference_normal)
-        assert abs(panel_track_angle(cross, self.PANEL) - np.pi / 2) < 1e-12
-
-    def test_angle_is_local_maximum_of_alignment(self):
-        rng = stream(95, "panel")
-        a = np.asarray(self.PANEL.hinge_axis)
-        n = np.asarray(self.PANEL.reference_normal)
-
-        def alignment(sun, phi):
-            rotated = n * np.cos(phi) + np.cross(a, n) * np.sin(phi)
-            return float(np.dot(sun, rotated))
-
-        for _ in range(1000):
-            sun = rng.normal(size=3)
-            sun /= np.linalg.norm(sun)
-            try:
-                phi = panel_track_angle(sun, self.PANEL)
-            except UndefinedTrackingError:
-                continue
-            best = alignment(sun, phi)
-            assert best >= alignment(sun, phi + 0.01) - 1e-12
-            assert best >= alignment(sun, phi - 0.01) - 1e-12
-
-    def test_sun_parallel_to_hinge_undefined(self):
-        with pytest.raises(UndefinedTrackingError):
-            panel_track_angle([0.0, 1.0, 0.0], self.PANEL)
-
-    def test_result_range(self):
-        rng = stream(96, "panel")
-        for _ in range(500):
-            sun = rng.normal(size=3)
-            sun /= np.linalg.norm(sun)
-            try:
-                phi = panel_track_angle(sun, self.PANEL)
-            except UndefinedTrackingError:
-                continue
-            assert -np.pi < phi <= np.pi
-
-    def test_perpendicularity_validated(self):
-        with pytest.raises(ValueError):
-            PanelConfig(hinge_axis=[0.0, 1.0, 0.0], reference_normal=[0.0, 1.0, 0.0])
-
-
-class TestLightingFeasible:
-    POSE = Pose(position=[0.0, 0.0, 50.0], attitude=[1, 0, 0, 0])
-
-    def test_sun_opposite_camera_is_feasible(self):
-        scene = SceneGeometry(sun_dir=[0.0, 0.0, 1.0], earth_dir=[1.0, 0.0, 0.0])
-        assert lighting_feasible(self.POSE, scene)
-
-    def test_sun_behind_target_towards_camera_is_infeasible(self):
-        # satellite-to-camera direction is -z; sun aligned with it fails
-        scene = SceneGeometry(sun_dir=[0.0, 0.0, -1.0], earth_dir=[1.0, 0.0, 0.0])
-        assert not lighting_feasible(self.POSE, scene)
-
-    def test_zero_thresholds_always_feasible(self):
-        scene = SceneGeometry(
-            sun_dir=[0.0, 0.0, -1.0],
-            earth_dir=[0.0, 0.0, -1.0],
-            min_sun_earth_angle=0.0,
-            min_sun_camera_angle=0.0,
-        )
-        assert lighting_feasible(self.POSE, scene)
 
 
 class TestStreamIsolation:
