@@ -58,13 +58,11 @@ from .pipeline import (
 )
 from .pnp import (
     Correspondence,
-    LMConfig,
     PnPResult,
     RansacConfig,
     epnp,
     lm_refine,
     ransac_pnp,
-    reprojection_residuals,
     triangulate,
 )
 from .roi import BBox, RoiConfig, contains, iou, make_roi

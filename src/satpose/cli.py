@@ -48,7 +48,7 @@ from .pipeline import (
     run_pipeline,
     write_csv_reports,
 )
-from .pnp import LMConfig, RansacConfig, triangulate
+from .pnp import RansacConfig, triangulate
 from .roi import RoiConfig
 from .sampler import PoseSamplerConfig, SampleStreams, sample_pose
 
@@ -68,7 +68,6 @@ _SECTIONS = {
     "sampler": PoseSamplerConfig,
     "roi": RoiConfig,
     "ransac": RansacConfig,
-    "lm": LMConfig,
     "noise": NoiseModel,
 }
 
@@ -139,6 +138,7 @@ def _cmd_sample_poses(args) -> int:
     cam = cfg.section("camera") if "camera" in cfg.data else DEFAULT_CAMERA
     sampler_cfg = cfg.section("sampler")
     out_path = Path(args.out)
+    streams = SampleStreams(args.seed)  # checks the seed before anything is written
 
     wireframe_ref = args.wireframe or cfg.wireframe_path()
     if wireframe_ref:
@@ -150,7 +150,6 @@ def _cmd_sample_poses(args) -> int:
         save_wireframe(wireframe, wf_path)
         stored_ref = wf_path.name
 
-    streams = SampleStreams(args.seed)
     records = [
         SampleRecord(id=f"img{i:06d}", pose_gt=sample_pose(streams, sampler_cfg, cam, wireframe))
         for i in range(args.n)
@@ -197,6 +196,13 @@ def _cmd_run(args) -> int:
             )
         )
     else:
+        noise = ["config section 'noise'"] * ("noise" in cfg.data) + [
+            "--" + dest.replace("_", "-")
+            for dest in ("sigma", "outlier_rate", "dropout_rate", "noise_seed")
+            if getattr(args, dest) is not None
+        ]
+        if noise:
+            raise ManifestError(f"--provider file adds no noise, so {noise[0]} is refused")
         provider = FileProvider()
 
     run = run_pipeline(
@@ -205,7 +211,6 @@ def _cmd_run(args) -> int:
         wireframe,
         roi_cfg=cfg.section("roi", {"image_width": cam.width, "image_height": cam.height}),
         ransac_cfg=cfg.section("ransac", seed=args.seed),
-        lm_cfg=cfg.section("lm"),
         record_predictions=args.dump_predictions is not None,
     )
     if args.dump_predictions is not None:

@@ -1,5 +1,9 @@
 """Pose and quaternion algebra, pinhole projection, and label derivation.
 
+The pinhole model and its ``MIN_PROJECTION_DEPTH`` cut live here alone: every
+solver layer projects through :func:`pinhole`, :func:`camera_to_pixels` and
+:func:`pinhole_jacobian`.
+
 Conventions
 -----------
 * Quaternions are scalar-first ``(w, x, y, z)`` unit 4-vectors under the
@@ -301,6 +305,35 @@ def save_wireframe(model: WireframeModel, path) -> None:
         fh.write("\n")
 
 
+def pinhole(x, y, z, cam: CameraIntrinsics):
+    """Pixel ``(u, v)`` of camera-frame coordinates; no depth check."""
+    return cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy
+
+
+def camera_to_pixels(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+    """Pixels (N, 2) of camera-frame points (N, 3).
+
+    Raises :class:`BehindCameraError` naming the first point whose depth is at
+    or below ``MIN_PROJECTION_DEPTH``.
+    """
+    z = cam_pts[:, 2]
+    bad = np.nonzero(z <= MIN_PROJECTION_DEPTH)[0]
+    if bad.size:
+        raise BehindCameraError(int(bad[0]), float(z[bad[0]]))
+    return np.column_stack(pinhole(cam_pts[:, 0], cam_pts[:, 1], z, cam))
+
+
+def pinhole_jacobian(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+    """(N, 2, 3) derivative of each point's pixel ``(u, v)`` by its camera-frame point."""
+    x, y, z = cam_pts[:, 0], cam_pts[:, 1], cam_pts[:, 2]
+    jac = np.zeros((len(cam_pts), 2, 3))
+    jac[:, 0, 0] = cam.fx / z
+    jac[:, 0, 2] = -cam.fx * x / z**2
+    jac[:, 1, 1] = cam.fy / z
+    jac[:, 1, 2] = -cam.fy * y / z**2
+    return jac
+
+
 def project(pose: Pose, cam: CameraIntrinsics, points) -> np.ndarray:
     """Pinhole-project body-frame point(s) to pixel coordinates.
 
@@ -310,18 +343,7 @@ def project(pose: Pose, cam: CameraIntrinsics, points) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    cam_pts = pose.transform(pts)
-    z = cam_pts[:, 2]
-    bad = np.nonzero(z <= MIN_PROJECTION_DEPTH)[0]
-    if bad.size:
-        raise BehindCameraError(int(bad[0]), float(z[bad[0]]))
-    uv = np.column_stack(
-        [
-            cam.fx * cam_pts[:, 0] / z + cam.cx,
-            cam.fy * cam_pts[:, 1] / z + cam.cy,
-        ]
-    )
+    uv = camera_to_pixels(pose.transform(np.atleast_2d(pts)), cam)
     return uv[0] if single else uv
 
 

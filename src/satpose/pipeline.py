@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .manifest import Manifest, SampleRecord
 from .metrics import AggregateReport, ImageScore, aggregate, image_score
-from .pnp import Correspondence, LMConfig, RansacConfig, lm_refine, ransac_pnp
+from .pnp import Correspondence, RansacConfig, lm_refine, ransac_pnp
 from .rng import MAX_SEED, derive_seed, stream
 from .roi import BBox, RoiConfig, make_roi
 
@@ -189,7 +189,6 @@ def _solve_record(
     cam: CameraIntrinsics,
     roi_cfg: RoiConfig,
     ransac_cfg: RansacConfig,
-    lm_cfg: LMConfig,
     stage_ms: dict,
 ) -> tuple[ImageScore, list[np.ndarray | None]]:
     t0 = time.perf_counter()
@@ -229,7 +228,7 @@ def _solve_record(
     result = ransac_pnp(correspondences, cam, record_cfg)
     t3 = time.perf_counter()
     inliers = [c for c, keep in zip(correspondences, result.inlier_mask) if keep]
-    refined = lm_refine(result.pose, inliers, cam, lm_cfg)
+    refined = lm_refine(result.pose, inliers, cam)
     t4 = time.perf_counter()
 
     stage_ms["detection"] += 1e3 * (t1 - t0)
@@ -245,7 +244,6 @@ def run_pipeline(
     wireframe: WireframeModel,
     roi_cfg: RoiConfig | None = None,
     ransac_cfg: RansacConfig | None = None,
-    lm_cfg: LMConfig | None = None,
     cam: CameraIntrinsics | None = None,
     record_predictions: bool = False,
 ) -> PipelineRun:
@@ -263,7 +261,6 @@ def run_pipeline(
     cam = cam or manifest.camera
     roi_cfg = roi_cfg or RoiConfig(image_width=cam.width, image_height=cam.height)
     ransac_cfg = ransac_cfg or RansacConfig()
-    lm_cfg = lm_cfg or LMConfig()
 
     scores: list[ImageScore] = []
     scored_ids: list[str] = []
@@ -275,7 +272,7 @@ def run_pipeline(
     for record in manifest.records:
         try:
             score, normalized = _solve_record(
-                record, provider, wireframe, cam, roi_cfg, ransac_cfg, lm_cfg, stage_ms
+                record, provider, wireframe, cam, roi_cfg, ransac_cfg, stage_ms
             )
         except SatposeError as exc:
             failures.append((record.id, str(exc)))

@@ -1,19 +1,17 @@
 """Pose recovery from 2D-3D correspondences: EPnP, RANSAC, LM, triangulation."""
 
 from .epnp import Correspondence, epnp
-from .refine import LMConfig, lm_refine, reprojection_jacobian, reprojection_residuals
+from .refine import lm_refine, reprojection_jacobian
 from .robust import PnPResult, RansacConfig, ransac_pnp
 from .triangulate import triangulate
 
 __all__ = [
     "Correspondence",
-    "LMConfig",
     "PnPResult",
     "RansacConfig",
     "epnp",
     "lm_refine",
     "ransac_pnp",
     "reprojection_jacobian",
-    "reprojection_residuals",
     "triangulate",
 ]

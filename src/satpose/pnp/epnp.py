@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateGeometryError, NoValidPoseError
-from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, Pose, quat_from_matrix
+from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, Pose, pinhole, quat_from_matrix
 
 PLANAR_EIGENVALUE_RATIO = 1e-8
 _COLLINEAR_EIGENVALUE_RATIO = 1e-10
@@ -88,10 +88,8 @@ def point_errors(
     cam_pts = np.einsum("...ij,...nj->...ni", rot, world) + t[..., None, :]
     z = cam_pts[..., 2]
     front = z > MIN_PROJECTION_DEPTH
-    z = np.where(front, z, 1.0)
-    du = cam.fx * cam_pts[..., 0] / z + cam.cx - image[..., 0]
-    dv = cam.fy * cam_pts[..., 1] / z + cam.cy - image[..., 1]
-    return np.where(front, np.hypot(du, dv), np.inf)
+    u, v = pinhole(cam_pts[..., 0], cam_pts[..., 1], np.where(front, z, 1.0), cam)
+    return np.where(front, np.hypot(u - image[..., 0], v - image[..., 1]), np.inf)
 
 
 def _finite_or(a: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:

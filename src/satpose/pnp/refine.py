@@ -4,12 +4,13 @@ The pose is optimized over 6 degrees of freedom: a translation increment and
 a 3-parameter axis-angle attitude increment composed onto the quaternion from
 the right (body-frame perturbation). Steps are accepted only when they lower
 the cost, so the refined cost never exceeds the initial one. The damped loop,
-:func:`least_squares`, also refines triangulated points.
+:func:`least_squares`, also refines triangulated points. Its stopping rule is
+fixed: at most 100 iterations, ending early when the largest gradient entry
+falls below 1e-10, a step is shorter than 1e-12, or an accepted step lowers
+the cost by less than 1e-14 of its value.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,43 +18,21 @@ from ..errors import BehindCameraError, NumericalFailureError
 from ..geometry import (
     CameraIntrinsics,
     Pose,
+    pinhole_jacobian,
     project,
     quat_from_rotvec,
     quat_multiply,
-    whole_number,
 )
 from .epnp import split_correspondences
 
+_MAX_ITERATIONS = 100
+_GRADIENT_TOL = 1e-10
+_STEP_TOL = 1e-12
+_COST_TOL = 1e-14
+_INITIAL_DAMPING = 1e-3
 _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
 _DAMPING_MAX = 1e15
-
-
-@dataclass(frozen=True)
-class LMConfig:
-    max_iterations: int = 100
-    gradient_tol: float = 1e-10
-    step_tol: float = 1e-12
-    cost_tol: float = 1e-14
-    initial_damping: float = 1e-3
-
-    def __post_init__(self):
-        whole = whole_number(self.max_iterations, "max_iterations", 1)
-        object.__setattr__(self, "max_iterations", whole)
-        if not (self.gradient_tol > 0 and self.step_tol > 0 and self.cost_tol > 0):
-            raise ValueError("gradient_tol, step_tol and cost_tol must be positive")
-        if not self.initial_damping > 0:
-            raise ValueError("initial_damping must be positive")
-
-
-def reprojection_residuals(
-    pose: Pose, correspondences, cam: CameraIntrinsics
-) -> tuple[np.ndarray, float]:
-    """Per-point (du, dv) residuals and their RMS norm in pixels."""
-    image, world = split_correspondences(correspondences)
-    residuals = project(pose, cam, world) - image
-    rms = float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
-    return residuals, rms
 
 
 def reprojection_jacobian(pose: Pose, world: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
@@ -63,16 +42,8 @@ def reprojection_jacobian(pose: Pose, world: np.ndarray, cam: CameraIntrinsics) 
     update t + dt, q * exp(dtheta); rows alternate du, dv per point.
     """
     rot = pose.rotation_matrix()
-    cam_pts = world @ rot.T + pose.position
-    x, y, z = cam_pts[:, 0], cam_pts[:, 1], cam_pts[:, 2]
+    duv_dp = pinhole_jacobian(world @ rot.T + pose.position, cam)
     n = world.shape[0]
-
-    # d(u,v)/d(camera point)
-    duv_dp = np.zeros((n, 2, 3))
-    duv_dp[:, 0, 0] = cam.fx / z
-    duv_dp[:, 0, 2] = -cam.fx * x / z**2
-    duv_dp[:, 1, 1] = cam.fy / z
-    duv_dp[:, 1, 2] = -cam.fy * y / z**2
 
     # d(camera point)/d(dtheta) = -R [world]_x for a right-composed increment
     wx = np.zeros((n, 3, 3))
@@ -83,13 +54,8 @@ def reprojection_jacobian(pose: Pose, world: np.ndarray, cam: CameraIntrinsics) 
     wx[:, 2, 0] = -world[:, 1]
     wx[:, 2, 1] = world[:, 0]
     dp_dtheta = -np.einsum("ab,nbc->nac", rot, wx)
-
-    jac = np.zeros((2 * n, 6))
-    jac[0::2, :3] = duv_dp[:, 0, :]
-    jac[1::2, :3] = duv_dp[:, 1, :]
-    jac[0::2, 3:] = np.einsum("nb,nbc->nc", duv_dp[:, 0, :], dp_dtheta)
-    jac[1::2, 3:] = np.einsum("nb,nbc->nc", duv_dp[:, 1, :], dp_dtheta)
-    return jac
+    duv_dtheta = np.einsum("nab,nbc->nac", duv_dp, dp_dtheta)
+    return np.concatenate([duv_dp, duv_dtheta], axis=2).reshape(2 * n, 6)
 
 
 def _stacked_residuals(t, q, world, image, cam) -> np.ndarray:
@@ -97,14 +63,14 @@ def _stacked_residuals(t, q, world, image, cam) -> np.ndarray:
     return (project(Pose(position=t, attitude=q), cam, world) - image).ravel()
 
 
-def least_squares(x, residual, jacobian, step, cfg: LMConfig):
+def least_squares(x, residual, jacobian, step):
     """Levenberg-Marquardt on ``|residual(x)|^2`` from ``x``, for pose and point alike.
 
     ``jacobian(x)`` is the (m, k) Jacobian of the flat ``residual(x)`` and
     ``step(x, delta)`` applies a k-vector update. A trial whose residual raises
     :class:`BehindCameraError` or is not finite is rejected like an uphill one.
     Stops on the gradient, step or relative-cost tolerance, or after
-    ``max_iterations``; raises :class:`NumericalFailureError` on non-finite
+    ``_MAX_ITERATIONS``; raises :class:`NumericalFailureError` on non-finite
     residuals at the start.
     """
     r = residual(x)
@@ -112,11 +78,11 @@ def least_squares(x, residual, jacobian, step, cfg: LMConfig):
         raise NumericalFailureError("non-finite residuals at the starting point")
     cost = float(r @ r)
 
-    damping = cfg.initial_damping
-    for _ in range(cfg.max_iterations):
+    damping = _INITIAL_DAMPING
+    for _ in range(_MAX_ITERATIONS):
         jac = jacobian(x)
         grad = jac.T @ r
-        if np.max(np.abs(grad)) < cfg.gradient_tol:
+        if np.max(np.abs(grad)) < _GRADIENT_TOL:
             break
         jtj = jac.T @ jac
         diag = np.diag(np.maximum(np.diag(jtj), 1e-12))
@@ -128,7 +94,7 @@ def least_squares(x, residual, jacobian, step, cfg: LMConfig):
             except np.linalg.LinAlgError:
                 damping *= _DAMPING_UP
                 continue
-            if np.linalg.norm(delta) < cfg.step_tol:
+            if np.linalg.norm(delta) < _STEP_TOL:
                 break
             x_new = step(x, delta)
             cost_new = np.inf
@@ -140,8 +106,8 @@ def least_squares(x, residual, jacobian, step, cfg: LMConfig):
                 if np.all(np.isfinite(r_new)):
                     cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                # a relative cost drop below cost_tol ends the loop after this step
-                improved = cost - cost_new >= cfg.cost_tol * max(cost_new, 1e-30)
+                # a relative cost drop below _COST_TOL ends the loop after this step
+                improved = cost - cost_new >= _COST_TOL * max(cost_new, 1e-30)
                 x, r, cost = x_new, r_new, cost_new
                 damping = max(damping * _DAMPING_DOWN, 1e-15)
                 break
@@ -151,7 +117,7 @@ def least_squares(x, residual, jacobian, step, cfg: LMConfig):
     return x
 
 
-def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConfig) -> Pose:
+def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics) -> Pose:
     """Minimize the summed squared reprojection error from ``initial``.
 
     Raises :class:`BehindCameraError` naming the first point at or behind the
@@ -166,6 +132,5 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics, cfg: LMConf
         lambda x: _stacked_residuals(*x, world, image, cam),
         lambda x: reprojection_jacobian(Pose(position=x[0], attitude=x[1]), world, cam),
         lambda x, delta: (x[0] + delta[:3], quat_multiply(x[1], quat_from_rotvec(delta[3:]))),
-        cfg,
     )
     return Pose(position=t, attitude=q)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BehindCameraError, DegenerateBaselineError
-from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics
-from .refine import LMConfig, least_squares
+from ..geometry import CameraIntrinsics, camera_to_pixels, pinhole_jacobian
+from .refine import least_squares
 
 _MIN_RAY_SEPARATION = 1e-4  # radians
 
@@ -59,33 +59,14 @@ def _dlt_point(rotations, positions, pixels, cam: CameraIntrinsics) -> np.ndarra
     return hom[:3] / hom[3]
 
 
-def _camera_points(point, rotations, positions) -> np.ndarray:
-    """The point in each view's camera frame, (V, 3); raises at or behind a camera."""
-    c = rotations @ point + positions
-    bad = np.nonzero(c[:, 2] <= MIN_PROJECTION_DEPTH)[0]
-    if bad.size:
-        raise BehindCameraError(int(bad[0]), float(c[bad[0], 2]))
-    return c
-
-
 def _residuals(point, rotations, positions, pixels, cam: CameraIntrinsics) -> np.ndarray:
-    """Flat (2V,) pixel residuals, du and dv per view."""
-    c = _camera_points(point, rotations, positions)
-    z = c[:, 2]
-    uv = np.column_stack([cam.fx * c[:, 0] / z + cam.cx, cam.fy * c[:, 1] / z + cam.cy])
-    return (uv - pixels).ravel()
+    """Flat (2V,) pixel residuals, du and dv per view; raises at or behind a camera."""
+    return (camera_to_pixels(rotations @ point + positions, cam) - pixels).ravel()
 
 
 def _jacobian(point, rotations, positions, cam: CameraIntrinsics) -> np.ndarray:
     """(2V, 3) Jacobian of :func:`_residuals` with respect to the point."""
-    c = _camera_points(point, rotations, positions)
-    x, y, z = c[:, 0], c[:, 1], c[:, 2]
-    duv_dc = np.zeros((len(c), 2, 3))
-    duv_dc[:, 0, 0] = cam.fx / z
-    duv_dc[:, 0, 2] = -cam.fx * x / z**2
-    duv_dc[:, 1, 1] = cam.fy / z
-    duv_dc[:, 1, 2] = -cam.fy * y / z**2
-    return (duv_dc @ rotations).reshape(-1, 3)
+    return (pinhole_jacobian(rotations @ point + positions, cam) @ rotations).reshape(-1, 3)
 
 
 def triangulate(observations, cam: CameraIntrinsics) -> np.ndarray:
@@ -104,7 +85,6 @@ def triangulate(observations, cam: CameraIntrinsics) -> np.ndarray:
             lambda x: _residuals(x, rotations, positions, pixels, cam),
             lambda x: _jacobian(x, rotations, positions, cam),
             np.add,
-            LMConfig(),
         )
     except BehindCameraError:
         return point

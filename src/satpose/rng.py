@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .geometry import whole_number
+
 MAX_SEED = 0xFFFFFFFFFFFFFFFF  # seeds are unsigned 64-bit, the range derive_seed returns
 
 
@@ -23,8 +25,11 @@ def _label_words(label: str) -> list[int]:
 
 
 def stream(seed: int, *labels: str) -> np.random.Generator:
-    """Return an independent Philox generator keyed by ``seed`` and ``labels``."""
-    entropy: list[int] = [int(seed) & MAX_SEED]
+    """Return an independent Philox generator keyed by ``seed`` and ``labels``.
+
+    Raises ``ValueError`` unless ``seed`` is a whole number in [0, MAX_SEED].
+    """
+    entropy: list[int] = [whole_number(seed, "seed", 0, MAX_SEED)]
     for label in labels:
         entropy.extend(_label_words(label))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

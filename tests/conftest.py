@@ -50,6 +50,14 @@ def synthesize(pose: Pose, cam, wireframe, noise_sigma: float = 0.0, rng=None):
     ]
 
 
+def reprojection_rms(pose: Pose, corrs, cam) -> float:
+    """RMS pixel distance between ``project`` of each world point and its image."""
+    image = np.array([c.image for c in corrs])
+    world = np.array([c.world for c in corrs])
+    residuals = project(pose, cam, world) - image
+    return float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
+
+
 @pytest.fixture()
 def make_case(cam, wireframe):
     """Factory: seeded (pose, correspondences) pairs for solver tests."""

@@ -12,7 +12,6 @@ from scipy import stats
 from satpose import (
     BBox,
     Correspondence,
-    LMConfig,
     Manifest,
     NoiseModel,
     OracleProvider,
@@ -29,7 +28,6 @@ from satpose import (
     lm_refine,
     make_roi,
     quat_from_axis_angle,
-    reprojection_residuals,
     run_pipeline,
     sample_attitudes,
     sample_distances,
@@ -42,7 +40,7 @@ from satpose.geometry import project, quat_from_rotvec, quat_multiply
 from satpose.pnp.refine import reprojection_jacobian
 from satpose.rng import stream
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
-from tests.conftest import random_pose, synthesize
+from tests.conftest import random_pose, reprojection_rms, synthesize
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -160,9 +158,9 @@ def test_criterion_4_lm_correctness(cam, wireframe):
             position=pose.position + case_rng.normal(0, 0.3, 3),
             attitude=quat_multiply(pose.attitude, quat_from_axis_angle(axis, 0.05)),
         )
-        _, rms_before = reprojection_residuals(start_pose, corrs, cam)
-        refined = lm_refine(start_pose, corrs, cam, LMConfig())
-        _, rms_after = reprojection_residuals(refined, corrs, cam)
+        rms_before = reprojection_rms(start_pose, corrs, cam)
+        refined = lm_refine(start_pose, corrs, cam)
+        rms_after = reprojection_rms(refined, corrs, cam)
         if rms_after <= rms_before + 1e-12:
             descents += 1
     assert descents == 1000

@@ -249,6 +249,7 @@ def test_non_integer_counts_are_schema_errors(workspace, command, config):
         {"noise": "ab"},
         {"panel": {"hinge_axis": [0, 1, 0], "reference_normal": [0, 0, 1]}},
         {"foo": 1},
+        {"lm": {"max_iterations": 5}},
     ],
 )
 def test_malformed_config_sections_are_schema_errors(workspace, capsys, config):
@@ -288,6 +289,49 @@ def test_bad_seeds_and_huge_integers_are_schema_errors(workspace, config, flags,
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["sample-poses", "split"])
+@pytest.mark.parametrize(
+    "seed, code", [(-1, EXIT_SCHEMA), (2**64, EXIT_SCHEMA), (2**64 - 1, EXIT_OK)]
+)
+def test_sampling_and_split_seeds_must_fit_64_bits(workspace, command, seed, code):
+    tmp_path, labeled = workspace
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if command == "sample-poses":
+        args = ["--n", "2", "--out", str(out_dir / "m.json")]
+    else:
+        args = ["--manifest", str(labeled), "--train-fraction", "0.5", "--out-train",
+                str(out_dir / "train.json"), "--out-test", str(out_dir / "test.json")]
+    assert main([command, *args, "--seed", str(seed)]) == code
+    assert any(out_dir.iterdir()) == (code == EXIT_OK)  # a refused seed writes nothing
+
+
+@pytest.mark.parametrize(
+    "config, flags, named",
+    [
+        ({"noise": "ab"}, [], "noise"),
+        ({"noise": {"sigma_px": 3.0}}, [], "noise"),
+        ({}, ["--sigma", "3"], "--sigma"),
+        ({}, ["--outlier-rate", "0.2"], "--outlier-rate"),
+        ({}, ["--dropout-rate", "0.1"], "--dropout-rate"),
+        ({}, ["--noise-seed", "7"], "--noise-seed"),
+    ],
+)
+def test_file_provider_refuses_noise_settings(workspace, capsys, config, flags, named):
+    tmp_path, labeled = workspace
+    predicted = tmp_path / "pred.json"
+    assert main(["run", "--manifest", str(labeled), "--dump-predictions", str(predicted),
+                 "--out", str(tmp_path / "oracle.json")]) == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    report = tmp_path / "r.json"
+    code = main(["run", "--manifest", str(predicted), "--provider", "file", "--config", str(cfg),
+                 "--out", str(report), *flags])
+    assert code == EXIT_SCHEMA
+    assert not report.exists()
+    assert named in capsys.readouterr().err
+
+
 def test_largest_seed_runs(workspace):
     tmp_path, labeled = workspace
     report = tmp_path / "r.json"
@@ -301,7 +345,6 @@ def test_largest_seed_runs(workspace):
 @pytest.mark.parametrize(
     "command, section, key",
     [
-        ("run", "lm", "gradient_tol"),
         ("run", "noise", "sigma_px"),
         ("run", "ransac", "inlier_threshold"),
         ("run", "roi", "enlargement_factor"),
@@ -323,10 +366,9 @@ def test_nan_settings_are_schema_errors(workspace, capsys, command, section, key
 
 
 def test_whole_float_counts_are_stored_as_int():
-    from satpose import LMConfig, RansacConfig
+    from satpose import RansacConfig
     from satpose.sampler import PoseSamplerConfig
 
-    assert type(LMConfig(max_iterations=3.0).max_iterations) is int
     ransac = RansacConfig(max_iterations=10.0, min_sample=4.0)
     assert type(ransac.max_iterations) is int and type(ransac.min_sample) is int
     assert type(PoseSamplerConfig(max_rejects=5.0).max_rejects) is int

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from satpose import Correspondence, attitude_error, epnp, reprojection_residuals
+from satpose import Correspondence, attitude_error, epnp
 from satpose.errors import DegenerateGeometryError
 from satpose.geometry import Pose, project, quat_from_matrix, quat_to_matrix
 from satpose.pnp.epnp import (
@@ -17,7 +17,7 @@ from satpose.pnp.epnp import (
     split_correspondences,
 )
 from satpose.rng import stream
-from tests.conftest import random_pose, synthesize
+from tests.conftest import random_pose, reprojection_rms, synthesize
 
 
 def test_recovers_generating_pose_at_fixed_range(cam, wireframe):
@@ -54,8 +54,7 @@ def test_minimal_four_point_case_exact(cam, wireframe):
         pose = random_pose(rng)
         pixels = project(pose, cam, world)
         corrs = [Correspondence(image=pixels[k], world=world[k], id=k) for k in range(4)]
-        _, rms = reprojection_residuals(epnp(corrs, cam), corrs, cam)
-        assert rms < 1e-6
+        assert reprojection_rms(epnp(corrs, cam), corrs, cam) < 1e-6
 
 
 def test_random_four_point_problems_solve_exactly(cam):
@@ -89,9 +88,7 @@ def test_planar_target_uses_fallback_and_solves(cam):
         except Exception:
             continue
         corrs = [Correspondence(image=pixels[k], world=grid[k], id=k) for k in range(len(grid))]
-        est = epnp(corrs, cam)
-        _, rms = reprojection_residuals(est, corrs, cam)
-        assert rms < 1e-4
+        assert reprojection_rms(epnp(corrs, cam), corrs, cam) < 1e-4
 
 
 def test_collinear_world_points_rejected(cam):

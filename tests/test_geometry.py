@@ -130,6 +130,33 @@ class TestProjection:
         pose = Pose(position=[0.0, 0.0, 40.0], attitude=[1, 0, 0, 0])
         assert project(pose, cam, [0.0, 0.0, 0.0]).shape == (2,)
 
+    def test_every_solver_layer_shares_one_pinhole(self, cam):
+        from satpose.pnp.epnp import point_errors
+        from satpose.pnp.triangulate import _residuals
+
+        rng = stream(9, "pinhole")
+        cam_pts = np.column_stack([rng.normal(0, 3, (20, 2)), rng.uniform(0.5, 80, 20)])
+        eye, origin = np.eye(3), np.zeros(3)
+        identity = Pose(position=origin, attitude=[1, 0, 0, 0])
+        # camera-frame points as body points of the identity pose and as view
+        # positions of the body origin, so every layer projects the same points
+        views = (np.tile(eye, (20, 1, 1)), cam_pts, np.zeros((20, 2)))
+
+        uv = project(identity, cam, cam_pts)
+        np.testing.assert_array_equal(_residuals(origin, *views, cam), uv.ravel())
+        errors = point_errors(eye, origin, cam_pts, np.zeros((20, 2)), cam)
+        np.testing.assert_array_equal(errors, np.hypot(uv[:, 0], uv[:, 1]))
+
+        cam_pts[7, 2] = 5e-7  # in front of the camera, but inside the depth cut
+        with pytest.raises(BehindCameraError) as projected:
+            project(identity, cam, cam_pts)
+        with pytest.raises(BehindCameraError) as triangulated:
+            _residuals(origin, *views, cam)
+        for err in (projected.value, triangulated.value):
+            assert (err.index, err.z) == (7, 5e-7)
+        errors = point_errors(eye, origin, cam_pts, np.zeros((20, 2)), cam)
+        assert errors[7] == np.inf and np.isfinite(np.delete(errors, 7)).all()
+
 
 class TestBBoxFromPoints:
     def test_two_point_hull(self, cam):

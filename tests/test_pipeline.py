@@ -10,7 +10,6 @@ import pytest
 from satpose import (
     BBox,
     FileProvider,
-    LMConfig,
     Manifest,
     NoiseModel,
     OracleProvider,
@@ -213,7 +212,7 @@ class TestRunPipeline:
         # LM from the winning hypothesis reaches the minimum that LM from an
         # EPnP re-solve over the same inliers reaches
         noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, seed=41)
-        ransac_cfg, lm_cfg = RansacConfig(seed=7), LMConfig()
+        ransac_cfg = RansacConfig(seed=7)
         run = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=ransac_cfg)
         assert not run.failures
         roi_cfg = RoiConfig(image_width=cam.width, image_height=cam.height)
@@ -229,7 +228,7 @@ class TestRunPipeline:
             result = ransac_pnp(corrs, cam, record_cfg)
             inliers = [c for c, keep in zip(corrs, result.inlier_mask) if keep]
             reference = image_score(
-                record.pose_gt, lm_refine(epnp(inliers, cam), inliers, cam, lm_cfg)
+                record.pose_gt, lm_refine(epnp(inliers, cam), inliers, cam)
             )
             assert abs(score.e_q - reference.e_q) <= 1e-7
             assert abs(score.e_t - reference.e_t) <= 1e-7 * reference.e_t
@@ -286,7 +285,6 @@ class TestRunPipeline:
                 cam,
                 roi_cfg,
                 RansacConfig(),
-                LMConfig(),
                 stage_ms,
             )
 
