@@ -32,7 +32,6 @@ from .geometry import (
     quat_from_axis_angle,
     quat_multiply,
     quat_rotate,
-    rotation_angle,
     save_wireframe,
 )
 from .manifest import Manifest, SampleRecord, load_manifest, save_manifest, split_dataset
@@ -72,7 +71,6 @@ from .sampler import (
     sample_attitude,
     sample_attitudes,
     sample_distance,
-    sample_distances,
     sample_pose,
 )
 

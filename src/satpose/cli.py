@@ -94,16 +94,16 @@ class Config:
             raise ManifestError(f"{path}: unknown config sections {unknown}")
         return cls(data)
 
-    def section(self, name: str, defaults: dict | None = None, **overrides):
+    def section(self, name: str, **overrides):
         """Section ``name`` as its dataclass.
 
-        Fields come from ``defaults``, then the file, then every override
-        that is not ``None`` (command-line flags).
+        Fields come from the file, then every override that is not ``None``
+        (command-line flags).
         """
         data = self.data.get(name, {})
         if not isinstance(data, dict):
             raise ManifestError(f"config: {name}: expected an object")
-        data = {**(defaults or {}), **data}
+        data = dict(data)
         data.update((key, value) for key, value in overrides.items() if value is not None)
         cls = _SECTIONS[name]
         unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
@@ -134,6 +134,8 @@ def _resolve_wireframe(args, manifest: Manifest | None, manifest_path) -> Wirefr
 
 
 def _cmd_sample_poses(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     cfg = Config.load(args.config)
     cam = cfg.section("camera") if "camera" in cfg.data else DEFAULT_CAMERA
     sampler_cfg = cfg.section("sampler")
@@ -180,10 +182,11 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if not 0.0 <= args.max_failure_rate <= 1.0:  # NaN fails
+        raise ValueError(f"--max-failure-rate must lie in [0, 1], got {args.max_failure_rate}")
     cfg = Config.load(args.config)
     manifest = load_manifest(args.manifest)
     wireframe = _resolve_wireframe(args, manifest, args.manifest)
-    cam = manifest.camera
 
     if args.provider == "oracle":
         provider = OracleProvider(
@@ -209,7 +212,7 @@ def _cmd_run(args) -> int:
         manifest,
         provider,
         wireframe,
-        roi_cfg=cfg.section("roi", {"image_width": cam.width, "image_height": cam.height}),
+        roi_cfg=cfg.section("roi"),
         ransac_cfg=cfg.section("ransac", seed=args.seed),
         record_predictions=args.dump_predictions is not None,
     )

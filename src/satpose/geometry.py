@@ -166,12 +166,6 @@ def quat_from_matrix(rot) -> np.ndarray:
     return quat_normalize(q)
 
 
-def rotation_angle(q) -> float:
-    """Geodesic rotation angle of a unit quaternion, in [0, pi]."""
-    w, x, y, z = quat_normalize(q)
-    return 2.0 * np.arctan2(np.linalg.norm([x, y, z]), abs(w))
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid target pose: body origin position and body-to-camera attitude.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, _quat, _vec3
+from .geometry import CameraIntrinsics, Pose, _quat, _vec3
 from .roi import BBox, RoiConfig, contains, iou, make_roi
 
 _UNIT_INPUT_TOL = 1e-6
@@ -141,19 +141,19 @@ def aggregate(scores) -> AggregateReport:
 
 
 def detection_metrics(
-    pred: list[BBox], gt: list[BBox], roi_cfg: RoiConfig
+    pred: list[BBox], gt: list[BBox], roi_cfg: RoiConfig, cam: CameraIntrinsics
 ) -> DetectionMetrics:
     """IoU statistics of raw predictions plus ROI containment accuracy.
 
     ROI accuracy is the percentage of pairs where the ground-truth box is
-    contained in the squared-and-enlarged crop built from the prediction.
+    contained in the crop :func:`make_roi` builds from the prediction.
     """
     if len(pred) != len(gt):
         raise ValueError(f"length mismatch: {len(pred)} predictions vs {len(gt)} truths")
     if not pred:
         raise ValueError("need at least one box pair")
     ious = np.array([iou(p, g) for p, g in zip(pred, gt)])
-    contained = np.array([contains(make_roi(p, roi_cfg), g) for p, g in zip(pred, gt)])
+    contained = np.array([contains(make_roi(p, roi_cfg, cam), g) for p, g in zip(pred, gt)])
     return DetectionMetrics(
         iou_mean=float(ious.mean()),
         iou_median=float(np.median(ious)),

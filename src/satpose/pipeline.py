@@ -11,6 +11,7 @@ geometric stages can be driven and measured without any learned components.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import time
@@ -95,17 +96,16 @@ class PipelineRun:
 
 
 def generate_labels(
-    manifest: Manifest,
-    wireframe: WireframeModel,
-    cam: CameraIntrinsics | None = None,
+    manifest: Manifest, wireframe: WireframeModel
 ) -> tuple[Manifest, list[tuple[str, str]]]:
     """Derive ground-truth landmark pixels and bounding boxes from poses.
 
-    Records whose pose projects behind the camera or fully out of frame are
-    collected as ``(record id, reason)`` rejects, the shape of
+    Poses are projected with the manifest's camera. Records whose pose
+    projects behind the camera or fully out of frame are collected as
+    ``(record id, reason)`` rejects, the shape of
     :attr:`PipelineRun.failures`; the run continues with the rest.
     """
-    cam = cam or manifest.camera
+    cam = manifest.camera
     labeled: list[SampleRecord] = []
     rejects: list[tuple[str, str]] = []
     for record in manifest.records:
@@ -182,6 +182,16 @@ class FileProvider:
         return record.landmarks_pred
 
 
+@contextlib.contextmanager
+def _timed(stage_ms: dict, stage: str):
+    """Add the block's wall time to ``stage_ms[stage]``, also when it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stage_ms[stage] += 1e3 * (time.perf_counter() - start)
+
+
 def _solve_record(
     record: SampleRecord,
     provider,
@@ -190,52 +200,55 @@ def _solve_record(
     roi_cfg: RoiConfig,
     ransac_cfg: RansacConfig,
     stage_ms: dict,
-) -> tuple[ImageScore, list[np.ndarray | None]]:
-    t0 = time.perf_counter()
-    detected = record.bbox_pred if record.bbox_pred is not None else record.bbox_gt
-    if detected is None:
-        raise ManifestError(f"record {record.id!r} has no bounding box")
-    try:
-        roi = make_roi(detected, roi_cfg)
-    except ValueError as exc:  # zero-area box, or one that misses the image
-        raise ManifestError(f"record {record.id!r}: unusable bounding box: {exc}") from exc
-    t1 = time.perf_counter()
+    predictions: dict | None = None,
+) -> ImageScore:
+    """Score one record; each stage's time is booked when it ends or raises.
 
-    normalized = provider.landmarks(record, roi)
-    if len(normalized) != wireframe.count:
-        raise ManifestError(
-            f"record {record.id!r}: provider returned {len(normalized)} landmarks, "
-            f"wireframe has {wireframe.count}"
-        )
-    correspondences = []
-    for k, norm_pt in enumerate(normalized):
-        if norm_pt is None:
-            continue
-        pixel = denormalize_landmarks(norm_pt, roi)[0]
-        if not np.all(np.isfinite(pixel)):
-            raise ManifestError(f"record {record.id!r}: provider landmark {k} is not finite")
-        correspondences.append(
-            Correspondence(image=pixel, world=wireframe.keypoints[k], id=k)
-        )
-    t2 = time.perf_counter()
+    ``predictions`` gets the provider's output once the landmark checks pass,
+    so a record that fails in RANSAC or LM keeps it.
+    """
+    with _timed(stage_ms, "detection_ms"):
+        detected = record.bbox_pred if record.bbox_pred is not None else record.bbox_gt
+        if detected is None:
+            raise ManifestError(f"record {record.id!r} has no bounding box")
+        try:
+            roi = make_roi(detected, roi_cfg, cam)
+        except ValueError as exc:  # zero-area box, or one that misses the image
+            raise ManifestError(f"record {record.id!r}: unusable bounding box: {exc}") from exc
 
-    if len(correspondences) < ransac_cfg.min_sample:
-        raise InsufficientLandmarksError(
-            f"record {record.id!r}: only {len(correspondences)} usable landmarks, "
-            f"RANSAC needs {ransac_cfg.min_sample}"
-        )
-    record_cfg = replace(ransac_cfg, seed=derive_seed(ransac_cfg.seed, record.id))
-    result = ransac_pnp(correspondences, cam, record_cfg)
-    t3 = time.perf_counter()
-    inliers = [c for c, keep in zip(correspondences, result.inlier_mask) if keep]
-    refined = lm_refine(result.pose, inliers, cam)
-    t4 = time.perf_counter()
+    with _timed(stage_ms, "landmarks_ms"):
+        normalized = provider.landmarks(record, roi)
+        if len(normalized) != wireframe.count:
+            raise ManifestError(
+                f"record {record.id!r}: provider returned {len(normalized)} landmarks, "
+                f"wireframe has {wireframe.count}"
+            )
+        correspondences = []
+        for k, norm_pt in enumerate(normalized):
+            if norm_pt is None:
+                continue
+            pixel = denormalize_landmarks(norm_pt, roi)[0]
+            if not np.all(np.isfinite(pixel)):
+                raise ManifestError(f"record {record.id!r}: provider landmark {k} is not finite")
+            correspondences.append(
+                Correspondence(image=pixel, world=wireframe.keypoints[k], id=k)
+            )
+    if predictions is not None:
+        predictions[record.id] = normalized
 
-    stage_ms["detection"] += 1e3 * (t1 - t0)
-    stage_ms["landmarks"] += 1e3 * (t2 - t1)
-    stage_ms["ransac"] += 1e3 * (t3 - t2)
-    stage_ms["refine"] += 1e3 * (t4 - t3)
-    return image_score(record.pose_gt, refined), normalized
+    with _timed(stage_ms, "ransac_ms"):
+        if len(correspondences) < ransac_cfg.min_sample:
+            raise InsufficientLandmarksError(
+                f"record {record.id!r}: only {len(correspondences)} usable landmarks, "
+                f"RANSAC needs {ransac_cfg.min_sample}"
+            )
+        record_cfg = replace(ransac_cfg, seed=derive_seed(ransac_cfg.seed, record.id))
+        result = ransac_pnp(correspondences, cam, record_cfg)
+
+    with _timed(stage_ms, "refine_ms"):
+        inliers = [c for c, keep in zip(correspondences, result.inlier_mask) if keep]
+        refined = lm_refine(result.pose, inliers, cam)
+    return image_score(record.pose_gt, refined)
 
 
 def run_pipeline(
@@ -244,45 +257,41 @@ def run_pipeline(
     wireframe: WireframeModel,
     roi_cfg: RoiConfig | None = None,
     ransac_cfg: RansacConfig | None = None,
-    cam: CameraIntrinsics | None = None,
     record_predictions: bool = False,
 ) -> PipelineRun:
     """Score every record: ROI -> provider landmarks -> RANSAC EPnP -> LM.
 
-    Per-record satpose failures (:class:`SatposeError`) become failure
-    entries and are excluded from the aggregate; scored + failed always
-    equals the manifest size. Any other exception, from a provider, numpy
-    or a bug, propagates. With ``record_predictions`` the provider outputs
-    are written back into a copy of the manifest, which a
-    :class:`FileProvider` rerun reproduces exactly.
+    ROIs fit the manifest camera's image. Per-record satpose failures
+    (:class:`SatposeError`) become failure entries and are excluded from the
+    aggregate; scored + failed always equals the manifest size. Any other
+    exception, from a provider, numpy or a bug, propagates. With
+    ``record_predictions`` the provider outputs, of failed records too, are
+    written back into a copy of the manifest, which a :class:`FileProvider`
+    rerun reproduces exactly.
     """
     if not manifest.records:
         raise ValueError("manifest has no records")
-    cam = cam or manifest.camera
-    roi_cfg = roi_cfg or RoiConfig(image_width=cam.width, image_height=cam.height)
+    cam = manifest.camera
+    roi_cfg = roi_cfg or RoiConfig()
     ransac_cfg = ransac_cfg or RansacConfig()
 
     scores: list[ImageScore] = []
     scored_ids: list[str] = []
     failures: list[tuple[str, str]] = []
-    predicted_records: list[SampleRecord] = []
-    stage_ms = {"detection": 0.0, "landmarks": 0.0, "ransac": 0.0, "refine": 0.0}
+    predictions: dict | None = {} if record_predictions else None
+    stage_ms = dict.fromkeys(("detection_ms", "landmarks_ms", "ransac_ms", "refine_ms"), 0.0)
 
     start = time.perf_counter()
     for record in manifest.records:
         try:
-            score, normalized = _solve_record(
-                record, provider, wireframe, cam, roi_cfg, ransac_cfg, stage_ms
+            score = _solve_record(
+                record, provider, wireframe, cam, roi_cfg, ransac_cfg, stage_ms, predictions
             )
         except SatposeError as exc:
             failures.append((record.id, str(exc)))
-            if record_predictions:
-                predicted_records.append(replace(record))
             continue
         scores.append(score)
         scored_ids.append(record.id)
-        if record_predictions:
-            predicted_records.append(replace(record, landmarks_pred=normalized))
     total_s = time.perf_counter() - start
 
     if not scores:
@@ -290,19 +299,14 @@ def run_pipeline(
             f"no record could be scored ({len(failures)} failures); "
             f"first: {failures[0][1] if failures else 'n/a'}"
         )
-    timing = TimingReport(
-        detection_ms=stage_ms["detection"],
-        landmarks_ms=stage_ms["landmarks"],
-        ransac_ms=stage_ms["ransac"],
-        refine_ms=stage_ms["refine"],
-        total_s=total_s,
-        n=len(manifest.records),
-    )
+    timing = TimingReport(**stage_ms, total_s=total_s, n=len(manifest.records))
     predicted = None
-    if record_predictions:
-        predicted = Manifest(
-            camera=cam, records=predicted_records, wireframe=manifest.wireframe
-        )
+    if predictions is not None:
+        records = [
+            replace(r, landmarks_pred=predictions.get(r.id, r.landmarks_pred))
+            for r in manifest.records
+        ]
+        predicted = Manifest(camera=cam, records=records, wireframe=manifest.wireframe)
     return PipelineRun(
         scores=scores,
         scored_ids=scored_ids,

@@ -4,14 +4,18 @@ Boxes live in continuous pixel coordinates (no integer snapping). The ROI
 returned by :func:`make_roi` is the square crop handed to the landmark
 regression stage: the detected box is squared to avoid distortion, enlarged,
 expanded to a minimum side when needed, and shifted (never shrunk) back into
-the image when it overhangs a border.
+the image when it overhangs a border. The image size is the camera's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # geometry imports this module
+    from .geometry import CameraIntrinsics
 
 
 @dataclass(frozen=True)
@@ -71,23 +75,19 @@ class RoiConfig:
     expansion.
     """
 
-    image_width: float
-    image_height: float
     enlargement_factor: float = 1.15
     min_side: float = 0.0
 
     def __post_init__(self):
         # each guard states what is valid, so a NaN setting fails it
-        if not (self.image_width > 0 and self.image_height > 0):
-            raise ValueError("image dimensions must be positive")
         if not self.enlargement_factor >= 1.0:
             raise ValueError("enlargement_factor must be >= 1")
         if not self.min_side >= 0:
             raise ValueError("min_side must be >= 0")
 
 
-def make_roi(detected: BBox, cfg: RoiConfig) -> BBox:
-    """Square, enlarge, and fit the detected box into the image.
+def make_roi(detected: BBox, cfg: RoiConfig, cam: CameraIntrinsics) -> BBox:
+    """Square, enlarge, and fit the detected box into ``cam``'s image.
 
     The output square has side ``max(factor * max(w, h), min_side)``, centered
     on the detection, translated to lie inside the image; the side is clamped
@@ -98,17 +98,17 @@ def make_roi(detected: BBox, cfg: RoiConfig) -> BBox:
     if (
         detected.xmax < 0
         or detected.ymax < 0
-        or detected.xmin > cfg.image_width
-        or detected.ymin > cfg.image_height
+        or detected.xmin > cam.width
+        or detected.ymin > cam.height
     ):
         raise ValueError("detected box does not intersect the image")
 
     side = max(cfg.enlargement_factor * max(detected.width, detected.height), cfg.min_side)
-    side = min(side, min(cfg.image_width, cfg.image_height))
+    side = min(side, min(cam.width, cam.height))
 
     cx, cy = detected.center
-    xmin = min(max(cx - side / 2.0, 0.0), cfg.image_width - side)
-    ymin = min(max(cy - side / 2.0, 0.0), cfg.image_height - side)
+    xmin = min(max(cx - side / 2.0, 0.0), cam.width - side)
+    ymin = min(max(cy - side / 2.0, 0.0), cam.height - side)
     return BBox(xmin, ymin, xmin + side, ymin + side)
 
 

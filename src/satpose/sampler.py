@@ -68,36 +68,17 @@ def sample_distance(rng: np.random.Generator, cfg: PoseSamplerConfig) -> float:
     )
 
 
-def sample_distances(rng: np.random.Generator, cfg: PoseSamplerConfig, n: int) -> np.ndarray:
-    """Vectorized batch variant of :func:`sample_distance` (own draw order)."""
-    out = np.empty(0)
-    attempts = 0
-    while out.size < n:
-        if attempts >= cfg.max_rejects:
-            raise SamplingFailureError(
-                f"batch rejection exhausted after {attempts} rounds"
-            )
-        attempts += 1
-        block = rng.normal(cfg.dist_mean, cfg.dist_sigma, size=max(2 * (n - out.size), 1024))
-        kept = block[(block >= cfg.dist_min) & (block <= cfg.dist_max)]
-        out = np.concatenate([out, kept])
-    return out[:n]
-
-
 def sample_attitude(rng: np.random.Generator) -> np.ndarray:
-    """Exactly uniform (Haar) rotation as a unit quaternion.
+    """Exactly uniform (Haar) rotation as a unit quaternion: a batch of one."""
+    return sample_attitudes(rng, 1)[0]
+
+
+def sample_attitudes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Batch of n uniform rotations, shape (n, 4).
 
     Subgroup-algorithm construction from three independent uniforms
     (Shoemake): a uniform point on S^3, which double-covers SO(3) uniformly.
     """
-    u0, u1, u2 = rng.random(3)
-    r1, r2 = np.sqrt(1.0 - u0), np.sqrt(u0)
-    t1, t2 = 2.0 * np.pi * u1, 2.0 * np.pi * u2
-    return np.array([np.cos(t2) * r2, np.sin(t1) * r1, np.cos(t1) * r1, np.sin(t2) * r2])
-
-
-def sample_attitudes(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Batch of n uniform rotations, shape (n, 4)."""
     u = rng.random((n, 3))
     r1, r2 = np.sqrt(1.0 - u[:, 0]), np.sqrt(u[:, 0])
     t1, t2 = 2.0 * np.pi * u[:, 1], 2.0 * np.pi * u[:, 2]

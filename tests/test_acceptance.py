@@ -30,7 +30,7 @@ from satpose import (
     quat_from_axis_angle,
     run_pipeline,
     sample_attitudes,
-    sample_distances,
+    sample_distance,
     split_dataset,
     triangulate,
 )
@@ -234,7 +234,8 @@ def test_criterion_6_noise_monotonicity(cam, wireframe):
 def test_criterion_7_sampler_distribution():
     """Hard range bounds, truncated-normal mean, SO(3) angle histogram."""
     cfg = PoseSamplerConfig()
-    values = sample_distances(stream(707, "acceptance"), cfg, 1_000_000)
+    rng = stream(707, "acceptance")
+    values = np.array([sample_distance(rng, cfg) for _ in range(1_000_000)])
     assert values.min() >= 36.0 and values.max() <= 70.0
 
     a = (cfg.dist_min - cfg.dist_mean) / cfg.dist_sigma
@@ -256,10 +257,10 @@ def test_criterion_7_sampler_distribution():
     )
 
 
-def test_criterion_8_roi_rules():
+def test_criterion_8_roi_rules(cam):
     """Hand-derived ROI square, containment by construction, IoU hand case."""
-    cfg = RoiConfig(image_width=1920.0, image_height=1200.0)
-    roi = make_roi(BBox(100, 100, 200, 150), cfg)
+    cfg = RoiConfig()
+    roi = make_roi(BBox(100, 100, 200, 150), cfg, cam)
     assert (roi.xmin, roi.ymin, roi.xmax, roi.ymax) == (92.5, 67.5, 207.5, 182.5)
 
     rng = stream(808, "acceptance")
@@ -267,7 +268,7 @@ def test_criterion_8_roi_rules():
         x = rng.uniform(200, 1300)
         y = rng.uniform(150, 700)
         gt = BBox(x, y, x + rng.uniform(5, 300), y + rng.uniform(5, 300))
-        assert contains(make_roi(gt, cfg), gt)
+        assert contains(make_roi(gt, cfg, cam), gt)
 
     assert abs(iou(BBox(0, 0, 10, 10), BBox(5, 5, 15, 15)) - 25.0 / 175.0) < 1e-12
     report("criterion 8", "side-115 square exact, 100/100 containment, IoU=25/175")

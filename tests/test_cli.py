@@ -147,6 +147,34 @@ def test_failure_rate_exit_code(workspace):
     assert code == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("rate, code", [
+    ("nan", EXIT_SCHEMA), ("-1", EXIT_SCHEMA), ("1.5", EXIT_SCHEMA), ("inf", EXIT_SCHEMA),
+    ("0", EXIT_OK), ("1", EXIT_OK),
+])
+def test_max_failure_rate_must_lie_in_unit_interval(workspace, monkeypatch, source, rate, code):
+    tmp_path, labeled = workspace
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    flags = ["--max-failure-rate", rate] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("SATPOSE_MAX_FAILURE_RATE", rate)
+    # no record fails at sigma 0, so every rate in [0, 1] passes the gate
+    result = main(["run", "--manifest", str(labeled), "--sigma", "0", *flags,
+                   "--dump-predictions", str(out_dir / "pred.json"),
+                   "--out", str(out_dir / "r.json")])
+    assert result == code
+    assert any(out_dir.iterdir()) == (code == EXIT_OK)  # a refused rate writes nothing
+
+
+@pytest.mark.parametrize("n, code", [("-1", EXIT_SCHEMA), ("0", EXIT_SCHEMA), ("1", EXIT_OK)])
+def test_sample_count_must_be_positive(tmp_path, n, code):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["sample-poses", "--n", n, "--seed", "1", "--out", str(out_dir / "m.json")]) == code
+    assert any(out_dir.iterdir()) == (code == EXIT_OK)
+
+
 def test_io_error_exit_code(workspace):
     tmp_path, labeled = workspace
     code = main(
@@ -250,6 +278,8 @@ def test_non_integer_counts_are_schema_errors(workspace, command, config):
         {"panel": {"hinge_axis": [0, 1, 0], "reference_normal": [0, 0, 1]}},
         {"foo": 1},
         {"lm": {"max_iterations": 5}},
+        {"roi": {"image_width": 1000}},  # the image size comes from the manifest camera
+        {"roi": {"image_width": 5000, "image_height": 5000}},
     ],
 )
 def test_malformed_config_sections_are_schema_errors(workspace, capsys, config):

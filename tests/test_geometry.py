@@ -21,7 +21,6 @@ from satpose import (
     quat_from_axis_angle,
     quat_multiply,
     quat_rotate,
-    rotation_angle,
     save_wireframe,
 )
 from satpose.errors import DegenerateGeometryError
@@ -91,11 +90,6 @@ class TestQuaternions:
             q2 = quat_from_matrix(quat_to_matrix(q))
             # double cover: compare up to sign
             assert min(np.linalg.norm(q - q2), np.linalg.norm(q + q2)) < 1e-12
-
-    def test_rotation_angle_matches_construction(self):
-        for angle in np.linspace(1e-4, np.pi - 1e-4, 25):
-            q = quat_from_axis_angle(Z_AXIS, angle)
-            assert abs(rotation_angle(q) - angle) < 1e-12
 
 
 class TestProjection:

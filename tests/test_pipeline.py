@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +21,13 @@ from satpose import (
     emit_report,
     epnp,
     generate_labels,
+    load_manifest,
     oracle_landmarks,
     run_pipeline,
+    save_manifest,
 )
-from satpose.errors import InsufficientLandmarksError
+from satpose import pipeline
+from satpose.errors import ConsensusFailureError, InsufficientLandmarksError
 from satpose.geometry import denormalize_landmarks
 from satpose.metrics import image_score
 from satpose.pipeline import _solve_record, report_payload
@@ -208,6 +212,38 @@ class TestRunPipeline:
         untimed = report_payload(run.report)
         assert not {"pnp_ms", "ransac_ms", "refine_ms"} & set(untimed)
 
+    def test_stage_times_include_failed_records(self, labeled, wireframe, monkeypatch):
+        calls = []
+
+        def slow_failing_ransac(correspondences, cam, cfg):
+            calls.append(cfg.seed)
+            if len(calls) % 3 == 0:
+                return ransac_pnp(correspondences, cam, cfg)
+            time.sleep(0.010)
+            raise ConsensusFailureError("stub: no consensus")
+
+        monkeypatch.setattr(pipeline, "ransac_pnp", slow_failing_ransac)
+        run = run_pipeline(labeled, OracleProvider(NoiseModel()), wireframe)
+        assert len(run.failures) == 20 and len(run.scores) == 10
+        assert run.timing.ransac_ms >= 10.0 * len(run.failures)
+
+    def test_dumped_predictions_rerun_to_the_same_outcomes(self, labeled, wireframe, tmp_path):
+        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.4, dropout_rate=0.3, seed=3)
+        ransac_cfg = RansacConfig(max_iterations=50)  # failing records stop early
+        first = run_pipeline(
+            labeled, OracleProvider(noise), wireframe, ransac_cfg=ransac_cfg,
+            record_predictions=True,
+        )
+        reasons = [reason for _, reason in first.failures]
+        assert any("no hypothesis reached" in r for r in reasons)  # failed in RANSAC
+        assert any("usable landmarks" in r for r in reasons)  # too few after dropout
+        dump = tmp_path / "pred.json"
+        save_manifest(first.predicted, dump)
+        rerun = run_pipeline(load_manifest(dump), FileProvider(), wireframe, ransac_cfg=ransac_cfg)
+        assert rerun.failures == first.failures
+        assert rerun.scored_ids == first.scored_ids
+        assert rerun.scores == first.scores
+
     def test_scores_match_epnp_resolve_reference(self, cam, labeled, wireframe):
         # LM from the winning hypothesis reaches the minimum that LM from an
         # EPnP re-solve over the same inliers reaches
@@ -215,9 +251,9 @@ class TestRunPipeline:
         ransac_cfg = RansacConfig(seed=7)
         run = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=ransac_cfg)
         assert not run.failures
-        roi_cfg = RoiConfig(image_width=cam.width, image_height=cam.height)
+        roi_cfg = RoiConfig()
         for record, score in zip(labeled.records, run.scores):
-            roi = make_roi(record.bbox_gt, roi_cfg)
+            roi = make_roi(record.bbox_gt, roi_cfg, cam)
             corrs = [
                 Correspondence(image=denormalize_landmarks(p, roi)[0], world=world, id=k)
                 for k, (p, world) in enumerate(
@@ -275,8 +311,8 @@ class TestRunPipeline:
             run_pipeline(labeled, BrokenProvider(), wireframe)
 
     def test_starved_record_is_its_own_failure_type(self, cam, labeled, wireframe):
-        stage_ms = {"detection": 0.0, "landmarks": 0.0, "pnp": 0.0}
-        roi_cfg = RoiConfig(image_width=cam.width, image_height=cam.height)
+        stage_ms = dict.fromkeys(("detection_ms", "landmarks_ms", "ransac_ms", "refine_ms"), 0.0)
+        roi_cfg = RoiConfig()
         with pytest.raises(InsufficientLandmarksError, match="only 0 usable landmarks"):
             _solve_record(
                 labeled.records[1],
