@@ -9,10 +9,11 @@ Subcommands::
     triangulate      rebuild a wireframe from labeled views
     report           merge report JSON files into one table
 
-Common flags (``--seed``, ``--config``, ``--out``, ``--format``,
-``--max-failure-rate``) fall back to ``SATPOSE_``-prefixed environment
-variables when not given. Exit codes: 0 success, 2 schema error, 3 solver
-failure rate above the limit, 4 I/O error.
+Each setting has one source: a flag, or a section of the ``--config`` JSON
+file. Only ``sample-poses`` (sections ``camera``, ``sampler``) and ``run``
+(sections ``roi``, ``ransac``, ``noise``) take ``--config``, and a config
+key outside the command's sections is refused. Exit codes: 0 success, 2
+schema error, 3 solver failure rate above the limit, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -58,10 +58,6 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-def _env(name: str, fallback=None):
-    return os.environ.get(f"SATPOSE_{name}", fallback)
-
-
 # config file sections and the dataclass each one builds
 _SECTIONS = {
     "camera": CameraIntrinsics,
@@ -79,7 +75,8 @@ class Config:
         self.data = data
 
     @classmethod
-    def load(cls, path) -> "Config":
+    def load(cls, path, sections: tuple[str, ...]) -> "Config":
+        """The file at ``path`` (``None``: no file); keys outside ``sections`` are refused."""
         if path is None:
             return cls({})
         try:
@@ -89,9 +86,11 @@ class Config:
             raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ManifestError(f"{path}: top level must be an object")
-        unknown = sorted(set(data) - set(_SECTIONS) - {"wireframe"})
+        unknown = sorted(set(data) - set(sections))
         if unknown:
-            raise ManifestError(f"{path}: unknown config sections {unknown}")
+            raise ManifestError(
+                f"{path}: unknown config sections {unknown}; this command reads {list(sections)}"
+            )
         return cls(data)
 
     def section(self, name: str, **overrides):
@@ -114,38 +113,27 @@ class Config:
         except (TypeError, ValueError) as exc:
             raise ManifestError(f"config: {name}: {exc}") from exc
 
-    def wireframe_path(self) -> str | None:
-        path = self.data.get("wireframe")
-        if path is not None and not isinstance(path, str):
-            raise ManifestError(f"config: wireframe: expected a file path string, got {path!r}")
-        return path
 
-
-def _resolve_wireframe(args, manifest: Manifest | None, manifest_path) -> WireframeModel:
-    explicit = getattr(args, "wireframe", None)
-    if explicit:
-        return load_wireframe(explicit)
-    if manifest is not None and manifest.wireframe:
-        path = Path(manifest.wireframe)
-        if not path.is_absolute() and manifest_path is not None:
-            path = Path(manifest_path).parent / path
-        return load_wireframe(path)
+def _resolve_wireframe(args, manifest: Manifest) -> WireframeModel:
+    if args.wireframe:
+        return load_wireframe(args.wireframe)
+    if manifest.wireframe:  # relative to the manifest; an absolute path stays as it is
+        return load_wireframe(Path(args.manifest).parent / manifest.wireframe)
     raise ManifestError("no wireframe model: pass --wireframe or set it in the manifest")
 
 
 def _cmd_sample_poses(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    cfg = Config.load(args.config)
+    cfg = Config.load(args.config, ("camera", "sampler"))
     cam = cfg.section("camera") if "camera" in cfg.data else DEFAULT_CAMERA
     sampler_cfg = cfg.section("sampler")
     out_path = Path(args.out)
     streams = SampleStreams(args.seed)  # checks the seed before anything is written
 
-    wireframe_ref = args.wireframe or cfg.wireframe_path()
-    if wireframe_ref:
-        wireframe = load_wireframe(wireframe_ref)
-        stored_ref = str(wireframe_ref)
+    if args.wireframe:
+        wireframe = load_wireframe(args.wireframe)
+        stored_ref = args.wireframe
     else:
         wireframe = example_wireframe()
         wf_path = out_path.parent / "wireframe.json"
@@ -163,7 +151,7 @@ def _cmd_sample_poses(args) -> int:
 
 def _cmd_generate_labels(args) -> int:
     manifest = load_manifest(args.manifest)
-    wireframe = _resolve_wireframe(args, manifest, args.manifest)
+    wireframe = _resolve_wireframe(args, manifest)
     labeled, rejects = generate_labels(manifest, wireframe)
     save_manifest(labeled, args.out)
     print(f"labeled {len(labeled.records)} records, {len(rejects)} rejected")
@@ -184,9 +172,9 @@ def _cmd_split(args) -> int:
 def _cmd_run(args) -> int:
     if not 0.0 <= args.max_failure_rate <= 1.0:  # NaN fails
         raise ValueError(f"--max-failure-rate must lie in [0, 1], got {args.max_failure_rate}")
-    cfg = Config.load(args.config)
+    cfg = Config.load(args.config, ("roi", "ransac", "noise"))
     manifest = load_manifest(args.manifest)
-    wireframe = _resolve_wireframe(args, manifest, args.manifest)
+    wireframe = _resolve_wireframe(args, manifest)
 
     if args.provider == "oracle":
         provider = OracleProvider(
@@ -298,29 +286,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--config", default=_env("CONFIG"), help="JSON config file")
-        p.add_argument(
-            "--out", default=_env("OUT"), required=out_required and _env("OUT") is None
-        )
-
     p = sub.add_parser("sample-poses", help="draw random poses into a manifest")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--wireframe", help="wireframe JSON (default: built-in example)")
-    common(p)
+    p.add_argument("--config", help="JSON config file: camera and sampler sections")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample_poses)
 
     p = sub.add_parser("generate-labels", help="derive bbox + landmark labels")
     p.add_argument("--manifest", required=True)
     p.add_argument("--wireframe")
-    common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate_labels)
 
     p = sub.add_parser("split", help="seeded train/test partition")
     p.add_argument("--manifest", required=True)
     p.add_argument("--train-fraction", type=float, required=True)
-    p.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
     p.set_defaults(func=_cmd_split)
@@ -329,49 +312,43 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--wireframe")
     p.add_argument("--provider", choices=["oracle", "file"], default="oracle")
-    p.add_argument("--sigma", type=float, default=None, help="oracle noise sigma [px]")
-    p.add_argument("--outlier-rate", type=float, default=None)
-    p.add_argument("--dropout-rate", type=float, default=None)
-    p.add_argument("--noise-seed", type=int, default=None)
+    p.add_argument("--sigma", type=float, help="oracle noise sigma [px]")
+    p.add_argument("--outlier-rate", type=float)
+    p.add_argument("--dropout-rate", type=float)
+    p.add_argument("--noise-seed", type=int)
     p.add_argument(
-        "--seed",
-        type=int,
-        default=None if _env("SEED") is None else int(_env("SEED")),
-        help="RANSAC seed (default: SATPOSE_SEED, else the config's ransac.seed, else 0)",
+        "--seed", type=int, help="RANSAC seed (default: the config's ransac.seed, else 0)"
     )
-    p.add_argument("--format", choices=["json", "csv"], default=_env("FORMAT", "json"))
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--dump-predictions", help="write provider outputs to this manifest")
     p.add_argument(
         "--max-failure-rate",
         type=float,
-        default=float(_env("MAX_FAILURE_RATE", 1.0)),
+        default=1.0,
         help="exit 3 when the per-record failure rate exceeds this",
     )
     p.add_argument("--no-timing", action="store_true", help="omit fps/timing fields")
-    common(p)
+    p.add_argument("--config", help="JSON config file: roi, ransac and noise sections")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("triangulate", help="rebuild a wireframe from labeled views")
     p.add_argument("--manifest", required=True)
     p.add_argument("--name", default="triangulated")
-    common(p)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_triangulate)
 
     p = sub.add_parser("report", help="merge report JSON files")
     p.add_argument("reports", nargs="+")
-    p.add_argument("--format", choices=["json", "csv"], default=_env("FORMAT", "csv"))
-    common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except ValueError as exc:  # malformed SATPOSE_* environment values
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ManifestError, ValueError) as exc:

@@ -29,17 +29,22 @@ regression network drop straight in.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ManifestError
-from .geometry import CameraIntrinsics, Pose
+from .geometry import CameraIntrinsics, Pose, quat_conjugate
 from .rng import stream
 from .roi import BBox
 
 _QUAT_NORM_WARN = 1e-6
+
+# the types json.load gives JSON numbers; bool, a subclass of int, is left out
+_NUMBER_TYPES = {int, float}
 
 CONVENTIONS = ("body_to_camera", "camera_to_body")
 
@@ -82,29 +87,43 @@ def _field(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _parse_camera(data: dict) -> CameraIntrinsics:
+def _check_numbers(values: list, where: str) -> None:
+    """Raise unless every item is a finite JSON number (not a string or boolean)."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        raise ManifestError(f"{where}: values must be JSON numbers")
     try:
-        return CameraIntrinsics(
-            fx=float(_field(data, "fx", "camera")),
-            fy=float(_field(data, "fy", "camera")),
-            cx=float(_field(data, "cx", "camera")),
-            cy=float(_field(data, "cy", "camera")),
-            width=float(_field(data, "width", "camera")),
-            height=float(_field(data, "height", "camera")),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int too large
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ManifestError(f"{where}: values must be finite")
+
+
+def _parse_camera(data) -> CameraIntrinsics:
+    if not isinstance(data, dict):
+        raise ManifestError("camera: expected an object")
+    names = ("fx", "fy", "cx", "cy", "width", "height")
+    values = {name: _field(data, name, "camera") for name in names}
+    for name, value in values.items():
+        _check_numbers([value], f"camera: {name}")
+    try:
+        return CameraIntrinsics(**{name: float(value) for name, value in values.items()})
+    except ValueError as exc:
         raise ManifestError(f"camera: {exc}") from exc
 
 
-def _parse_vector(raw, length: int, where: str) -> np.ndarray:
+def _parse_array(raw, where: str) -> np.ndarray:
     try:
-        vec = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int too large
         raise ManifestError(f"{where}: not numeric") from exc
+
+
+def _parse_vector(raw, length: int, where: str) -> np.ndarray:
+    vec = _parse_array(raw, where)
     if vec.shape != (length,):
         raise ManifestError(f"{where}: expected {length} values, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ManifestError(f"{where}: values must be finite")
+    _check_numbers(raw, where)  # the shape check made ``raw`` a flat list
     return vec
 
 
@@ -123,7 +142,7 @@ def _parse_quaternion(raw, where: str, convention: str) -> np.ndarray:
     if abs(norm - 1.0) > 1e-12:  # keep stored unit values bit-stable
         q = q / norm
     if convention == "camera_to_body":
-        q = np.array([q[0], -q[1], -q[2], -q[3]])
+        q = quat_conjugate(q)
     return q
 
 
@@ -136,14 +155,10 @@ def _parse_bbox(raw, where: str) -> BBox:
 
 
 def _parse_landmarks(raw, where: str) -> np.ndarray:
-    try:
-        pts = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"{where}: not numeric") from exc
+    pts = _parse_array(raw, where)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ManifestError(f"{where}: expected an (K, 2) array")
-    if not np.all(np.isfinite(pts)):
-        raise ManifestError(f"{where}: values must be finite")
+    _check_numbers(list(chain.from_iterable(raw)), where)  # ``raw`` is a list of pairs here
     return pts
 
 
@@ -164,9 +179,11 @@ def _parse_record(data: dict, index: int, convention: str) -> SampleRecord:
     if not isinstance(data, dict):
         raise ManifestError(f"{where}: expected an object")
     rec_id = _field(data, "id", where)
+    if not isinstance(rec_id, str):
+        raise ManifestError(f"{where}: field 'id' must be a string, got {rec_id!r}")
     q = _parse_quaternion(_field(data, "q", where), f"{where}: field 'q'", convention)
     t = _parse_vector(_field(data, "t", where), 3, f"{where}: field 't'")
-    record = SampleRecord(id=str(rec_id), pose_gt=Pose(position=t, attitude=q))
+    record = SampleRecord(id=rec_id, pose_gt=Pose(position=t, attitude=q))
     if data.get("bbox") is not None:
         record.bbox_gt = _parse_bbox(data["bbox"], f"{where}: field 'bbox'")
     if data.get("landmarks") is not None:

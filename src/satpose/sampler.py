@@ -69,22 +69,24 @@ def sample_distance(rng: np.random.Generator, cfg: PoseSamplerConfig) -> float:
 
 
 def sample_attitude(rng: np.random.Generator) -> np.ndarray:
-    """Exactly uniform (Haar) rotation as a unit quaternion: a batch of one."""
-    return sample_attitudes(rng, 1)[0]
+    """Exactly uniform (Haar) rotation as a unit quaternion, shape (4,)."""
+    return _shoemake(rng.random(3))
 
 
 def sample_attitudes(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Batch of n uniform rotations, shape (n, 4).
+    """Batch of n uniform rotations, shape (n, 4); row i equals the i-th single draw."""
+    return _shoemake(rng.random((n, 3)))
+
+
+def _shoemake(u: np.ndarray) -> np.ndarray:
+    """Unit quaternions from uniforms ``u[..., :3]``.
 
     Subgroup-algorithm construction from three independent uniforms
     (Shoemake): a uniform point on S^3, which double-covers SO(3) uniformly.
     """
-    u = rng.random((n, 3))
-    r1, r2 = np.sqrt(1.0 - u[:, 0]), np.sqrt(u[:, 0])
-    t1, t2 = 2.0 * np.pi * u[:, 1], 2.0 * np.pi * u[:, 2]
-    return np.column_stack(
-        [np.cos(t2) * r2, np.sin(t1) * r1, np.cos(t1) * r1, np.sin(t2) * r2]
-    )
+    r1, r2 = np.sqrt(1.0 - u[..., 0]), np.sqrt(u[..., 0])
+    t1, t2 = 2.0 * np.pi * u[..., 1], 2.0 * np.pi * u[..., 2]
+    return np.stack([np.cos(t2) * r2, np.sin(t1) * r1, np.cos(t1) * r1, np.sin(t2) * r2], axis=-1)
 
 
 def sample_pose(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from satpose import (
     DEFAULT_CAMERA,
@@ -29,6 +30,15 @@ def cam():
 @pytest.fixture(scope="session")
 def wireframe():
     return example_wireframe()
+
+
+# any value json.load can return, NaN, infinities and integers beyond float range included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
 
 
 def random_pose(rng: np.random.Generator) -> Pose:

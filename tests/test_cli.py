@@ -1,13 +1,18 @@
-"""CLI workflow tests: subcommands, exit codes, env overrides."""
+"""CLI workflow tests: subcommands, exit codes, config sections."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpose import load_wireframe
-from satpose.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_SOLVER, main
+from satpose.cli import _SECTIONS, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_SOLVER, Config, main
+from satpose.errors import ManifestError
 from satpose.geometry import example_wireframe
+from tests.conftest import json_values
 
 
 @pytest.fixture()
@@ -127,16 +132,6 @@ def test_non_string_wireframe_is_schema_error(workspace):
     assert code == EXIT_SCHEMA
 
 
-def test_non_string_config_wireframe_is_schema_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"wireframe": 5}))
-    out = tmp_path / "m.json"
-    code = main(
-        ["sample-poses", "--n", "2", "--seed", "1", "--config", str(cfg), "--out", str(out)]
-    )
-    assert code == EXIT_SCHEMA
-
-
 def test_failure_rate_exit_code(workspace):
     tmp_path, labeled = workspace
     report = tmp_path / "report.json"
@@ -147,20 +142,17 @@ def test_failure_rate_exit_code(workspace):
     assert code == EXIT_SOLVER
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("source", ["flag"])  # the flag is the rate's one source
 @pytest.mark.parametrize("rate, code", [
     ("nan", EXIT_SCHEMA), ("-1", EXIT_SCHEMA), ("1.5", EXIT_SCHEMA), ("inf", EXIT_SCHEMA),
     ("0", EXIT_OK), ("1", EXIT_OK),
 ])
-def test_max_failure_rate_must_lie_in_unit_interval(workspace, monkeypatch, source, rate, code):
+def test_max_failure_rate_must_lie_in_unit_interval(workspace, source, rate, code):
     tmp_path, labeled = workspace
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    flags = ["--max-failure-rate", rate] if source == "flag" else []
-    if source == "env":
-        monkeypatch.setenv("SATPOSE_MAX_FAILURE_RATE", rate)
     # no record fails at sigma 0, so every rate in [0, 1] passes the gate
-    result = main(["run", "--manifest", str(labeled), "--sigma", "0", *flags,
+    result = main(["run", "--manifest", str(labeled), "--sigma", "0", "--max-failure-rate", rate,
                    "--dump-predictions", str(out_dir / "pred.json"),
                    "--out", str(out_dir / "r.json")])
     assert result == code
@@ -216,17 +208,26 @@ def test_invalid_config_section_is_schema_error(tmp_path):
     assert code == EXIT_SCHEMA
 
 
-def test_env_overrides_seed_and_format(workspace, monkeypatch):
+def test_environment_is_not_read(workspace, monkeypatch):
     tmp_path, labeled = workspace
-    monkeypatch.setenv("SATPOSE_FORMAT", "csv")
+
+    def outputs() -> tuple[bytes, bytes]:
+        run, merged = tmp_path / "r.json", tmp_path / "merged.csv"
+        assert main(["run", "--manifest", str(labeled), "--sigma", "2", "--outlier-rate", "0.2",
+                     "--no-timing", "--out", str(run)]) == EXIT_OK
+        assert main(["report", str(run), "--out", str(merged)]) == EXIT_OK
+        return run.read_bytes(), merged.read_bytes()
+
+    plain = outputs()
     monkeypatch.setenv("SATPOSE_SEED", "99")
-    report = tmp_path / "env_report.csv"
-    code = main(["run", "--manifest", str(labeled), "--out", str(report)])
-    assert code == EXIT_OK
-    assert report.read_text().startswith("n,")  # csv header, not json
+    monkeypatch.setenv("SATPOSE_FORMAT", "csv")
+    assert outputs() == plain
+    monkeypatch.setenv("SATPOSE_SEED", "abc")
+    monkeypatch.setenv("SATPOSE_MAX_FAILURE_RATE", "x")
+    assert outputs() == plain
 
 
-def test_config_ransac_seed_applies_and_flag_and_env_win(workspace, monkeypatch):
+def test_config_ransac_seed_applies_and_flag_wins(workspace):
     tmp_path, labeled = workspace
 
     def run(config: dict, *extra) -> bytes:
@@ -245,8 +246,6 @@ def test_config_ransac_seed_applies_and_flag_and_env_win(workspace, monkeypatch)
     assert seeded != default  # the config's seed reaches RANSAC
     assert run({"ransac": {"seed": 0}}) == default  # 0 is the last fallback
     assert run({"ransac": {"seed": 123456}}, "--seed", "7") == seeded
-    monkeypatch.setenv("SATPOSE_SEED", "7")
-    assert run({"ransac": {"seed": 123456}}) == seeded
 
 
 @pytest.mark.parametrize(
@@ -280,6 +279,11 @@ def test_non_integer_counts_are_schema_errors(workspace, command, config):
         {"lm": {"max_iterations": 5}},
         {"roi": {"image_width": 1000}},  # the image size comes from the manifest camera
         {"roi": {"image_width": 5000, "image_height": 5000}},
+        # sections `run` does not read
+        {"camera": {"fx": 2000.0, "fy": 2000.0, "cx": 640.0, "cy": 512.0,
+                    "width": 1280, "height": 1024}},
+        {"sampler": {}},
+        {"wireframe": "w.json"},
     ],
 )
 def test_malformed_config_sections_are_schema_errors(workspace, capsys, config):
@@ -291,6 +295,41 @@ def test_malformed_config_sections_are_schema_errors(workspace, capsys, config):
     assert code == EXIT_SCHEMA
     assert not report.exists()
     assert next(iter(config)) in capsys.readouterr().err  # the message names the section
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"roi": {"min_side": 224.0}},
+        {"ransac": {"seed": 7}},
+        {"noise": {}},
+        {"wireframe": "w.json"},  # --wireframe is the one source
+        {"wireframe": 5},
+    ],
+)
+def test_sample_poses_refuses_sections_it_does_not_read(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "m.json"
+    code = main(["sample-poses", "--n", "2", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_SCHEMA
+    assert not any(out_dir.iterdir())  # neither the manifest nor wireframe.json
+    assert next(iter(config)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate-labels", "triangulate", "report"])
+def test_config_flag_only_on_commands_that_read_it(workspace, command):
+    tmp_path, labeled = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    inputs = [str(labeled)] if command == "report" else ["--manifest", str(labeled)]
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == EXIT_SCHEMA
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -437,3 +476,23 @@ def test_report_merges_timed_and_untimed(workspace):
     rows = json.loads(merged.read_text())
     assert "fps" in rows[0] and "fps" not in rows[1]
     assert rows[0]["E"] == rows[1]["E"]
+
+
+# per section: arbitrary JSON, and objects whose keys are the section's fields
+SECTION_INPUTS = {
+    name: json_values
+    | st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(cls)]), json_values)
+    for name, cls in _SECTIONS.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SECTIONS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_config_section_gives_its_dataclass_or_a_schema_error(name, data):
+    value = data.draw(SECTION_INPUTS[name])
+    try:
+        section = Config({name: value}).section(name)
+    except ManifestError:
+        return
+    assert isinstance(section, _SECTIONS[name])

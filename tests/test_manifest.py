@@ -1,15 +1,20 @@
 """Manifest schema, round-trip, and split tests."""
 
+import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from satpose import BBox, Manifest, Pose, SampleRecord, load_manifest, save_manifest, split_dataset
 from satpose.errors import ManifestError
 from satpose.manifest import ManifestWarning
 from satpose.rng import stream
 from satpose.sampler import sample_attitude
+from tests.conftest import json_values
 
 
 def make_manifest(cam, n=10, seed=0, with_labels=False) -> Manifest:
@@ -135,11 +140,98 @@ class TestSchemaErrors:
         with pytest.raises(ManifestError, match=r"records\[0\].*overflows"):
             load_manifest(self.write(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fx", "3000"),
+            ("fx", True),
+            ("id", [1]),
+            ("id", 5),
+            ("q", [1, 0, 0, "0"]),
+            ("t", ["0.5", "0", "40"]),
+            ("t", [True, False, 40]),
+            ("t", [0, 0, 10**400]),
+            ("bbox", [100, 90, 400, "390"]),
+            ("landmarks", [[100, 90], [False, 120]]),
+            ("pred_bbox", [True, 90, 400, 390]),
+            ("pred_landmarks", [["0.1", "0.2"], None]),
+        ],
+    )
+    def test_values_keep_their_json_types(self, cam, tmp_path, field, value):
+        payload = self.base_payload(cam)
+        if field == "fx":
+            payload["camera"][field] = value
+            named = "camera: fx"
+        else:
+            payload["records"][0][field] = value
+            named = rf"records\[0\]: field '{field}'"
+        with pytest.raises(ManifestError, match=named):
+            load_manifest(self.write(tmp_path, payload))
+
     def test_non_string_wireframe_rejected(self, cam, tmp_path):
         payload = self.base_payload(cam)
         payload["wireframe"] = 5
         with pytest.raises(ManifestError, match="wireframe"):
             load_manifest(self.write(tmp_path, payload))
+
+
+# a manifest that sets every field, for the mutations below
+FULL_PAYLOAD = {
+    "camera": {"fx": 3000.0, "fy": 3000.0, "cx": 960.0, "cy": 600.0,
+               "width": 1920, "height": 1200},
+    "wireframe": "wireframe.json",
+    "attitude_convention": "camera_to_body",
+    "records": [
+        {"id": "a", "q": [0.8, 0.6, 0.0, 0.0], "t": [0.5, 0.0, 40.0],
+         "bbox": [100.0, 90.0, 400.0, 390.0], "landmarks": [[120.0, 100.0], [300.0, 250.0]],
+         "pred_bbox": [101.0, 91.0, 401.0, 391.0], "pred_landmarks": [[0.1, 0.2], None]},
+    ],
+}
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON tree, the root's ``()`` first."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+@st.composite
+def mutated_payloads(draw):
+    payload = copy.deepcopy(FULL_PAYLOAD)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(payload))))
+        if not path:
+            return draw(json_values)
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return payload
+
+
+class TestMutatedManifests:
+    @settings(
+        max_examples=200, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(payload=mutated_payloads())
+    def test_load_raises_only_manifest_errors(self, tmp_path, payload):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ManifestWarning)
+            try:
+                load_manifest(path)
+            except ManifestError:
+                pass
 
 
 class TestQuaternionPolicy:
