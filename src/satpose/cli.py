@@ -12,8 +12,9 @@ Subcommands::
 Each setting has one source: a flag, or a section of the ``--config`` JSON
 file. Only ``sample-poses`` (sections ``camera``, ``sampler``) and ``run``
 (sections ``roi``, ``ransac``, ``noise``) take ``--config``, and a config
-key outside the command's sections is refused. Exit codes: 0 success, 2
-schema error, 3 solver failure rate above the limit, 4 I/O error.
+key outside the command's sections is refused. Every setting must be a
+finite JSON number, by the rule manifest values follow. Exit codes: 0
+success, 2 schema error, 3 solver failure rate above the limit, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ from .geometry import (
     load_wireframe,
     save_wireframe,
 )
-from .manifest import Manifest, SampleRecord, load_manifest, save_manifest, split_dataset
+from .manifest import (
+    Manifest,
+    SampleRecord,
+    check_numbers,
+    load_manifest,
+    save_manifest,
+    split_dataset,
+)
 from .pipeline import (
     REPORT_KEYS,
     TIMING_KEYS,
@@ -102,12 +110,14 @@ class Config:
         data = self.data.get(name, {})
         if not isinstance(data, dict):
             raise ManifestError(f"config: {name}: expected an object")
-        data = dict(data)
-        data.update((key, value) for key, value in overrides.items() if value is not None)
         cls = _SECTIONS[name]
         unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ManifestError(f"config: {name}: unknown keys {unknown}")
+        for key, value in data.items():  # every setting is a number
+            check_numbers([value], f"config: {name}: {key}")
+        data = dict(data)
+        data.update((key, value) for key, value in overrides.items() if value is not None)
         try:
             return cls(**data)
         except (TypeError, ValueError) as exc:

@@ -87,8 +87,11 @@ def _field(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _check_numbers(values: list, where: str) -> None:
-    """Raise unless every item is a finite JSON number (not a string or boolean)."""
+def check_numbers(values: list, where: str) -> None:
+    """Raise unless every item is a finite JSON number (not a string or boolean).
+
+    The rule for numbers read from JSON: manifest fields and config settings.
+    """
     if not set(map(type, values)) <= _NUMBER_TYPES:
         raise ManifestError(f"{where}: values must be JSON numbers")
     try:
@@ -105,7 +108,7 @@ def _parse_camera(data) -> CameraIntrinsics:
     names = ("fx", "fy", "cx", "cy", "width", "height")
     values = {name: _field(data, name, "camera") for name in names}
     for name, value in values.items():
-        _check_numbers([value], f"camera: {name}")
+        check_numbers([value], f"camera: {name}")
     try:
         return CameraIntrinsics(**{name: float(value) for name, value in values.items()})
     except ValueError as exc:
@@ -123,7 +126,7 @@ def _parse_vector(raw, length: int, where: str) -> np.ndarray:
     vec = _parse_array(raw, where)
     if vec.shape != (length,):
         raise ManifestError(f"{where}: expected {length} values, got shape {vec.shape}")
-    _check_numbers(raw, where)  # the shape check made ``raw`` a flat list
+    check_numbers(raw, where)  # the shape check made ``raw`` a flat list
     return vec
 
 
@@ -158,7 +161,7 @@ def _parse_landmarks(raw, where: str) -> np.ndarray:
     pts = _parse_array(raw, where)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ManifestError(f"{where}: expected an (K, 2) array")
-    _check_numbers(list(chain.from_iterable(raw)), where)  # ``raw`` is a list of pairs here
+    check_numbers(list(chain.from_iterable(raw)), where)  # ``raw`` is a list of pairs here
     return pts
 
 

@@ -3,10 +3,11 @@
 The pipeline mirrors the three-stage structure of the estimator it harnesses:
 detection geometry (ROI from a bounding box), landmark regression (delegated
 to a pluggable provider returning ROI-normalized coordinates), and pose
-solving: RANSAC over minimal-sample EPnP hypotheses picks the consensus set
-and a starting pose, and LM refinement is the one fit over all of those
-inliers. A noise-model provider stands in for the regression network so the
-geometric stages can be driven and measured without any learned components.
+solving: RANSAC over EPnP hypotheses (all points first, then minimal
+samples) picks the consensus set and a starting pose, and LM refinement is
+the one fit over all of those inliers. A noise-model provider stands in for
+the regression network so the geometric stages can be driven and measured
+without any learned components.
 """
 
 from __future__ import annotations

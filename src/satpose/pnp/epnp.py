@@ -7,8 +7,9 @@ barycentric combinations of four control points (centroid plus principal
 directions); the camera-frame control points are a combination of the four
 smallest eigenvectors of the projection-constraint normal matrix; candidate
 combination weights (betas) are estimated for assumed null-space dimensions
-1..3 and all of them are refined together by 10 fixed Gauss-Newton steps on
-the inter-control-point distance constraints; the rigid transform then follows
+1..3, from one zero-padded stack of least-squares systems, and all of them
+are refined together by 10 fixed Gauss-Newton steps on the
+inter-control-point distance constraints; the rigid transform then follows
 from orthogonal Procrustes alignment with det=+1 enforcement, and the
 candidate with the lowest reprojection RMS wins.
 
@@ -37,6 +38,43 @@ _BETA_GN_DAMPING = 1e-12
 _RESTART_OFFSETS = np.array(
     [sign * step for step in (0.05, 0.2, 0.5, 1.0) for sign in (1.0, -1.0)]
 )
+
+
+def _pair_differences(m: int) -> np.ndarray:
+    """(P, m) matrix whose row p takes control point i minus j, for each pair i < j."""
+    i, j = np.triu_indices(m, 1)
+    return np.eye(m)[i] - np.eye(m)[j]
+
+
+def _init_systems(k: int):
+    """Index tables of the beta-init least-squares systems for basis size k.
+
+    Each system has one column per ``beta_a * beta_b`` monomial, ``(a, b)``:
+    dimension 1 takes ``(0, b)`` for every b, dimension 2 takes ``(0, 0),
+    (0, 1), (1, 1)`` and, for k = 4, dimension 3 adds ``(0, 2), (1, 2)``.
+    Systems are zero-padded to one column count so that one SVD call solves
+    them all; a padded column points at ``(0, 0)`` with weight 0, and
+    ``lstsq``'s cutoff ``max(rows, cols)`` is the same as unpadded.
+    Returns the row and column index tables (S, C) and the weights (S, C):
+    2 off the diagonal, where the monomial appears twice in ``b^T G b``.
+    """
+    systems = [[(0, b) for b in range(k)], [(0, 0), (0, 1), (1, 1)]]
+    if k == 4:
+        systems.append([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)])
+    width = max(map(len, systems))
+    rows = np.zeros((len(systems), width), dtype=np.intp)
+    cols = np.zeros_like(rows)
+    weights = np.zeros((len(systems), width))
+    for s, monomials in enumerate(systems):
+        for c, (a, b) in enumerate(monomials):
+            rows[s, c], cols[s, c], weights[s, c] = a, b, 1.0 if a == b else 2.0
+    return rows, cols, weights
+
+
+# built once: per control-point count m, the pair differences; per basis
+# size k (4 for m = 4, 2 for m = 3), the beta-init system tables
+_PAIR_DIFFERENCES = {m: _pair_differences(m) for m in (3, 4)}
+_INIT_SYSTEMS = {k: _init_systems(k) for k in (2, 4)}
 
 # per-problem status returned by epnp_stack
 EPNP_OK = 0
@@ -85,7 +123,7 @@ def point_errors(
     ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``
     and ``image (..., n, 2)``; a non-finite pose gives inf everywhere.
     """
-    cam_pts = np.einsum("...ij,...nj->...ni", rot, world) + t[..., None, :]
+    cam_pts = world @ np.swapaxes(rot, -1, -2) + t[..., None, :]
     z = cam_pts[..., 2]
     front = z > MIN_PROJECTION_DEPTH
     u, v = pinhole(cam_pts[..., 0], cam_pts[..., 1], np.where(front, z, 1.0), cam)
@@ -129,8 +167,8 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    x = np.einsum("...ji,...j->...i", vt, inv * np.einsum("...ji,...j->...i", u, b))
-    return np.where(ok[..., None], x, np.nan)
+    x = (inv[..., None, :] * (b[..., None, :] @ u)) @ vt
+    return np.where(ok[..., None], x[..., 0, :], np.nan)
 
 
 def _control_frame(world: np.ndarray):
@@ -140,7 +178,7 @@ def _control_frame(world: np.ndarray):
     """
     c0 = world.mean(axis=1)
     centered = world - c0[:, None]
-    cov = np.einsum("hni,hnj->hij", centered, centered) / world.shape[1]
+    cov = np.swapaxes(centered, 1, 2) @ centered / world.shape[1]
     lam, vec = _eigh(cov)  # ascending eigenvalues
     lam, axes = lam[:, ::-1], vec[:, :, ::-1]
     # written so that NaN eigenvalues count as degenerate
@@ -170,17 +208,17 @@ def _distance_terms(basis: np.ndarray, ctrl: np.ndarray):
     basis-vector differences.
     """
     h, m = ctrl.shape[:2]
-    i, j = np.triu_indices(m, 1)
+    diff = _PAIR_DIFFERENCES[m]
     vectors = np.swapaxes(basis, 1, 2).reshape(h, basis.shape[2], m, 3)
-    dv = vectors[:, :, i] - vectors[:, :, j]
-    gram = np.einsum("hapi,hbpi->hpab", dv, dv)
-    rho = np.sum((ctrl[:, i] - ctrl[:, j]) ** 2, axis=-1)
+    dv = np.swapaxes(diff @ vectors, 1, 2)  # (H, P, k, 3)
+    gram = dv @ np.swapaxes(dv, 2, 3)
+    rho = np.sum((diff @ ctrl) ** 2, axis=-1)
     return gram, rho
 
 
 def _leading_pair(sol: np.ndarray) -> np.ndarray:
-    """(beta_1, beta_2) per problem from the [b11 b12 b22] linearisation."""
-    b11, b12, b22 = sol[:, 0], sol[:, 1], sol[:, 2]
+    """(beta_1, beta_2) per solution (..., 2) from the [b11 b12 b22] linearisation."""
+    b11, b12, b22 = sol[..., 0], sol[..., 1], sol[..., 2]
     sign = np.where(b11 < 0, -1.0, 1.0)
     beta1 = np.sqrt(sign * b11)
     beta2 = np.sqrt(np.maximum(sign * b22, 0.0))
@@ -189,37 +227,32 @@ def _leading_pair(sol: np.ndarray) -> np.ndarray:
 
 def _beta_inits(gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Betas (H, I, k) assuming null-space dimension 1, 2 and, for k = 4, 3."""
-    h, k = gram.shape[0], gram.shape[2]
+    h, p, k = gram.shape[:3]
+    rows, cols, weights = _INIT_SYSTEMS[k]
+    # (H, S, P, C): system s, pair p, monomial column c
+    systems = gram[:, np.arange(p)[:, None], rows[:, None], cols[:, None]] * weights[:, None]
+    sol = _lstsq(systems, rho[:, None])  # (H, S, C)
 
-    def columns(pairs):  # one column per beta_a * beta_b monomial
-        return np.stack([(1.0 if a == b else 2.0) * gram[:, :, a, b] for a, b in pairs], axis=-1)
-
+    inits = np.zeros((h, len(rows), k))
     # [b11 b12 .. b1k] -> beta = sign(b11) [b11 b12 .. b1k] / sqrt|b11|
-    sol = _lstsq(columns([(0, b) for b in range(k)]), rho)
-    lead = sol[:, :1]
+    dim1 = sol[:, 0, :k]
+    lead = dim1[:, :1]
     vanished = np.abs(lead) < 1e-15
     scale = np.sign(lead) / np.sqrt(np.where(vanished, 1.0, np.abs(lead)))
-    inits = [np.where(vanished, 0.0, scale * sol)]
-
-    dim2 = np.zeros((h, k))
-    dim2[:, :2] = _leading_pair(_lstsq(columns([(0, 0), (0, 1), (1, 1)]), rho))
-    inits.append(dim2)
-
-    if k == 4:
-        sol = _lstsq(columns([(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)]), rho)
-        dim3 = np.zeros((h, k))
-        dim3[:, :2] = _leading_pair(sol)
-        lead = dim3[:, 0]
+    inits[:, 0] = np.where(vanished, 0.0, scale * dim1)
+    inits[:, 1:, :2] = _leading_pair(sol[:, 1:, :3])
+    if k == 4:  # beta_3 from the b13 column of the dimension-3 system
+        lead = inits[:, 2, 0]
         usable = np.abs(lead) > 1e-15
-        dim3[:, 2] = np.where(usable, sol[:, 3] / np.where(usable, lead, 1.0), 0.0)
-        inits.append(dim3)
-    return np.stack(inits, axis=1)
+        inits[:, 2, 2] = np.where(usable, sol[:, 2, 3] / np.where(usable, lead, 1.0), 0.0)
+    return inits
 
 
-def _distance_jacobian(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray):
-    """Per-row Jacobian (N, P, k) and residuals (N, P) of b^T G_p b - rho_p."""
-    half = np.einsum("npkl,nl->npk", gram, beta)
-    return 2.0 * half, np.einsum("npk,nk->np", half, beta) - rho
+def _distance_residual(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray):
+    """Half the Jacobian, ``G_p b`` (N, P, k), and the residuals (N, P) of b^T G_p b - rho_p."""
+    n, p, k = gram.shape[:3]
+    half = (gram.reshape(n, p * k, k) @ beta[:, :, None]).reshape(n, p, k)
+    return half, (half @ beta[:, :, None])[..., 0] - rho
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -231,13 +264,14 @@ def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.nda
 
     Every row takes every step; a row whose damped step is not finite keeps
     its betas. Rows reach round-off within about 8 steps, so there is no
-    stop test.
+    stop test. The Jacobian is twice ``G_p b``; the step solves the normal
+    equations with that factor 2 folded into the damping and the gradient.
     """
-    damping = _BETA_GN_DAMPING * np.eye(beta.shape[1])
+    damping = (_BETA_GN_DAMPING / 4.0) * np.eye(beta.shape[1])
     for _ in range(_BETA_GN_STEPS):
-        jac, residual = _distance_jacobian(beta, gram, rho)
-        hess = np.swapaxes(jac, 1, 2) @ jac
-        delta = _solve(hess + damping, -np.einsum("npk,np->nk", jac, residual))
+        half, residual = _distance_residual(beta, gram, rho)
+        half_t = np.swapaxes(half, 1, 2)
+        delta = _solve(half_t @ half + damping, (half_t @ (-0.5 * residual)[..., None])[..., 0])
         beta = beta + np.where(np.isfinite(delta).all(axis=1, keepdims=True), delta, 0.0)
     return beta
 
@@ -251,9 +285,11 @@ def _curvature_restarts(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> 
     eigendirections of the true Hessian, softest first, crosses the ridge;
     the softest direction alone misses it for about one problem in ten.
     """
-    jac, residual = _distance_jacobian(beta, gram, rho)
-    hess = np.swapaxes(jac, 1, 2) @ jac + 4.0 * np.einsum("np,npkl->nkl", residual, gram)
-    _, vec = _eigh(hess)
+    half, residual = _distance_residual(beta, gram, rho)
+    n, p, k = gram.shape[:3]
+    # a quarter of the Hessian: the same eigenvectors
+    curvature = (residual[:, None] @ gram.reshape(n, p, k * k)).reshape(n, k, k)
+    _, vec = _eigh(np.swapaxes(half, 1, 2) @ half + curvature)
     scale = np.maximum(1.0, _norm(beta))
     steps = _RESTART_OFFSETS[None, None, :, None] * scale[:, None, None, None]
     restarts = beta[:, None, None] + steps * np.swapaxes(vec, 1, 2)[:, :, None]
@@ -269,7 +305,7 @@ def _procrustes(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.n
     v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
     v[:, :, 2] *= np.where(np.linalg.det(v @ ut) < 0, -1.0, 1.0)[:, None]
     rot = np.where(ok[:, None, None], v @ ut, np.nan)
-    return rot, cc - np.einsum("nij,nj->ni", rot, wc)
+    return rot, cc - (rot @ wc[:, :, None])[..., 0]
 
 
 def _candidate_poses(beta, basis, alphas, world, image, cam):
@@ -295,7 +331,7 @@ def _solve_group(image, world, c0, axes, lam, cam):
         [np.zeros((g, 1, 3)), scales[:, :, None] * np.swapaxes(axes, 1, 2)], axis=1
     )
     # barycentric coordinates in the orthonormal principal frame; they sum to 1
-    coords = np.einsum("gni,gik->gnk", world - c0[:, None], axes) / scales[:, None]
+    coords = (world - c0[:, None]) @ axes / scales[:, None]
     alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
     basis = _null_basis(alphas, image, cam, k)
     gram, rho = _distance_terms(basis, ctrl)
@@ -304,7 +340,7 @@ def _solve_group(image, world, c0, axes, lam, cam):
     owner = np.repeat(np.arange(g), inits.shape[1])  # problem index of each beta row
     betas = _gauss_newton(inits.reshape(-1, k), gram[owner], rho[owner])
     if n == 4 and m == 4:  # only n = 4 leaves the whole 4-dim basis degenerate
-        _, residual = _distance_jacobian(betas, gram[owner], rho[owner])
+        _, residual = _distance_residual(betas, gram[owner], rho[owner])
         stalled = np.flatnonzero(_norm(residual) > 1e-9 * np.maximum(1.0, _norm(rho[owner])))
         if stalled.size:
             who = owner[stalled]
@@ -319,7 +355,7 @@ def _solve_group(image, world, c0, axes, lam, cam):
     )
     # lowest RMS per problem; the stable sort keeps the first row on ties
     order = np.lexsort((rms, owner))
-    first = order[np.r_[True, owner[order[1:]] != owner[order[:-1]]]]
+    first = order[np.concatenate(([True], owner[order[1:]] != owner[order[:-1]]))]
     return rot[first], t[first], np.isfinite(rms[first])
 
 

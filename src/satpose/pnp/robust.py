@@ -1,16 +1,23 @@
 """RANSAC wrapper around the EPnP solver.
 
-Hypotheses are minimal correspondence samples drawn without replacement from
-a seeded Philox stream. They are solved in chunks by one stacked EPnP call
-and scored together by per-point reprojection error. The first chunk holds
-a single hypothesis, so clean data still stops after one solve; later
-chunks hold up to 16. Results are taken in draw order under the standard
-adaptive stopping rule, and hypotheses drawn past the stop are discarded
-and not counted. The returned pose is the winning minimal-sample hypothesis
-itself; the one fit over all of its inliers is left to the nonlinear
-refinement that follows (:func:`satpose.pnp.refine.lm_refine`), as in the
-gold-standard scheme of linear start plus reprojection-error minimisation.
-Identical seed and inputs reproduce the identical result.
+The first hypothesis is one EPnP solve over all n correspondences. When all
+n points are its inliers the loop ends there, so clean data stops after one
+solve. Otherwise the standard adaptive stopping rule asks for its full count
+of random minimal samples on top of it: the all-point hypothesis is not a
+random draw, so it does not count toward that number and the confidence
+bound keeps its meaning. ``iterations_used`` counts every hypothesis scored,
+the all-point one included, and ``max_iterations`` caps that count.
+
+Minimal samples are drawn without replacement from a seeded Philox stream,
+solved in chunks of up to 16 by one stacked EPnP call and scored together by
+per-point reprojection error. Results are taken in order, all-point
+hypothesis first, then draw order; a later hypothesis replaces the best only
+with more inliers, or as many at a lower inlier RMS. Hypotheses drawn past
+the stop are discarded and not counted. The returned pose is the winning
+hypothesis itself; the one fit over all of its inliers is left to the
+nonlinear refinement that follows (:func:`satpose.pnp.refine.lm_refine`), as
+in the gold-standard scheme of linear start plus reprojection-error
+minimisation. Identical seed and inputs reproduce the identical result.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
 # not called here: bench/tracing.py wraps this name as the pnp.epnp layer
 from .epnp import epnp  # noqa: F401
 
-_CHUNK = 16  # hypotheses per stacked EPnP call after the first
+_CHUNK = 16  # minimal samples per stacked EPnP call
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class RansacConfig:
 
 @dataclass(frozen=True)
 class PnPResult:
-    pose: Pose  # winning minimal-sample hypothesis, to be refined over the mask
+    pose: Pose  # winning hypothesis, to be refined over the mask
     inlier_mask: np.ndarray  # bool, aligned with the input correspondences
     rms_reprojection: float  # pixels, over inliers only
     iterations_used: int
@@ -74,9 +81,10 @@ def _required_iterations(inlier_ratio: float, sample_size: int, confidence: floa
 def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnPResult:
     """Robust pose fit; raises :class:`ConsensusFailureError` without support.
 
-    The returned pose is the best minimal-sample hypothesis, the mask its
-    consensus set and ``rms_reprojection`` its RMS error over that mask. The
-    pose is a starting point, to be refined over the masked correspondences.
+    The returned pose is the best hypothesis, the all-point one or a minimal
+    sample, the mask its consensus set and ``rms_reprojection`` its RMS error
+    over that mask. The pose is a starting point, to be refined over the
+    masked correspondences.
     """
     corrs = list(correspondences)
     n = len(corrs)
@@ -89,21 +97,22 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
     best_rot = best_t = None
     best_count = 0
     best_rms = np.inf
-    required = cfg.max_iterations
+    required = cfg.max_iterations  # hypotheses to score, the all-point one included
     iterations = 0
-    chunk = 1
+    hypotheses = image[None], world[None]  # the all-point hypothesis comes first
 
     while iterations < required:
-        samples = np.array(
-            [
-                rng.choice(n, size=cfg.min_sample, replace=False)
-                for _ in range(min(chunk, required - iterations))
-            ]
-        )
-        chunk = _CHUNK
-        rot, t, status = epnp_stack(image[samples], world[samples], cam)
+        if iterations:
+            samples = np.array(
+                [
+                    rng.choice(n, size=cfg.min_sample, replace=False)
+                    for _ in range(min(_CHUNK, required - iterations))
+                ]
+            )
+            hypotheses = image[samples], world[samples]
+        rot, t, status = epnp_stack(*hypotheses, cam)
         errors = point_errors(rot, t, world, image, cam)
-        for h in range(len(samples)):
+        for h in range(len(status)):
             if iterations >= required:
                 break  # the stop came earlier in this chunk
             iterations += 1
@@ -117,8 +126,10 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
             if count > best_count or (count == best_count and rms < best_rms):
                 best_mask, best_count, best_rms = mask, count, rms
                 best_rot, best_t = rot[h], t[h]
-                required = _required_iterations(
-                    count / n, cfg.min_sample, cfg.confidence, cfg.max_iterations
+                # a full consensus ends the loop; otherwise the rule's count of
+                # random samples comes on top of the all-point hypothesis
+                required = 1 if count == n else 1 + _required_iterations(
+                    count / n, cfg.min_sample, cfg.confidence, cfg.max_iterations - 1
                 )
 
     if best_mask is None:

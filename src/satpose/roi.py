@@ -106,10 +106,25 @@ def make_roi(detected: BBox, cfg: RoiConfig, cam: CameraIntrinsics) -> BBox:
     side = max(cfg.enlargement_factor * max(detected.width, detected.height), cfg.min_side)
     side = min(side, min(cam.width, cam.height))
 
-    cx, cy = detected.center
-    xmin = min(max(cx - side / 2.0, 0.0), cam.width - side)
-    ymin = min(max(cy - side / 2.0, 0.0), cam.height - side)
-    return BBox(xmin, ymin, xmin + side, ymin + side)
+    xmin, xmax = _centred_span(detected.xmin, detected.xmax, side, cam.width)
+    ymin, ymax = _centred_span(detected.ymin, detected.ymax, side, cam.height)
+    return BBox(xmin, ymin, xmax, ymax)
+
+
+def _centred_span(lo: float, hi: float, side: float, limit: float) -> tuple[float, float]:
+    """Edges of a ``side``-wide span centred on [lo, hi], shifted into [0, limit].
+
+    Each edge moves out from its own box edge by the same margin, so a span
+    at least as wide as the box contains it despite rounding; centring on
+    the box centre instead can miss an edge of an exact fit by an ulp.
+    """
+    margin = (side - (hi - lo)) / 2.0  # negative when the box is wider
+    start, end = lo - margin, hi + margin
+    if start < 0.0:
+        start, end = 0.0, end - start
+    elif end > limit:
+        start, end = start - (end - limit), limit
+    return max(start, 0.0), min(end, limit)
 
 
 def iou(a: BBox, b: BBox) -> float:

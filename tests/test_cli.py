@@ -411,6 +411,20 @@ def test_largest_seed_runs(workspace):
     assert code == EXIT_OK
 
 
+def _refuses_setting(workspace, capsys, command, section, key, value):
+    """``command`` with ``{section: {key: value}}`` as its config exits 2, writing nothing."""
+    tmp_path, labeled = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args = ["--manifest", str(labeled)] if command == "run" else ["--n", "2"]
+    code = main([command, *args, "--config", str(cfg), "--out", str(out_dir / "o.json")])
+    assert code == EXIT_SCHEMA
+    assert not any(out_dir.iterdir())
+    assert key in capsys.readouterr().err  # refused by the setting's guard, not by the run
+
+
 @pytest.mark.parametrize(
     "command, section, key",
     [
@@ -422,16 +436,20 @@ def test_largest_seed_runs(workspace):
     ],
 )
 def test_nan_settings_are_schema_errors(workspace, capsys, command, section, key):
-    tmp_path, labeled = workspace
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(f'{{"{section}": {{"{key}": NaN}}}}')
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    args = ["--manifest", str(labeled)] if command == "run" else ["--n", "2"]
-    code = main([command, *args, "--config", str(cfg), "--out", str(out_dir / "o.json")])
-    assert code == EXIT_SCHEMA
-    assert not any(out_dir.iterdir())
-    assert key in capsys.readouterr().err  # refused by the setting's guard, not by the run
+    _refuses_setting(workspace, capsys, command, section, key, "NaN")
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("run", "ransac", "seed"),
+        ("run", "noise", "sigma_px"),
+        ("sample-poses", "sampler", "in_frame_margin"),
+    ],
+)
+def test_boolean_settings_are_schema_errors(workspace, capsys, command, section, key):
+    # JSON true is not the number 1, as in a manifest
+    _refuses_setting(workspace, capsys, command, section, key, "true")
 
 
 def test_whole_float_counts_are_stored_as_int():
@@ -478,10 +496,15 @@ def test_report_merges_timed_and_untimed(workspace):
     assert rows[0]["E"] == rows[1]["E"]
 
 
-# per section: arbitrary JSON, and objects whose keys are the section's fields
+# per section: arbitrary JSON, objects whose keys are the section's fields,
+# and such objects with booleans among plausible numbers
 SECTION_INPUTS = {
     name: json_values
     | st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(cls)]), json_values)
+    | st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(cls)]),
+        st.booleans() | st.integers(0, 2000) | st.floats(0.0, 2000.0),
+    )
     for name, cls in _SECTIONS.items()
 }
 
@@ -496,3 +519,4 @@ def test_any_config_section_gives_its_dataclass_or_a_schema_error(name, data):
     except ManifestError:
         return
     assert isinstance(section, _SECTIONS[name])
+    assert not any(isinstance(v, bool) for v in value.values())  # a boolean is no number

@@ -199,6 +199,38 @@ def test_stack_solves_noise_free_minimal_samples_exactly(cam, wireframe):
         assert attitude_error(pose.attitude, quat_from_matrix(r)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [4, 5, 11])
+def test_stack_rows_do_not_depend_on_stack_composition(cam, wireframe, n):
+    # each row's R, t and status are bitwise the same alone, in any order and
+    # next to planar, collinear and non-finite rows
+    rng = stream(108, "epnp")
+    world, image = [], []
+    for _ in range(12):
+        w = wireframe.keypoints[rng.choice(wireframe.count, n, replace=False)]
+        world.append(w)
+        image.append(project(random_pose(rng), cam, w) + rng.normal(0.0, 2.0, (n, 2)))
+    planar = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)), np.zeros(n)])
+    collinear = np.outer(np.arange(n), [1.0, 0.5, 0.0])
+    for w in (planar, collinear, wireframe.keypoints[:n], wireframe.keypoints[-n:]):
+        world.append(w)
+        image.append(project(random_pose(rng), cam, w))
+    world, image = np.array(world), np.array(image)
+    world[-2, 1, 2] = np.inf
+    image[-1, 0, 0] = np.nan
+    with np.errstate(invalid="ignore"):  # inf - inf while centring the inf row
+        rot, t, status = epnp_stack(image, world, cam)
+        assert status[12] == EPNP_OK and status[13] == EPNP_DEGENERATE  # planar, collinear
+        order = rng.permutation(len(world))
+        for rows in (order, order[:7], order[7:]):
+            sub = epnp_stack(image[rows], world[rows], cam)
+            for full, part in zip((rot, t, status), sub):
+                np.testing.assert_array_equal(full[rows], part)
+        for h in range(len(world)):
+            alone = epnp_stack(image[h : h + 1], world[h : h + 1], cam)
+            for full, part in zip((rot, t, status), alone):
+                np.testing.assert_array_equal(full[h : h + 1], part)
+
+
 def test_gauss_newton_keeps_a_non_finite_row_apart():
     rng = stream(107, "epnp")
     basis = rng.normal(size=(3, 12, 4))

@@ -5,7 +5,7 @@ import pytest
 
 from satpose import RansacConfig, attitude_error, ransac_pnp
 from satpose.errors import ConsensusFailureError
-from satpose.pnp import Correspondence
+from satpose.pnp import Correspondence, robust
 from satpose.pnp.epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
 from satpose.pnp.robust import _required_iterations
 from satpose.rng import stream
@@ -100,10 +100,41 @@ def test_returned_rms_and_mask_belong_to_returned_pose(cam, wireframe, make_case
         assert abs(result.rms_reprojection - rms) < 1e-9
 
 
-def test_adaptive_stop_on_clean_data(cam, wireframe, make_case):
+def test_adaptive_stop_on_clean_data(cam, wireframe, make_case, monkeypatch):
     _, corrs = make_case(19)
+    rows = []
+
+    def counted(image, world, cam):
+        rows.append(image.shape[:2])
+        return epnp_stack(image, world, cam)
+
+    monkeypatch.setattr(robust, "epnp_stack", counted)
     result = ransac_pnp(corrs, cam, RansacConfig(seed=8, max_iterations=1000))
-    assert result.iterations_used == 1  # first all-inlier hypothesis ends the loop
+    assert result.iterations_used == 1  # the all-point hypothesis ends the loop
+    assert rows == [(1, len(corrs))]  # one kernel call, one row over all n points
+
+
+def test_all_point_hypothesis_does_not_count_toward_the_samples(cam, wireframe, make_case):
+    # one 15 px outlier: the all-point hypothesis keeps the other n - 1 points,
+    # and the stopping rule still asks for its full count of random samples
+    for seed in range(5):
+        _, corrs = make_case(1400 + seed, noise_sigma=0.5)
+        n = len(corrs)
+        noisy = list(corrs)
+        noisy[seed] = Correspondence(
+            image=corrs[seed].image + [12.0, -9.0], world=corrs[seed].world, id=seed
+        )
+        cfg = RansacConfig(inlier_threshold=5.0, seed=seed)
+        image, world = split_correspondences(noisy)
+        rot, t, status = epnp_stack(image[None], world[None], cam)
+        assert status[0] == EPNP_OK
+        first = point_errors(rot[0], t[0], world, image, cam) < cfg.inlier_threshold
+        assert first.sum() == n - 1 and not first[seed]
+        result = ransac_pnp(noisy, cam, cfg)
+        samples = _required_iterations((n - 1) / n, cfg.min_sample, cfg.confidence, 10**6)
+        assert samples > 1
+        assert result.iterations_used == 1 + samples
+        np.testing.assert_array_equal(result.inlier_mask, first)
 
 
 def test_degenerate_hypotheses_are_counted(cam):
@@ -115,35 +146,39 @@ def test_degenerate_hypotheses_are_counted(cam):
 
 
 def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
-    # the chunked loop keeps the draw order and the stopping rule of a
-    # one-hypothesis-at-a-time loop over the same stream
+    # the chunked loop keeps the draw order and the stopping rule of a loop
+    # that scores the all-point hypothesis, then one random sample at a time
+    # from the same stream, until the rule's count of random samples is met
     used = []
     for seed in range(6):
         _, corrs = make_case(1200 + seed, noise_sigma=1.0)
         rng = stream(seed, "outliers")
         noisy = corrupt(corrs, rng.choice(len(corrs), size=4, replace=False), rng)
         cfg = RansacConfig(inlier_threshold=4.0, seed=seed)
+        n = len(noisy)
         image, world = split_correspondences(noisy)
         draws = stream(cfg.seed, "ransac")
         best_mask, best_count, best_rms = None, 0, np.inf
-        required, iterations = cfg.max_iterations, 0
-        while iterations < required:
-            iterations += 1
-            sample = draws.choice(len(noisy), size=cfg.min_sample, replace=False)
-            rot, t, status = epnp_stack(image[sample][None], world[sample][None], cam)
+        needed, sampled = cfg.max_iterations, 0  # random samples asked for and scored
+        points = np.arange(n)  # the all-point hypothesis
+        while True:
+            rot, t, status = epnp_stack(image[points][None], world[points][None], cam)
             errors = point_errors(rot[0], t[0], world, image, cam)
             mask = errors < cfg.inlier_threshold
-            if status[0] != EPNP_OK or mask.sum() < cfg.min_sample:
-                continue
-            rms = float(np.sqrt(np.mean(errors[mask] ** 2)))
-            if mask.sum() > best_count or (mask.sum() == best_count and rms < best_rms):
-                best_mask, best_count, best_rms = mask, int(mask.sum()), rms
-                required = _required_iterations(
-                    best_count / len(noisy), cfg.min_sample, cfg.confidence, cfg.max_iterations
-                )
+            if status[0] == EPNP_OK and mask.sum() >= cfg.min_sample:
+                rms = float(np.sqrt(np.mean(errors[mask] ** 2)))
+                if mask.sum() > best_count or (mask.sum() == best_count and rms < best_rms):
+                    best_mask, best_count, best_rms = mask, int(mask.sum()), rms
+                    needed = _required_iterations(
+                        best_count / n, cfg.min_sample, cfg.confidence, cfg.max_iterations
+                    )
+            if best_count == n or sampled >= needed or 1 + sampled >= cfg.max_iterations:
+                break
+            points = draws.choice(n, size=cfg.min_sample, replace=False)
+            sampled += 1
         result = ransac_pnp(noisy, cam, cfg)
-        assert result.iterations_used == iterations
-        used.append(iterations)
+        assert result.iterations_used == 1 + sampled
+        used.append(1 + sampled)
         np.testing.assert_array_equal(result.inlier_mask, best_mask)
     assert max(used) > 1 + 16  # some runs reach a third chunk
 

@@ -129,12 +129,15 @@ class TestMakeRoiProperties:
     def test_roi_contains_a_box_that_fits(self, data, cam, cfg):
         box = data.draw(box_in_image(cam))
         assume(cfg.enlargement_factor * max(box.width, box.height) <= min(cam.width, cam.height))
-        roi = make_roi(box, cfg, cam)
-        # the square is centred in floating point: a crop exactly as wide as the
-        # box (factor 1) may miss its edge by a rounding error, never by more
-        slack = 1e-9 * max(cam.width, cam.height)
-        grown = BBox(roi.xmin - slack, roi.ymin - slack, roi.xmax + slack, roi.ymax + slack)
-        assert contains(grown, box)
+        # exactly, also for a crop exactly as wide as the box (factor 1)
+        assert contains(make_roi(box, cfg, cam), box)
+
+    def test_exact_fit_contains_its_box(self):
+        # centring on the box centre put ymin at 1.0010000000000003 here
+        box = BBox(0.0, 1.001, 1.0, 15.0)
+        roi = make_roi(box, RoiConfig(enlargement_factor=1.0), _camera(14, 16))
+        assert contains(roi, box)
+        assert roi.width == roi.height
 
 
 class TestIoU:
