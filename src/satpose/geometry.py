@@ -38,7 +38,7 @@ def _vec3(v, name: str = "vector") -> np.ndarray:
     out = np.array(v, dtype=float).reshape(-1)
     if out.shape != (3,):
         raise ValueError(f"{name} must have 3 components, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite, got {out}")
     return out
 
@@ -47,7 +47,7 @@ def _quat(q, name: str = "quaternion") -> np.ndarray:
     out = np.array(q, dtype=float).reshape(-1)
     if out.shape != (4,):
         raise ValueError(f"{name} must have 4 components (w, x, y, z)")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite, got {out}")
     return out
 
@@ -63,6 +63,11 @@ def whole_number(value, name: str, lo: int, hi: float = np.inf) -> int:
     return int(value)
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of a float 1-D array: ``np.linalg.norm``'s own arithmetic, to the bit."""
+    return np.sqrt(v.dot(v))
+
+
 def quat_normalize(q) -> np.ndarray:
     """Rescale to unit norm; raises on (near-)zero input.
 
@@ -70,7 +75,7 @@ def quat_normalize(q) -> np.ndarray:
     round-trip through files are not perturbed by repeated renormalization.
     """
     out = _quat(q)
-    norm = np.linalg.norm(out)
+    norm = _norm(out)
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero quaternion")
     if abs(norm - 1.0) <= 1e-12:
@@ -80,8 +85,9 @@ def quat_normalize(q) -> np.ndarray:
 
 def quat_multiply(a, b) -> np.ndarray:
     """Hamilton product a*b (apply b's rotation first, then a's)."""
-    aw, ax, ay, az = _quat(a)
-    bw, bx, by, bz = _quat(b)
+    # Python floats round each operation as numpy scalars do, at less cost per operation
+    aw, ax, ay, az = _quat(a).tolist()
+    bw, bx, by, bz = _quat(b).tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -109,7 +115,7 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
 def quat_from_rotvec(rotvec) -> np.ndarray:
     """Unit quaternion from an axis-angle 3-vector (angle = vector norm)."""
     rv = _vec3(rotvec, "rotation vector")
-    angle = np.linalg.norm(rv)
+    angle = _norm(rv)
     if angle < 1e-12:
         # first-order expansion, exact enough at this magnitude
         return quat_normalize(np.concatenate([[1.0], 0.5 * rv]))
@@ -123,7 +129,7 @@ def quat_rotate(q, v) -> np.ndarray:
 
 def quat_to_matrix(q) -> np.ndarray:
     """3x3 rotation matrix of a unit quaternion."""
-    w, x, y, z = quat_normalize(q)
+    w, x, y, z = quat_normalize(q).tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -382,7 +388,13 @@ def normalize_landmarks(points, roi: BBox) -> np.ndarray:
 
 
 def denormalize_landmarks(normalized, roi: BBox) -> np.ndarray:
-    """Exact inverse of :func:`normalize_landmarks`."""
+    """Inverse of :func:`normalize_landmarks` up to rounding, not to the bit.
+
+    The round trip rounds four times, so a coordinate ``p`` against ROI edge
+    ``o`` comes back within ``4u |p - o| + u |p|`` (u = 2**-53) of itself.
+    Both functions work element by element: one call on (N, 2) points gives
+    the bits of N one-point calls.
+    """
     if roi.width <= 0 or roi.height <= 0:
         raise ValueError("ROI must have positive width and height")
     pts = np.atleast_2d(np.asarray(normalized, dtype=float))

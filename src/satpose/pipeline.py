@@ -167,9 +167,10 @@ class OracleProvider:
 
     def landmarks(self, record: SampleRecord, roi: BBox) -> list[np.ndarray | None]:
         pixels = oracle_landmarks(record, self.noise)
-        return [
-            None if p is None else normalize_landmarks(p, roi)[0] for p in pixels
-        ]
+        kept = [p for p in pixels if p is not None]
+        # one array call: normalising works element by element, so each row has the per-point bits
+        rows = iter(normalize_landmarks(np.array(kept).reshape(len(kept), 2), roi))
+        return [None if p is None else next(rows) for p in pixels]
 
 
 class FileProvider:
@@ -224,16 +225,20 @@ def _solve_record(
                 f"record {record.id!r}: provider returned {len(normalized)} landmarks, "
                 f"wireframe has {wireframe.count}"
             )
-        correspondences = []
-        for k, norm_pt in enumerate(normalized):
-            if norm_pt is None:
-                continue
-            pixel = denormalize_landmarks(norm_pt, roi)[0]
-            if not np.all(np.isfinite(pixel)):
-                raise ManifestError(f"record {record.id!r}: provider landmark {k} is not finite")
-            correspondences.append(
-                Correspondence(image=pixel, world=wireframe.keypoints[k], id=k)
+        kept = [k for k, p in enumerate(normalized) if p is not None]
+        # one array call, element by element as per point; a malformed point fails the reshape
+        pixels = denormalize_landmarks(
+            np.array([normalized[k] for k in kept], dtype=float).reshape(len(kept), 2), roi
+        )
+        bad = np.nonzero(~np.isfinite(pixels).all(axis=1))[0]
+        if bad.size:
+            raise ManifestError(
+                f"record {record.id!r}: provider landmark {kept[bad[0]]} is not finite"
             )
+        correspondences = [
+            Correspondence(image=pixel, world=wireframe.keypoints[k], id=k)
+            for k, pixel in zip(kept, pixels)
+        ]
     if predictions is not None:
         predictions[record.id] = normalized
 

@@ -8,6 +8,14 @@ the cost, so the refined cost never exceeds the initial one. The damped loop,
 fixed: at most 100 iterations, ending early when the largest gradient entry
 falls below 1e-10, a step is shorter than 1e-12, or an accepted step lowers
 the cost by less than 1e-14 of its value.
+
+The loop state is the ``(position, quaternion)`` array pair. The start pose
+is scored through :func:`~satpose.geometry.project`. One trial step computes
+the trial quaternion's rotation matrix once, the world points in the camera
+frame once, and their pixels with :func:`~satpose.geometry.camera_to_pixels`.
+An accepted trial hands that rotation and those camera-frame points to the
+next Jacobian, and every Jacobian of one :func:`lm_refine` call shares the
+world points' cross-product matrices, built once per call.
 """
 
 from __future__ import annotations
@@ -18,10 +26,12 @@ from ..errors import BehindCameraError, NumericalFailureError
 from ..geometry import (
     CameraIntrinsics,
     Pose,
+    camera_to_pixels,
     pinhole_jacobian,
     project,
     quat_from_rotvec,
     quat_multiply,
+    quat_to_matrix,
 )
 from .epnp import split_correspondences
 
@@ -35,54 +45,69 @@ _DAMPING_DOWN = 0.1
 _DAMPING_MAX = 1e15
 
 
-def reprojection_jacobian(pose: Pose, world: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
-    """Analytic (2n, 6) Jacobian of stacked pixel residuals.
-
-    Columns are [dt_x, dt_y, dt_z, dtheta_x, dtheta_y, dtheta_z] for the local
-    update t + dt, q * exp(dtheta); rows alternate du, dv per point.
-    """
-    rot = pose.rotation_matrix()
-    duv_dp = pinhole_jacobian(world @ rot.T + pose.position, cam)
-    n = world.shape[0]
-
-    # d(camera point)/d(dtheta) = -R [world]_x for a right-composed increment
-    wx = np.zeros((n, 3, 3))
+def skew_table(world: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) cross-product matrices ``[w]_x`` of world points (n, 3)."""
+    wx = np.zeros((world.shape[0], 3, 3))
     wx[:, 0, 1] = -world[:, 2]
     wx[:, 0, 2] = world[:, 1]
     wx[:, 1, 0] = world[:, 2]
     wx[:, 1, 2] = -world[:, 0]
     wx[:, 2, 0] = -world[:, 1]
     wx[:, 2, 1] = world[:, 0]
-    dp_dtheta = -np.einsum("ab,nbc->nac", rot, wx)
+    return wx
+
+
+def reprojection_jacobian(
+    rot: np.ndarray, cam_pts: np.ndarray, world_skew: np.ndarray, cam: CameraIntrinsics
+) -> np.ndarray:
+    """Analytic (2n, 6) Jacobian of stacked pixel residuals at one pose.
+
+    ``rot`` is the pose's rotation matrix, ``cam_pts`` the (n, 3) world points
+    in its camera frame and ``world_skew`` their :func:`skew_table`. Columns
+    are [dt_x, dt_y, dt_z, dtheta_x, dtheta_y, dtheta_z] for the local update
+    t + dt, q * exp(dtheta); rows alternate du, dv per point.
+    """
+    duv_dp = pinhole_jacobian(cam_pts, cam)
+    # d(camera point)/d(dtheta) = -R [world]_x for a right-composed increment
+    dp_dtheta = -np.einsum("ab,nbc->nac", rot, world_skew)
     duv_dtheta = np.einsum("nab,nbc->nac", duv_dp, dp_dtheta)
-    return np.concatenate([duv_dp, duv_dtheta], axis=2).reshape(2 * n, 6)
+    return np.concatenate([duv_dp, duv_dtheta], axis=2).reshape(2 * len(cam_pts), 6)
 
 
-def _stacked_residuals(t, q, world, image, cam) -> np.ndarray:
-    """Flat residual vector; raises :class:`BehindCameraError` naming the point."""
-    return (project(Pose(position=t, attitude=q), cam, world) - image).ravel()
+def _trial_residuals(x, world, image, cam):
+    """Flat residuals at ``x = (t, q)``, with the rotation and camera-frame points there.
+
+    Raises :class:`BehindCameraError` naming the first point at or behind the camera.
+    """
+    t, q = x
+    rot = quat_to_matrix(q)
+    cam_pts = world @ rot.T + t
+    return (camera_to_pixels(cam_pts, cam) - image).ravel(), (rot, cam_pts)
 
 
-def least_squares(x, residual, jacobian, step):
+def least_squares(x, start, residual, jacobian, step):
     """Levenberg-Marquardt on ``|residual(x)|^2`` from ``x``, for pose and point alike.
 
-    ``jacobian(x)`` is the (m, k) Jacobian of the flat ``residual(x)`` and
-    ``step(x, delta)`` applies a k-vector update. A trial whose residual raises
-    :class:`BehindCameraError` or is not finite is rejected like an uphill one.
-    Stops on the gradient, step or relative-cost tolerance, or after
-    ``_MAX_ITERATIONS``; raises :class:`NumericalFailureError` on non-finite
-    residuals at the start.
+    ``residual(x)`` returns the flat residual vector at ``x`` together with
+    what ``jacobian`` needs there: ``jacobian(at)`` is the (m, k) Jacobian of
+    the residual at the point whose ``residual`` returned ``at``. ``start`` is
+    that pair at the starting ``x``, which the caller computes so that it can
+    raise its own errors there. ``step(x, delta)`` applies a k-vector update.
+    A trial whose residual raises :class:`BehindCameraError` or is not finite
+    is rejected like an uphill one. Stops on the gradient, step or
+    relative-cost tolerance, or after ``_MAX_ITERATIONS``; raises
+    :class:`NumericalFailureError` on non-finite residuals at the start.
     """
-    r = residual(x)
-    if not np.all(np.isfinite(r)):
+    r, at = start
+    if not np.isfinite(r).all():
         raise NumericalFailureError("non-finite residuals at the starting point")
     cost = float(r @ r)
 
     damping = _INITIAL_DAMPING
     for _ in range(_MAX_ITERATIONS):
-        jac = jacobian(x)
+        jac = jacobian(at)
         grad = jac.T @ r
-        if np.max(np.abs(grad)) < _GRADIENT_TOL:
+        if np.abs(grad).max() < _GRADIENT_TOL:
             break
         jtj = jac.T @ jac
         diag = np.diag(np.maximum(np.diag(jtj), 1e-12))
@@ -99,16 +124,16 @@ def least_squares(x, residual, jacobian, step):
             x_new = step(x, delta)
             cost_new = np.inf
             try:
-                r_new = residual(x_new)
+                r_new, at_new = residual(x_new)
             except BehindCameraError:
                 pass  # a step that puts points behind a camera is rejected
             else:
-                if np.all(np.isfinite(r_new)):
+                if np.isfinite(r_new).all():
                     cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 # a relative cost drop below _COST_TOL ends the loop after this step
                 improved = cost - cost_new >= _COST_TOL * max(cost_new, 1e-30)
-                x, r, cost = x_new, r_new, cost_new
+                x, r, at, cost = x_new, r_new, at_new, cost_new
                 damping = max(damping * _DAMPING_DOWN, 1e-15)
                 break
             damping *= _DAMPING_UP
@@ -127,10 +152,15 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics) -> Pose:
     image, world = split_correspondences(correspondences)
     if image.shape[0] == 0:
         raise ValueError("need at least one correspondence")
+    x0 = np.array(initial.position, dtype=float), np.array(initial.attitude, dtype=float)
+    rot = initial.rotation_matrix()
+    start = (project(initial, cam, world) - image).ravel(), (rot, world @ rot.T + x0[0])
+    world_skew = skew_table(world)
     t, q = least_squares(
-        (np.array(initial.position, dtype=float), np.array(initial.attitude, dtype=float)),
-        lambda x: _stacked_residuals(*x, world, image, cam),
-        lambda x: reprojection_jacobian(Pose(position=x[0], attitude=x[1]), world, cam),
+        x0,
+        start,
+        lambda x: _trial_residuals(x, world, image, cam),
+        lambda at: reprojection_jacobian(*at, world_skew, cam),
         lambda x, delta: (x[0] + delta[:3], quat_multiply(x[1], quat_from_rotvec(delta[3:]))),
     )
     return Pose(position=t, attitude=q)

@@ -59,14 +59,18 @@ def _dlt_point(rotations, positions, pixels, cam: CameraIntrinsics) -> np.ndarra
     return hom[:3] / hom[3]
 
 
-def _residuals(point, rotations, positions, pixels, cam: CameraIntrinsics) -> np.ndarray:
-    """Flat (2V,) pixel residuals, du and dv per view; raises at or behind a camera."""
-    return (camera_to_pixels(rotations @ point + positions, cam) - pixels).ravel()
+def _residuals(point, rotations, positions, pixels, cam: CameraIntrinsics):
+    """Flat (2V,) pixel residuals, du and dv per view, and the point in each camera frame.
+
+    Raises :class:`BehindCameraError` when the point is at or behind a camera.
+    """
+    cam_pts = rotations @ point + positions
+    return (camera_to_pixels(cam_pts, cam) - pixels).ravel(), cam_pts
 
 
-def _jacobian(point, rotations, positions, cam: CameraIntrinsics) -> np.ndarray:
+def _jacobian(cam_pts, rotations, cam: CameraIntrinsics) -> np.ndarray:
     """(2V, 3) Jacobian of :func:`_residuals` with respect to the point."""
-    return (pinhole_jacobian(rotations @ point + positions, cam) @ rotations).reshape(-1, 3)
+    return (pinhole_jacobian(cam_pts, cam) @ rotations).reshape(-1, 3)
 
 
 def triangulate(observations, cam: CameraIntrinsics) -> np.ndarray:
@@ -82,8 +86,9 @@ def triangulate(observations, cam: CameraIntrinsics) -> np.ndarray:
     try:
         return least_squares(
             point,
+            _residuals(point, rotations, positions, pixels, cam),
             lambda x: _residuals(x, rotations, positions, pixels, cam),
-            lambda x: _jacobian(x, rotations, positions, cam),
+            lambda cam_pts: _jacobian(cam_pts, rotations, cam),
             np.add,
         )
     except BehindCameraError:

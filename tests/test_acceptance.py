@@ -37,7 +37,7 @@ from satpose import (
 from satpose.cli import EXIT_OK, main
 from satpose.errors import DegenerateGeometryError, NoValidPoseError, SatposeError
 from satpose.geometry import project, quat_from_rotvec, quat_multiply
-from satpose.pnp.refine import reprojection_jacobian
+from satpose.pnp.refine import reprojection_jacobian, skew_table
 from satpose.rng import stream
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
 from tests.conftest import random_pose, reprojection_rms, synthesize
@@ -130,7 +130,9 @@ def test_criterion_4_lm_correctness(cam, wireframe):
         pose = random_pose(rng)
         pixels = project(pose, cam, wireframe.keypoints) + rng.normal(0, 2, (wireframe.count, 2))
         world = wireframe.keypoints
-        analytic = reprojection_jacobian(pose, world, cam)
+        analytic = reprojection_jacobian(
+            pose.rotation_matrix(), pose.transform(world), skew_table(world), cam
+        )
 
         def stacked(delta):
             moved = Pose(

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpose import (
     BBox,
@@ -29,6 +31,12 @@ from satpose.rng import stream
 from satpose.sampler import sample_attitude
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# pixel-scale coordinates, zero or at least 1e-6 in size, so no quotient underflows
+coords = st.floats(-1e4, 1e4).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
+sides = st.floats(1e-3, 1e4)
+rois = st.builds(lambda x, y, w, h: BBox(x, y, x + w, y + h), coords, coords, sides, sides)
+point_lists = st.lists(st.tuples(coords, coords), min_size=1, max_size=11)
 
 
 class TestQuaternions:
@@ -137,7 +145,8 @@ class TestProjection:
         views = (np.tile(eye, (20, 1, 1)), cam_pts, np.zeros((20, 2)))
 
         uv = project(identity, cam, cam_pts)
-        np.testing.assert_array_equal(_residuals(origin, *views, cam), uv.ravel())
+        residuals, _ = _residuals(origin, *views, cam)
+        np.testing.assert_array_equal(residuals, uv.ravel())
         errors = point_errors(eye, origin, cam_pts, np.zeros((20, 2)), cam)
         np.testing.assert_array_equal(errors, np.hypot(uv[:, 0], uv[:, 1]))
 
@@ -181,11 +190,25 @@ class TestLandmarkNormalization:
         out = normalize_landmarks([[100.0, 200.0], [200.0, 300.0]], self.ROI)
         np.testing.assert_allclose(out, [[0.0, 0.0], [0.5, 0.5]])
 
-    def test_round_trip_is_exact(self):
-        rng = stream(9, "norm")
-        pts = rng.uniform(-50, 500, size=(200, 2))
-        back = denormalize_landmarks(normalize_landmarks(pts, self.ROI), self.ROI)
-        assert np.max(np.abs(back - pts)) < 1e-9
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(roi=rois, pts=point_lists)
+    def test_round_trip_within_four_roundings(self, roi, pts):
+        # normalising rounds p - o and then / s, denormalising * s and then + o,
+        # each by at most u = 2**-53 relative: |p' - p| <= 3.0...u |p - o| + u |p|
+        u = 2.0**-53
+        pts = np.array(pts)
+        origin = np.array([roi.xmin, roi.ymin])
+        back = denormalize_landmarks(normalize_landmarks(pts, roi), roi)
+        assert np.all(np.abs(back - pts) <= 4 * u * np.abs(pts - origin) + u * np.abs(pts))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(roi=rois, pts=point_lists)
+    def test_one_array_call_has_the_per_point_bits(self, roi, pts):
+        # the pipeline maps a record's points in one call each way
+        pts = np.array(pts)
+        for convert in (normalize_landmarks, denormalize_landmarks):
+            one_by_one = np.array([convert(p, roi)[0] for p in pts])
+            np.testing.assert_array_equal(convert(pts, roi), one_by_one)
 
     def test_order_preserved(self):
         pts = [[110.0, 210.0], [100.0, 200.0]]
