@@ -42,6 +42,7 @@ from .manifest import (
     SampleRecord,
     check_numbers,
     load_manifest,
+    read_json,
     save_manifest,
     split_dataset,
 )
@@ -87,11 +88,7 @@ class Config:
         """The file at ``path`` (``None``: no file); keys outside ``sections`` are refused."""
         if path is None:
             return cls({})
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ManifestError(f"{path}: top level must be an object")
         unknown = sorted(set(data) - set(sections))
@@ -275,10 +272,7 @@ def _check_report(data, path) -> dict:
 
 
 def _cmd_report(args) -> int:
-    payloads = []
-    for path in args.reports:
-        with open(path, "r", encoding="utf-8") as fh:
-            payloads.append(_check_report(json.load(fh), path))
+    payloads = [_check_report(read_json(path), path) for path in args.reports]
     if args.format == "csv":
         write_csv_reports(payloads, args.out)
     else:

@@ -24,6 +24,10 @@ conjugated on load, and saving always writes ``body_to_camera``.
 Predicted landmarks are exchanged in ROI-normalized coordinates — the output
 contract of the landmark-regression stage — so files written by a real
 regression network drop straight in.
+
+Files are written as compact one-line JSON, encoded in one pass by the C
+encoder of :mod:`json`. Any JSON whitespace loads, so hand-indented files
+work too, and ``python -m json.tool m.json`` prints a manifest readably.
 """
 
 from __future__ import annotations
@@ -200,13 +204,23 @@ def _parse_record(data: dict, index: int, convention: str) -> SampleRecord:
     return record
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``.
+
+    Raises :class:`ManifestError` naming ``path`` when the bytes are not
+    UTF-8 JSON, including nesting too deep for the decoder.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and oversized integers
+        except (ValueError, RecursionError) as exc:
+            raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def load_manifest(path) -> Manifest:
     """Parse and validate a manifest file; raises :class:`ManifestError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ManifestError(f"{path}: top level must be an object")
     convention = data.get("attitude_convention", "body_to_camera")
@@ -245,7 +259,11 @@ def _record_payload(record: SampleRecord) -> dict:
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    """Write a manifest; floats keep full round-trip precision."""
+    """Write a manifest as one line of JSON; floats keep full round-trip precision.
+
+    The payload is encoded before the file is opened, so a record that
+    cannot be encoded raises and leaves any existing file as it was.
+    """
     payload = {
         "camera": {
             "fx": manifest.camera.fx,
@@ -259,9 +277,9 @@ def save_manifest(manifest: Manifest, path) -> None:
         "attitude_convention": "body_to_camera",
         "records": [_record_payload(r) for r in manifest.records],
     }
+    text = json.dumps(payload)  # one-shot without indent: the C encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def split_dataset(

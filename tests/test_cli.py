@@ -1,5 +1,6 @@
 """CLI workflow tests: subcommands, exit codes, config sections."""
 
+import argparse
 import dataclasses
 import json
 
@@ -8,8 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satpose import load_wireframe
-from satpose.cli import _SECTIONS, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_SOLVER, Config, main
+from satpose import load_manifest, load_wireframe
+from satpose.cli import (
+    _SECTIONS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_SCHEMA,
+    EXIT_SOLVER,
+    Config,
+    _cmd_report,
+    main,
+)
 from satpose.errors import ManifestError
 from satpose.geometry import example_wireframe
 from tests.conftest import json_values
@@ -130,6 +140,50 @@ def test_non_string_wireframe_is_schema_error(workspace):
     bad.write_text(json.dumps(data))
     code = main(["generate-labels", "--manifest", str(bad), "--out", str(tmp_path / "o.json")])
     assert code == EXIT_SCHEMA
+
+
+# files json.load cannot decode, each with its own exception inside the decoder
+UNDECODABLE = {
+    "syntax": b"{not json",
+    "not-utf8": b'{"E": "\xff\xfe"}',
+    "deep": b"[" * 100_000,  # RecursionError in the C decoder
+    "huge-int": b"1" * 5000,  # beyond the int-string conversion limit
+}
+
+# every JSON reader, called as a library function
+READERS = {
+    "manifest": load_manifest,
+    "config": lambda path: Config.load(path, ("roi",)),
+    "report": lambda path: _cmd_report(
+        argparse.Namespace(reports=[path], format="csv", out=path.parent / "merged.csv")
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("content", sorted(UNDECODABLE))
+def test_undecodable_json_is_a_manifest_error(tmp_path, reader, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNDECODABLE[content])
+    with pytest.raises(ManifestError, match="invalid JSON"):
+        READERS[reader](bad)
+    assert not (tmp_path / "merged.csv").exists()
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("content", sorted(UNDECODABLE))
+def test_undecodable_json_exits_2_writing_nothing(workspace, capsys, reader, content):
+    tmp_path, labeled = workspace
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(UNDECODABLE[content])
+    argv = {
+        "manifest": ["run", "--manifest", str(bad)],
+        "config": ["run", "--manifest", str(labeled), "--config", str(bad)],
+        "report": ["report", str(bad)],
+    }[reader]
+    assert main([*argv, "--out", str(out)]) == EXIT_SCHEMA
+    assert not out.exists()
+    assert f"{bad}: invalid JSON" in capsys.readouterr().err
 
 
 def test_failure_rate_exit_code(workspace):

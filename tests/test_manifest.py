@@ -9,8 +9,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from satpose import BBox, Manifest, Pose, SampleRecord, load_manifest, save_manifest, split_dataset
+from satpose import (
+    BBox,
+    CameraIntrinsics,
+    Manifest,
+    Pose,
+    SampleRecord,
+    load_manifest,
+    save_manifest,
+    split_dataset,
+)
 from satpose.errors import ManifestError
+from satpose.geometry import quat_conjugate
 from satpose.manifest import ManifestWarning
 from satpose.rng import stream
 from satpose.sampler import sample_attitude
@@ -65,6 +75,126 @@ class TestRoundTrip:
         save_manifest(manifest, p1)
         save_manifest(load_manifest(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_existing_file(self, cam, tmp_path):
+        path = tmp_path / "m.json"
+        save_manifest(make_manifest(cam, n=5, with_labels=True), path)
+        before = path.read_bytes()
+        broken = make_manifest(cam, n=5, with_labels=True)
+        broken.records[2].id = object()  # not JSON-encodable
+        with pytest.raises(TypeError):
+            save_manifest(broken, path)
+        assert path.read_bytes() == before
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cameras(draw):
+    width, height = draw(st.integers(2, 1 << 16)), draw(st.integers(2, 1 << 16))
+    inside = lambda side: st.floats(0.0, side, exclude_min=True, exclude_max=True)  # noqa: E731
+    focal = st.floats(1e-3, 1e6)
+    return CameraIntrinsics(
+        fx=draw(focal), fy=draw(focal), cx=draw(inside(width)), cy=draw(inside(height)),
+        width=width, height=height,
+    )
+
+
+@st.composite
+def boxes(draw):
+    xs, ys = sorted(draw(st.tuples(finite, finite))), sorted(draw(st.tuples(finite, finite)))
+    return BBox(xs[0], ys[0], xs[1], ys[1])
+
+
+def points(k):
+    return st.lists(st.tuples(finite, finite), min_size=k, max_size=k).map(np.array)
+
+
+@st.composite
+def records(draw, rec_id):
+    q = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 1e-3))
+    position = draw(st.tuples(finite, finite, finite))
+    record = SampleRecord(id=rec_id, pose_gt=Pose(position=position, attitude=q))
+    if draw(st.booleans()):
+        record.bbox_gt = draw(boxes())
+        record.landmarks_gt = draw(st.integers(1, 12).flatmap(points))
+    record.bbox_pred = draw(st.none() | boxes())
+    if draw(st.booleans()):
+        pair = st.tuples(finite, finite).map(np.array)
+        record.landmarks_pred = draw(st.lists(st.none() | pair, max_size=12))
+    return record
+
+
+@st.composite
+def manifests(draw):
+    ids = draw(st.lists(st.text(max_size=8), max_size=6, unique=True))
+    return Manifest(
+        camera=draw(cameras()),
+        records=[draw(records(rec_id)) for rec_id in ids],
+        wireframe=draw(st.none() | st.text(max_size=12)),
+    )
+
+
+def assert_same_manifest(a: Manifest, b: Manifest) -> None:
+    """Equal camera, wireframe and records, every float to the bit."""
+    assert a.camera == b.camera
+    assert a.wireframe == b.wireframe
+    assert [r.id for r in a.records] == [r.id for r in b.records]
+    for ra, rb in zip(a.records, b.records):
+        np.testing.assert_array_equal(ra.pose_gt.position, rb.pose_gt.position)
+        np.testing.assert_array_equal(ra.pose_gt.attitude, rb.pose_gt.attitude)
+        assert ra.bbox_gt == rb.bbox_gt
+        assert ra.bbox_pred == rb.bbox_pred
+        assert (ra.landmarks_gt is None) == (rb.landmarks_gt is None)
+        if ra.landmarks_gt is not None:
+            np.testing.assert_array_equal(ra.landmarks_gt, rb.landmarks_gt)
+        assert (ra.landmarks_pred is None) == (rb.landmarks_pred is None)
+        for pa, pb in zip(ra.landmarks_pred or [], rb.landmarks_pred or [], strict=True):
+            assert (pa is None) == (pb is None)
+            if pa is not None:
+                np.testing.assert_array_equal(pa, pb)
+
+
+roundtrip_settings = settings(
+    max_examples=40, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestRoundTripProperties:
+    @roundtrip_settings
+    @given(manifest=manifests())
+    def test_load_of_save_is_the_manifest(self, tmp_path, manifest):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_manifest(manifest, first)
+        loaded = load_manifest(first)
+        assert_same_manifest(manifest, loaded)
+        save_manifest(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @roundtrip_settings
+    @given(manifest=manifests())
+    def test_camera_to_body_file_loads_conjugated(self, tmp_path, manifest):
+        path = tmp_path / "m.json"
+        save_manifest(manifest, path)
+        payload = json.loads(path.read_text())
+        payload["attitude_convention"] = "camera_to_body"
+        path.write_text(json.dumps(payload))
+        loaded = load_manifest(path)
+        for orig, back in zip(manifest.records, loaded.records, strict=True):
+            conjugated = quat_conjugate(orig.pose_gt.attitude)
+            np.testing.assert_array_equal(back.pose_gt.attitude, conjugated)
+
+    @roundtrip_settings
+    @given(manifest=manifests())
+    def test_indented_file_loads_like_the_compact_one(self, tmp_path, manifest):
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        save_manifest(manifest, compact)
+        with open(indented, "w", encoding="utf-8") as fh:  # the layout of earlier versions
+            json.dump(json.loads(compact.read_text()), fh, indent=1)
+            fh.write("\n")
+        assert_same_manifest(load_manifest(compact), load_manifest(indented))
 
 
 class TestSchemaErrors:
