@@ -26,15 +26,20 @@ from .geometry import (
     bbox_from_points,
     denormalize_landmarks,
     example_wireframe,
-    load_wireframe,
     normalize_landmarks,
     project,
-    quat_from_axis_angle,
     quat_multiply,
     quat_rotate,
-    save_wireframe,
 )
-from .manifest import Manifest, SampleRecord, load_manifest, save_manifest, split_dataset
+from .manifest import (
+    Manifest,
+    SampleRecord,
+    load_manifest,
+    load_wireframe,
+    save_manifest,
+    save_wireframe,
+    split_dataset,
+)
 from .metrics import (
     AggregateReport,
     DetectionMetrics,

@@ -34,16 +34,16 @@ from .geometry import (
     CameraIntrinsics,
     WireframeModel,
     example_wireframe,
-    load_wireframe,
-    save_wireframe,
 )
 from .manifest import (
     Manifest,
     SampleRecord,
     check_numbers,
     load_manifest,
+    load_wireframe,
     read_json,
     save_manifest,
+    save_wireframe,
     split_dataset,
 )
 from .pipeline import (

@@ -15,14 +15,13 @@ Conventions
   bounding-box layer's job.
 
 All types are immutable values and all functions are pure, so everything here
-is safe to share across threads.
+is safe to share across threads. File formats, the wireframe file's included,
+belong to :mod:`satpose.manifest`; this module does no I/O.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .roi import BBox
 
 MIN_PROJECTION_DEPTH = 1e-6  # metres
 _MAX_IMAGE_SIDE = 1 << 16  # pixels
-_UNIT_TOL = 1e-9
 
 
 def _vec3(v, name: str = "vector") -> np.ndarray:
@@ -101,15 +99,6 @@ def quat_multiply(a, b) -> np.ndarray:
 def quat_conjugate(q) -> np.ndarray:
     w, x, y, z = _quat(q)
     return np.array([w, -x, -y, -z])
-
-
-def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    """Unit quaternion rotating by ``angle`` radians about a unit ``axis``."""
-    ax = _vec3(axis, "axis")
-    if abs(np.linalg.norm(ax) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"axis must be unit length, |axis|={np.linalg.norm(ax):.12g}")
-    half = 0.5 * float(angle)
-    return np.concatenate([[np.cos(half)], np.sin(half) * ax])
 
 
 def quat_from_rotvec(rotvec) -> np.ndarray:
@@ -285,24 +274,6 @@ def example_wireframe() -> WireframeModel:
         [0.0, 3.20, 0.25],
     ]
     return WireframeModel(name="example-satellite", keypoints=keypoints)
-
-
-def load_wireframe(path) -> WireframeModel:
-    """Read a wireframe JSON file: {"name": str, "keypoints": [[x,y,z], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "keypoints" not in data:
-        raise ValueError(f"{path}: wireframe file needs a 'keypoints' field")
-    return WireframeModel(
-        name=str(data.get("name", Path(path).stem)), keypoints=data["keypoints"]
-    )
-
-
-def save_wireframe(model: WireframeModel, path) -> None:
-    payload = {"name": model.name, "keypoints": model.keypoints.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def pinhole(x, y, z, cam: CameraIntrinsics):

@@ -1,4 +1,10 @@
-"""Dataset manifest I/O and train/test splitting.
+"""Data-file I/O: dataset manifests, wireframe files and train/test splitting.
+
+This module is the one place that reads or writes satpose's JSON data
+files: manifests and wireframe files. Every JSON input, ``--config`` files
+and reports included, is read through :func:`read_json`, and every numeric
+array through one parser, so a malformed file raises :class:`ManifestError`
+naming the file or field; the CLI exits 2 on it.
 
 A manifest is one JSON document holding the camera, an optional wireframe
 file reference, and per-image records::
@@ -25,9 +31,15 @@ Predicted landmarks are exchanged in ROI-normalized coordinates — the output
 contract of the landmark-regression stage — so files written by a real
 regression network drop straight in.
 
-Files are written as compact one-line JSON, encoded in one pass by the C
-encoder of :mod:`json`. Any JSON whitespace loads, so hand-indented files
-work too, and ``python -m json.tool m.json`` prints a manifest readably.
+A wireframe file holds the target model's ordered body-frame keypoints::
+
+    {"name": "example-satellite", "keypoints": [[x, y, z], ...]}
+
+``name`` is optional and defaults to the file stem.
+
+Both kinds of file are written as compact one-line JSON, encoded in one pass
+by the C encoder of :mod:`json`. Any JSON whitespace loads, so hand-indented
+files work too, and ``python -m json.tool m.json`` prints one readably.
 """
 
 from __future__ import annotations
@@ -37,11 +49,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ManifestError
-from .geometry import CameraIntrinsics, Pose, quat_conjugate
+from .geometry import CameraIntrinsics, Pose, WireframeModel, quat_conjugate
 from .rng import stream
 from .roi import BBox
 
@@ -119,23 +132,31 @@ def _parse_camera(data) -> CameraIntrinsics:
         raise ManifestError(f"camera: {exc}") from exc
 
 
-def _parse_array(raw, where: str) -> np.ndarray:
+def _parse_numbers(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """``raw`` as a float array of ``shape`` (one or two axes); raises :class:`ManifestError`.
+
+    A leading ``-1`` in ``shape`` takes any row count, zero included, so
+    ``[]`` loads as a ``(0, 2)`` array for ``shape=(-1, 2)``.
+    """
     try:
-        return np.array(raw, dtype=float)
+        arr = np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int too large
         raise ManifestError(f"{where}: not numeric") from exc
-
-
-def _parse_vector(raw, length: int, where: str) -> np.ndarray:
-    vec = _parse_array(raw, where)
-    if vec.shape != (length,):
-        raise ManifestError(f"{where}: expected {length} values, got shape {vec.shape}")
-    check_numbers(raw, where)  # the shape check made ``raw`` a flat list
-    return vec
+    want = shape
+    if shape[0] == -1:
+        if arr.shape == (0,):  # "[]" carries no row length
+            arr = arr.reshape(0, *shape[1:])
+        want = arr.shape[:1] + shape[1:]
+    if arr.shape != want:
+        wanted = str(shape).replace("-1", "K")
+        raise ManifestError(f"{where}: expected shape {wanted}, got shape {arr.shape}")
+    # the shape check made ``raw`` a flat list, or a list of flat lists
+    check_numbers(raw if arr.ndim == 1 else list(chain.from_iterable(raw)), where)
+    return arr
 
 
 def _parse_quaternion(raw, where: str, convention: str) -> np.ndarray:
-    q = _parse_vector(raw, 4, where)
+    q = _parse_numbers(raw, (4,), where)
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         norm = np.linalg.norm(q)
     if not 1e-12 <= norm < np.inf:
@@ -154,19 +175,11 @@ def _parse_quaternion(raw, where: str, convention: str) -> np.ndarray:
 
 
 def _parse_bbox(raw, where: str) -> BBox:
-    vec = _parse_vector(raw, 4, where)
+    values = _parse_numbers(raw, (4,), where).tolist()
     try:
-        return BBox.from_list(vec.tolist())
+        return BBox(*values)
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
-
-
-def _parse_landmarks(raw, where: str) -> np.ndarray:
-    pts = _parse_array(raw, where)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ManifestError(f"{where}: expected an (K, 2) array")
-    check_numbers(list(chain.from_iterable(raw)), where)  # ``raw`` is a list of pairs here
-    return pts
 
 
 def _parse_pred_landmarks(raw, where: str) -> list[np.ndarray | None]:
@@ -177,7 +190,7 @@ def _parse_pred_landmarks(raw, where: str) -> list[np.ndarray | None]:
         if entry is None:
             out.append(None)
         else:
-            out.append(_parse_vector(entry, 2, f"{where}[{k}]"))
+            out.append(_parse_numbers(entry, (2,), f"{where}[{k}]"))
     return out
 
 
@@ -189,12 +202,14 @@ def _parse_record(data: dict, index: int, convention: str) -> SampleRecord:
     if not isinstance(rec_id, str):
         raise ManifestError(f"{where}: field 'id' must be a string, got {rec_id!r}")
     q = _parse_quaternion(_field(data, "q", where), f"{where}: field 'q'", convention)
-    t = _parse_vector(_field(data, "t", where), 3, f"{where}: field 't'")
+    t = _parse_numbers(_field(data, "t", where), (3,), f"{where}: field 't'")
     record = SampleRecord(id=rec_id, pose_gt=Pose(position=t, attitude=q))
     if data.get("bbox") is not None:
         record.bbox_gt = _parse_bbox(data["bbox"], f"{where}: field 'bbox'")
     if data.get("landmarks") is not None:
-        record.landmarks_gt = _parse_landmarks(data["landmarks"], f"{where}: field 'landmarks'")
+        record.landmarks_gt = _parse_numbers(
+            data["landmarks"], (-1, 2), f"{where}: field 'landmarks'"
+        )
     if data.get("pred_bbox") is not None:
         record.bbox_pred = _parse_bbox(data["pred_bbox"], f"{where}: field 'pred_bbox'")
     if data.get("pred_landmarks") is not None:
@@ -258,12 +273,19 @@ def _record_payload(record: SampleRecord) -> dict:
     return payload
 
 
-def save_manifest(manifest: Manifest, path) -> None:
-    """Write a manifest as one line of JSON; floats keep full round-trip precision.
+def _write_json(payload, path) -> None:
+    """Write ``payload`` as one line of JSON; floats keep full round-trip precision.
 
-    The payload is encoded before the file is opened, so a record that
-    cannot be encoded raises and leaves any existing file as it was.
+    The payload is encoded before the file is opened, so a value that cannot
+    be encoded raises and leaves any existing file as it was.
     """
+    text = json.dumps(payload)  # one-shot without indent: the C encoder
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def save_manifest(manifest: Manifest, path) -> None:
+    """Write a manifest as one line of JSON, by :func:`_write_json`'s rules."""
     payload = {
         "camera": {
             "fx": manifest.camera.fx,
@@ -277,9 +299,32 @@ def save_manifest(manifest: Manifest, path) -> None:
         "attitude_convention": "body_to_camera",
         "records": [_record_payload(r) for r in manifest.records],
     }
-    text = json.dumps(payload)  # one-shot without indent: the C encoder
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_json(payload, path)
+
+
+def load_wireframe(path) -> WireframeModel:
+    """Parse and validate a wireframe file; raises :class:`ManifestError`.
+
+    Collinear keypoints raise :class:`DegenerateGeometryError` from the model.
+    """
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise ManifestError(f"{path}: top level must be an object")
+    name = data.get("name", Path(path).stem)
+    if not isinstance(name, str):
+        raise ManifestError(f"{path}: field 'name' must be a string, got {name!r}")
+    keypoints = _parse_numbers(
+        _field(data, "keypoints", str(path)), (-1, 3), f"{path}: field 'keypoints'"
+    )
+    try:
+        return WireframeModel(name=name, keypoints=keypoints)
+    except ValueError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
+
+
+def save_wireframe(model: WireframeModel, path) -> None:
+    """Write a wireframe file as one line of JSON, by :func:`_write_json`'s rules."""
+    _write_json({"name": model.name, "keypoints": model.keypoints.tolist()}, path)
 
 
 def split_dataset(

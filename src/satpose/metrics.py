@@ -122,14 +122,18 @@ def _stats(values: np.ndarray) -> MetricStats:
 
 
 def aggregate(scores) -> AggregateReport:
-    """Mean / sample-std / median per metric over per-image scores."""
+    """Mean / sample-std / median per metric over per-image scores.
+
+    The result does not depend on the order of ``scores``, to the bit.
+    """
     scores = list(scores)
     if not scores:
         raise ValueError("cannot aggregate an empty score list")
-    e_t = np.array([s.e_t for s in scores])
-    e_t_norm = np.array([s.e_t_normalized for s in scores])
-    e_q = np.array([s.e_q for s in scores])
-    total = np.array([s.score for s in scores])
+    # sorted, so every sum adds in one order
+    e_t = np.sort([s.e_t for s in scores])
+    e_t_norm = np.sort([s.e_t_normalized for s in scores])
+    e_q = np.sort([s.e_q for s in scores])
+    total = np.sort([s.score for s in scores])
     return AggregateReport(
         n=len(scores),
         e_t_m=_stats(e_t),

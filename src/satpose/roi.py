@@ -59,12 +59,6 @@ class BBox:
         """Serialize as [xmin, ymin, xmax, ymax] (the manifest wire order)."""
         return [self.xmin, self.ymin, self.xmax, self.ymax]
 
-    @classmethod
-    def from_list(cls, values) -> "BBox":
-        if len(values) != 4:
-            raise ValueError(f"box needs 4 values, got {len(values)}")
-        return cls(*(float(v) for v in values))
-
 
 @dataclass(frozen=True)
 class RoiConfig:

@@ -41,6 +41,18 @@ json_values = st.recursive(
 )
 
 
+_UNIT_TOL = 1e-9
+
+
+def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
+    """Unit quaternion rotating by ``angle`` radians about a unit ``axis``."""
+    ax = np.asarray(axis, dtype=float).reshape(3)
+    if abs(np.linalg.norm(ax) - 1.0) > _UNIT_TOL:
+        raise ValueError(f"axis must be unit length, |axis|={np.linalg.norm(ax):.12g}")
+    half = 0.5 * float(angle)
+    return np.concatenate([[np.cos(half)], np.sin(half) * ax])
+
+
 def random_pose(rng: np.random.Generator) -> Pose:
     """A pose in the working envelope: 36-70 m range, mild lateral offset."""
     position = np.array(

@@ -27,7 +27,6 @@ from satpose import (
     iou,
     lm_refine,
     make_roi,
-    quat_from_axis_angle,
     run_pipeline,
     sample_attitudes,
     sample_distance,
@@ -40,7 +39,7 @@ from satpose.geometry import project, quat_from_rotvec, quat_multiply
 from satpose.pnp.refine import reprojection_jacobian, skew_table
 from satpose.rng import stream
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
-from tests.conftest import random_pose, reprojection_rms, synthesize
+from tests.conftest import quat_from_axis_angle, random_pose, reprojection_rms, synthesize
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 

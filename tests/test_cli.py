@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,41 @@ def test_undecodable_json_exits_2_writing_nothing(workspace, capsys, reader, con
     assert main([*argv, "--out", str(out)]) == EXIT_SCHEMA
     assert not out.exists()
     assert f"{bad}: invalid JSON" in capsys.readouterr().err
+
+
+def _wireframe_file(**fields) -> bytes:
+    return json.dumps(fields).encode()
+
+
+_KEYPOINTS = example_wireframe().keypoints.tolist()
+
+# wireframe files the reader refuses, each for its own reason
+BAD_WIREFRAMES = {
+    "deep": b"[" * 100_000,
+    "not-utf8": b'{"name": "\xff\xfe", "keypoints": []}',
+    "string-keypoints": _wireframe_file(keypoints=[[str(v) for v in p] for p in _KEYPOINTS]),
+    "boolean-keypoints": _wireframe_file(
+        keypoints=[[True, False, False], [False, True, False], [False, False, True],
+                   [False, False, False]]
+    ),
+    "three-keypoints": _wireframe_file(keypoints=_KEYPOINTS[:3]),
+    "object-name": _wireframe_file(name={"a": 1}, keypoints=_KEYPOINTS),
+    "no-keypoints": _wireframe_file(name="model"),
+    "top-level-list": json.dumps(_KEYPOINTS).encode(),
+}
+
+
+@pytest.mark.parametrize("content", sorted(BAD_WIREFRAMES))
+def test_malformed_wireframe_is_refused(workspace, capsys, content):
+    tmp_path, labeled = workspace
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(BAD_WIREFRAMES[content])
+    with pytest.raises(ManifestError, match=re.escape(str(bad))):
+        load_wireframe(bad)
+    code = main(["run", "--manifest", str(labeled), "--wireframe", str(bad), "--out", str(out)])
+    assert code == EXIT_SCHEMA
+    assert not out.exists()
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_failure_rate_exit_code(workspace):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpose import Correspondence, attitude_error, epnp
 from satpose.errors import DegenerateGeometryError
@@ -9,6 +11,8 @@ from satpose.geometry import Pose, project, quat_from_matrix, quat_to_matrix
 from satpose.pnp.epnp import (
     EPNP_DEGENERATE,
     EPNP_OK,
+    PLANAR_EIGENVALUE_RATIO,
+    _control_frame,
     _distance_terms,
     _gauss_newton,
     _solve,
@@ -89,6 +93,38 @@ def test_planar_target_uses_fallback_and_solves(cam):
             continue
         corrs = [Correspondence(image=pixels[k], world=grid[k], id=k) for k in range(len(grid))]
         assert reprojection_rms(epnp(corrs, cam), corrs, cam) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "side, log_ratios, rms_bound",
+    [("planar", (-10.0, -8.05), 1.0), ("3d", (-7.95, -6.0), 1e-6)],
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), n=st.integers(5, 11), data=st.data())
+def test_near_planar_point_sets_solve_on_both_sides_of_the_switch(
+    cam, side, log_ratios, rms_bound, seed, n, data
+):
+    # the point set's smallest-to-largest spread ratio is drawn on one side of
+    # PLANAR_EIGENVALUE_RATIO; the 3-D path stays exact next to the switch, and
+    # the planar path's flattening costs under a pixel on its side
+    ratio = 10.0 ** data.draw(st.floats(*log_ratios))
+    rng = stream(seed, "near-planar")
+    world = np.column_stack(
+        [rng.uniform(-2.0, 2.0, n), rng.uniform(-1.5, 1.5, n), rng.normal(size=n)]
+    )
+    world -= world.mean(axis=0)
+    lam, vec = np.linalg.eigh(world.T @ world / n)
+    spread = world @ vec
+    spread[:, 0] *= np.sqrt(ratio * lam[2] / lam[0])
+    world = spread @ vec.T
+    planar = _control_frame(world[None])[4][0]
+    assert planar == (side == "planar") == (ratio < PLANAR_EIGENVALUE_RATIO)
+    pose = random_pose(rng)
+    image = project(pose, cam, world)
+    rot, t, status = epnp_stack(image[None], world[None], cam)
+    assert status[0] == EPNP_OK
+    rms = np.sqrt(np.mean(point_errors(rot, t, world[None], image[None], cam) ** 2))
+    assert rms < rms_bound
 
 
 def test_collinear_world_points_rejected(cam):

@@ -20,7 +20,6 @@ from satpose import (
     load_wireframe,
     normalize_landmarks,
     project,
-    quat_from_axis_angle,
     quat_multiply,
     quat_rotate,
     save_wireframe,
@@ -29,6 +28,7 @@ from satpose.errors import DegenerateGeometryError
 from satpose.geometry import quat_conjugate, quat_from_matrix, quat_to_matrix
 from satpose.rng import stream
 from satpose.sampler import sample_attitude
+from tests.conftest import quat_from_axis_angle
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -37,6 +37,7 @@ coords = st.floats(-1e4, 1e4).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)
 sides = st.floats(1e-3, 1e4)
 rois = st.builds(lambda x, y, w, h: BBox(x, y, x + w, y + h), coords, coords, sides, sides)
 point_lists = st.lists(st.tuples(coords, coords), min_size=1, max_size=11)
+axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
 
 
 class TestQuaternions:
@@ -98,6 +99,14 @@ class TestQuaternions:
             q2 = quat_from_matrix(quat_to_matrix(q))
             # double cover: compare up to sign
             assert min(np.linalg.norm(q - q2), np.linalg.norm(q + q2)) < 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(axis=axes, angle=st.floats(0.0, np.pi - 1e-12) | st.floats(np.pi - 1e-6, np.pi - 1e-12))
+    def test_matrix_round_trip_up_to_half_turn(self, axis, angle):
+        # Shepperd's branches must hold up to within 1e-12 of a half turn, where w -> 0
+        q = quat_from_axis_angle(np.array(axis) / np.linalg.norm(axis), angle)
+        q2 = quat_from_matrix(quat_to_matrix(q))
+        assert min(np.linalg.norm(q - q2), np.linalg.norm(q + q2)) < 1e-14
 
 
 class TestProjection:

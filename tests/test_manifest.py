@@ -108,7 +108,8 @@ def boxes(draw):
 
 
 def points(k):
-    return st.lists(st.tuples(finite, finite), min_size=k, max_size=k).map(np.array)
+    pairs = st.lists(st.tuples(finite, finite), min_size=k, max_size=k)
+    return pairs.map(lambda p: np.array(p, dtype=float).reshape(-1, 2))
 
 
 @st.composite
@@ -118,7 +119,7 @@ def records(draw, rec_id):
     record = SampleRecord(id=rec_id, pose_gt=Pose(position=position, attitude=q))
     if draw(st.booleans()):
         record.bbox_gt = draw(boxes())
-        record.landmarks_gt = draw(st.integers(1, 12).flatmap(points))
+        record.landmarks_gt = draw(st.integers(0, 12).flatmap(points))  # "[]" is (0, 2)
     record.bbox_pred = draw(st.none() | boxes())
     if draw(st.booleans()):
         pair = st.tuples(finite, finite).map(np.array)

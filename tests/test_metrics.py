@@ -13,9 +13,10 @@ from satpose import (
     image_score,
     position_error,
 )
-from satpose.geometry import Pose, quat_from_axis_angle, quat_multiply
+from satpose.geometry import Pose, quat_multiply
 from satpose.rng import stream
 from satpose.sampler import sample_attitude
+from tests.conftest import quat_from_axis_angle
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 

@@ -301,6 +301,10 @@ class TestRunPipeline:
             assert (score.e_t, score.e_q, score.score) == (
                 by_id[rid].e_t, by_id[rid].e_q, by_id[rid].score
             )
+        # the report too, to the bit: its sums must not follow the record order
+        assert report_payload(forward.report, len(forward.failures)) == report_payload(
+            permuted.report, len(permuted.failures)
+        )
 
     def test_provider_value_error_propagates(self, labeled, wireframe):
         class BrokenProvider:

@@ -8,10 +8,10 @@ import pytest
 import satpose.pnp.refine as refine_mod
 from satpose import attitude_error, epnp, lm_refine
 from satpose.errors import BehindCameraError, NumericalFailureError
-from satpose.geometry import Pose, project, quat_from_axis_angle, quat_from_rotvec, quat_multiply
+from satpose.geometry import Pose, project, quat_from_rotvec, quat_multiply
 from satpose.pnp.refine import reprojection_jacobian, skew_table
 from satpose.rng import stream
-from tests.conftest import reprojection_rms
+from tests.conftest import quat_from_axis_angle, reprojection_rms
 
 
 def perturbed(pose: Pose, rng, angle_deg=5.0, shift=0.5) -> Pose:
