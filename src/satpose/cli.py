@@ -12,19 +12,19 @@ Subcommands::
 Each setting has one source: a flag, or a section of the ``--config`` JSON
 file. Only ``sample-poses`` (sections ``camera``, ``sampler``) and ``run``
 (sections ``roi``, ``ransac``, ``noise``) take ``--config``, and a config
-key outside the command's sections is refused. Every setting must be a
-finite JSON number, by the rule manifest values follow. Exit codes: 0
-success, 2 schema error, 3 solver failure rate above the limit, 4 I/O error.
+key outside the command's sections is refused. Each section is built by
+:func:`satpose.manifest.parse_settings`, the rule the manifest camera
+follows: only the section's fields, each a finite JSON number. A manifest
+written to another directory than its input gets its wireframe reference
+rebased by :func:`satpose.manifest.save_manifest`. Exit codes: 0 success,
+2 schema error, 3 solver failure rate above the limit, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import math
+import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -38,24 +38,24 @@ from .geometry import (
 from .manifest import (
     Manifest,
     SampleRecord,
-    check_numbers,
     load_manifest,
     load_wireframe,
-    read_json,
+    parse_settings,
+    read_object,
     save_manifest,
     save_wireframe,
     split_dataset,
 )
 from .pipeline import (
-    REPORT_KEYS,
-    TIMING_KEYS,
     FileProvider,
     NoiseModel,
     OracleProvider,
     emit_report,
     generate_labels,
+    load_report,
     run_pipeline,
     write_csv_reports,
+    write_json_reports,
 )
 from .pnp import RansacConfig, triangulate
 from .roi import RoiConfig
@@ -77,82 +77,54 @@ _SECTIONS = {
 }
 
 
-class Config:
-    """Optional JSON config file with one section per component."""
+def read_config(path, sections: tuple[str, ...]) -> dict:
+    """The ``--config`` object at ``path`` (``{}`` for ``None``); unread sections are refused."""
+    if path is None:
+        return {}
+    data = read_object(path)
+    unknown = sorted(set(data) - set(sections))
+    if unknown:
+        raise ManifestError(
+            f"{path}: unknown config sections {unknown}; this command reads {list(sections)}"
+        )
+    return data
 
-    def __init__(self, data: dict):
-        self.data = data
 
-    @classmethod
-    def load(cls, path, sections: tuple[str, ...]) -> "Config":
-        """The file at ``path`` (``None``: no file); keys outside ``sections`` are refused."""
-        if path is None:
-            return cls({})
-        data = read_json(path)
-        if not isinstance(data, dict):
-            raise ManifestError(f"{path}: top level must be an object")
-        unknown = sorted(set(data) - set(sections))
-        if unknown:
-            raise ManifestError(
-                f"{path}: unknown config sections {unknown}; this command reads {list(sections)}"
-            )
-        return cls(data)
-
-    def section(self, name: str, **overrides):
-        """Section ``name`` as its dataclass.
-
-        Fields come from the file, then every override that is not ``None``
-        (command-line flags).
-        """
-        data = self.data.get(name, {})
-        if not isinstance(data, dict):
-            raise ManifestError(f"config: {name}: expected an object")
-        cls = _SECTIONS[name]
-        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ManifestError(f"config: {name}: unknown keys {unknown}")
-        for key, value in data.items():  # every setting is a number
-            check_numbers([value], f"config: {name}: {key}")
-        data = dict(data)
-        data.update((key, value) for key, value in overrides.items() if value is not None)
-        try:
-            return cls(**data)
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(f"config: {name}: {exc}") from exc
+def _section(config: dict, name: str, **overrides):
+    """Config section ``name`` as its dataclass; overrides that are not ``None`` win."""
+    return parse_settings(_SECTIONS[name], config.get(name, {}), f"config: {name}", **overrides)
 
 
 def _resolve_wireframe(args, manifest: Manifest) -> WireframeModel:
-    if args.wireframe:
-        return load_wireframe(args.wireframe)
-    if manifest.wireframe:  # relative to the manifest; an absolute path stays as it is
-        return load_wireframe(Path(args.manifest).parent / manifest.wireframe)
-    raise ManifestError("no wireframe model: pass --wireframe or set it in the manifest")
+    path = args.wireframe or manifest.wireframe  # both relative to the working directory
+    if not path:
+        raise ManifestError("no wireframe model: pass --wireframe or set it in the manifest")
+    return load_wireframe(path)
 
 
 def _cmd_sample_poses(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    cfg = Config.load(args.config, ("camera", "sampler"))
-    cam = cfg.section("camera") if "camera" in cfg.data else DEFAULT_CAMERA
-    sampler_cfg = cfg.section("sampler")
-    out_path = Path(args.out)
+    cfg = read_config(args.config, ("camera", "sampler"))
+    cam = _section(cfg, "camera") if "camera" in cfg else DEFAULT_CAMERA
+    sampler_cfg = _section(cfg, "sampler")
     streams = SampleStreams(args.seed)  # checks the seed before anything is written
 
     if args.wireframe:
         wireframe = load_wireframe(args.wireframe)
-        stored_ref = args.wireframe
+        wf_path = args.wireframe
     else:
         wireframe = example_wireframe()
-        wf_path = out_path.parent / "wireframe.json"
+        # beside the manifest, named from the working directory like any in-memory reference
+        wf_path = os.path.relpath(os.path.join(os.path.dirname(args.out), "wireframe.json"))
         save_wireframe(wireframe, wf_path)
-        stored_ref = wf_path.name
 
     records = [
         SampleRecord(id=f"img{i:06d}", pose_gt=sample_pose(streams, sampler_cfg, cam, wireframe))
         for i in range(args.n)
     ]
-    save_manifest(Manifest(camera=cam, records=records, wireframe=stored_ref), out_path)
-    print(f"wrote {args.n} poses to {out_path}")
+    save_manifest(Manifest(camera=cam, records=records, wireframe=wf_path), args.out)
+    print(f"wrote {args.n} poses to {args.out}")
     return EXIT_OK
 
 
@@ -179,13 +151,14 @@ def _cmd_split(args) -> int:
 def _cmd_run(args) -> int:
     if not 0.0 <= args.max_failure_rate <= 1.0:  # NaN fails
         raise ValueError(f"--max-failure-rate must lie in [0, 1], got {args.max_failure_rate}")
-    cfg = Config.load(args.config, ("roi", "ransac", "noise"))
+    cfg = read_config(args.config, ("roi", "ransac", "noise"))
     manifest = load_manifest(args.manifest)
     wireframe = _resolve_wireframe(args, manifest)
 
     if args.provider == "oracle":
         provider = OracleProvider(
-            cfg.section(
+            _section(
+                cfg,
                 "noise",
                 sigma_px=args.sigma,
                 outlier_rate=args.outlier_rate,
@@ -194,7 +167,7 @@ def _cmd_run(args) -> int:
             )
         )
     else:
-        noise = ["config section 'noise'"] * ("noise" in cfg.data) + [
+        noise = ["config section 'noise'"] * ("noise" in cfg) + [
             "--" + dest.replace("_", "-")
             for dest in ("sigma", "outlier_rate", "dropout_rate", "noise_seed")
             if getattr(args, dest) is not None
@@ -207,8 +180,8 @@ def _cmd_run(args) -> int:
         manifest,
         provider,
         wireframe,
-        roi_cfg=cfg.section("roi"),
-        ransac_cfg=cfg.section("ransac", seed=args.seed),
+        roi_cfg=_section(cfg, "roi"),
+        ransac_cfg=_section(cfg, "ransac", seed=args.seed),
         record_predictions=args.dump_predictions is not None,
     )
     if args.dump_predictions is not None:
@@ -254,31 +227,12 @@ def _cmd_triangulate(args) -> int:
     return EXIT_OK
 
 
-def _check_report(data, path) -> dict:
-    """``data`` if it has ``report_payload``'s keys and numbers; ``ManifestError`` if not."""
-    if not isinstance(data, dict):
-        raise ManifestError(f"{path}: expected a report object")
-    missing = [key for key in REPORT_KEYS if key not in data]
-    unknown = sorted(set(data) - set(REPORT_KEYS) - set(TIMING_KEYS))
-    if missing or unknown:
-        raise ManifestError(f"{path}: not a satpose report (missing {missing}, unknown {unknown})")
-    for key, value in data.items():
-        # untimed values are finite; fps is inf when no wall time elapsed
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ManifestError(f"{path}: {key} must be a number, got {value!r}")
-        if key in REPORT_KEYS and not math.isfinite(value):
-            raise ManifestError(f"{path}: {key} must be finite, got {value!r}")
-    return data
-
-
 def _cmd_report(args) -> int:
-    payloads = [_check_report(read_json(path), path) for path in args.reports]
+    payloads = [load_report(path) for path in args.reports]
     if args.format == "csv":
         write_csv_reports(payloads, args.out)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payloads, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json_reports(payloads, args.out)
     print(f"merged {len(payloads)} reports into {args.out}")
     return EXIT_OK
 

@@ -1,10 +1,12 @@
-"""Data-file I/O: dataset manifests, wireframe files and train/test splitting.
+"""Data-file I/O: dataset manifests, wireframe files, settings and train/test splitting.
 
 This module is the one place that reads or writes satpose's JSON data
 files: manifests and wireframe files. Every JSON input, ``--config`` files
-and reports included, is read through :func:`read_json`, and every numeric
-array through one parser, so a malformed file raises :class:`ManifestError`
-naming the file or field; the CLI exits 2 on it.
+and reports included, is read through :func:`read_json` (:func:`read_object`
+when the top level must be an object), every numeric array through one
+parser, and every settings object (the manifest camera and each ``--config``
+section) through :func:`parse_settings`, so a malformed file raises
+:class:`ManifestError` naming the file or field; the CLI exits 2 on it.
 
 A manifest is one JSON document holding the camera, an optional wireframe
 file reference, and per-image records::
@@ -21,6 +23,10 @@ file reference, and per-image records::
          "pred_landmarks": [[nu, nv], ...]} # optional, ROI-normalized, null = dropped
       ]
     }
+
+The camera holds exactly the six :class:`CameraIntrinsics` fields. A relative
+wireframe reference is relative to the manifest file on disk and to the working
+directory in memory; loading and saving rebase it, and an absolute one stays.
 
 ``q`` is scalar-first. The convention flag says whether stored quaternions
 rotate body-frame vectors into the camera frame (``body_to_camera``, the
@@ -44,8 +50,10 @@ files work too, and ``python -m json.tool m.json`` prints one readably.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -104,7 +112,7 @@ def _field(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def check_numbers(values: list, where: str) -> None:
+def _check_numbers(values: list, where: str) -> None:
     """Raise unless every item is a finite JSON number (not a string or boolean).
 
     The rule for numbers read from JSON: manifest fields and config settings.
@@ -119,17 +127,29 @@ def check_numbers(values: list, where: str) -> None:
         raise ManifestError(f"{where}: values must be finite")
 
 
-def _parse_camera(data) -> CameraIntrinsics:
+def parse_settings(cls, data, where: str, **overrides):
+    """The JSON object ``data`` as the settings dataclass ``cls``; raises :class:`ManifestError`.
+
+    Keys must be fields of ``cls`` and values finite JSON numbers, passed on
+    as written. Every override that is not ``None`` (a command-line flag)
+    wins over ``data``; a field with no default must come from one of them.
+    """
     if not isinstance(data, dict):
-        raise ManifestError("camera: expected an object")
-    names = ("fx", "fy", "cx", "cy", "width", "height")
-    values = {name: _field(data, name, "camera") for name in names}
-    for name, value in values.items():
-        check_numbers([value], f"camera: {name}")
+        raise ManifestError(f"{where}: expected an object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
+    if unknown:
+        raise ManifestError(f"{where}: unknown keys {unknown}")
+    for key, value in data.items():
+        _check_numbers([value], f"{where}: {key}")
+    values = {**data, **{key: value for key, value in overrides.items() if value is not None}}
+    missing = [f.name for f in fields if f.name not in values and f.default is dataclasses.MISSING]
+    if missing:
+        raise ManifestError(f"{where}: missing fields {missing}")
     try:
-        return CameraIntrinsics(**{name: float(value) for name, value in values.items()})
-    except ValueError as exc:
-        raise ManifestError(f"camera: {exc}") from exc
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # TypeError: an int too large for numpy's checks
+        raise ManifestError(f"{where}: {exc}") from exc
 
 
 def _parse_numbers(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
@@ -151,7 +171,7 @@ def _parse_numbers(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
         wanted = str(shape).replace("-1", "K")
         raise ManifestError(f"{where}: expected shape {wanted}, got shape {arr.shape}")
     # the shape check made ``raw`` a flat list, or a list of flat lists
-    check_numbers(raw if arr.ndim == 1 else list(chain.from_iterable(raw)), where)
+    _check_numbers(raw if arr.ndim == 1 else list(chain.from_iterable(raw)), where)
     return arr
 
 
@@ -167,11 +187,8 @@ def _parse_quaternion(raw, where: str, convention: str) -> np.ndarray:
             ManifestWarning,
             stacklevel=3,
         )
-    if abs(norm - 1.0) > 1e-12:  # keep stored unit values bit-stable
-        q = q / norm
-    if convention == "camera_to_body":
-        q = quat_conjugate(q)
-    return q
+    # Pose divides by the same norm; conjugation commutes with that bit for bit
+    return quat_conjugate(q) if convention == "camera_to_body" else q
 
 
 def _parse_bbox(raw, where: str) -> BBox:
@@ -233,17 +250,30 @@ def read_json(path):
             raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_manifest(path) -> Manifest:
-    """Parse and validate a manifest file; raises :class:`ManifestError`."""
+def read_object(path) -> dict:
+    """The JSON object in the file at ``path``; :class:`ManifestError` for any other value."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ManifestError(f"{path}: top level must be an object")
+    return data
+
+
+def _rebase(ref: str | None, start, to) -> str | None:
+    """Relative ``ref``, read from directory ``start``, as seen from ``to`` (``""``: the cwd)."""
+    if not ref or os.path.isabs(ref):
+        return ref
+    return os.path.relpath(os.path.join(start, ref), to or os.curdir)
+
+
+def load_manifest(path) -> Manifest:
+    """Parse and validate a manifest file; raises :class:`ManifestError`."""
+    data = read_object(path)
     convention = data.get("attitude_convention", "body_to_camera")
     if convention not in CONVENTIONS:
         raise ManifestError(
             f"attitude_convention must be one of {CONVENTIONS}, got {convention!r}"
         )
-    camera = _parse_camera(_field(data, "camera", "manifest"))
+    camera = parse_settings(CameraIntrinsics, _field(data, "camera", "manifest"), "camera")
     raw_records = _field(data, "records", "manifest")
     if not isinstance(raw_records, list):
         raise ManifestError("records: expected a list")
@@ -251,6 +281,7 @@ def load_manifest(path) -> Manifest:
     wireframe = data.get("wireframe")
     if wireframe is not None and not isinstance(wireframe, str):
         raise ManifestError(f"wireframe: expected a file path string, got {wireframe!r}")
+    wireframe = _rebase(wireframe, os.path.dirname(path), "")
     return Manifest(camera=camera, records=records, wireframe=wireframe)
 
 
@@ -273,33 +304,28 @@ def _record_payload(record: SampleRecord) -> dict:
     return payload
 
 
-def _write_json(payload, path) -> None:
-    """Write ``payload`` as one line of JSON; floats keep full round-trip precision.
+def write_json(payload, path, **options) -> None:
+    """Write ``payload`` as JSON and a newline; floats keep full round-trip precision.
 
-    The payload is encoded before the file is opened, so a value that cannot
-    be encoded raises and leaves any existing file as it was.
+    ``options`` go to :func:`json.dumps`; with none, the file is one line
+    encoded by the C encoder. The payload is encoded before the file is
+    opened, so a value that cannot be encoded raises and leaves any existing
+    file as it was.
     """
-    text = json.dumps(payload)  # one-shot without indent: the C encoder
+    text = json.dumps(payload, **options)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def save_manifest(manifest: Manifest, path) -> None:
-    """Write a manifest as one line of JSON, by :func:`_write_json`'s rules."""
+    """Write a manifest as one line of JSON, by :func:`write_json`'s rules."""
     payload = {
-        "camera": {
-            "fx": manifest.camera.fx,
-            "fy": manifest.camera.fy,
-            "cx": manifest.camera.cx,
-            "cy": manifest.camera.cy,
-            "width": manifest.camera.width,
-            "height": manifest.camera.height,
-        },
-        "wireframe": manifest.wireframe,
+        "camera": vars(manifest.camera),  # the six fields in order, read back by parse_settings
+        "wireframe": _rebase(manifest.wireframe, "", os.path.dirname(path)),
         "attitude_convention": "body_to_camera",
         "records": [_record_payload(r) for r in manifest.records],
     }
-    _write_json(payload, path)
+    write_json(payload, path)
 
 
 def load_wireframe(path) -> WireframeModel:
@@ -307,9 +333,7 @@ def load_wireframe(path) -> WireframeModel:
 
     Collinear keypoints raise :class:`DegenerateGeometryError` from the model.
     """
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ManifestError(f"{path}: top level must be an object")
+    data = read_object(path)
     name = data.get("name", Path(path).stem)
     if not isinstance(name, str):
         raise ManifestError(f"{path}: field 'name' must be a string, got {name!r}")
@@ -323,8 +347,8 @@ def load_wireframe(path) -> WireframeModel:
 
 
 def save_wireframe(model: WireframeModel, path) -> None:
-    """Write a wireframe file as one line of JSON, by :func:`_write_json`'s rules."""
-    _write_json({"name": model.name, "keypoints": model.keypoints.tolist()}, path)
+    """Write a wireframe file as one line of JSON, by :func:`write_json`'s rules."""
+    write_json({"name": model.name, "keypoints": model.keypoints.tolist()}, path)
 
 
 def split_dataset(
@@ -342,7 +366,4 @@ def split_dataset(
     train_idx = set(rng.choice(n, size=n_train, replace=False).tolist())
     train = [r for i, r in enumerate(manifest.records) if i in train_idx]
     test = [r for i, r in enumerate(manifest.records) if i not in train_idx]
-    make = lambda recs: Manifest(  # noqa: E731
-        camera=manifest.camera, records=recs, wireframe=manifest.wireframe
-    )
-    return make(train), make(test)
+    return dataclasses.replace(manifest, records=train), dataclasses.replace(manifest, records=test)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import json
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -30,7 +30,7 @@ from .geometry import (
     project,
     whole_number,
 )
-from .manifest import Manifest, SampleRecord
+from .manifest import Manifest, SampleRecord, read_json, write_json
 from .metrics import AggregateReport, ImageScore, aggregate, image_score
 from .pnp import Correspondence, RansacConfig, lm_refine, ransac_pnp
 from .rng import MAX_SEED, derive_seed, stream
@@ -349,6 +349,24 @@ def report_payload(
     return payload
 
 
+def load_report(path) -> dict:
+    """The :func:`report_payload` in the file at ``path``; raises :class:`ManifestError`."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise ManifestError(f"{path}: expected a report object")
+    missing = [key for key in REPORT_KEYS if key not in data]
+    unknown = sorted(set(data) - set(REPORT_KEYS) - set(TIMING_KEYS))
+    if missing or unknown:
+        raise ManifestError(f"{path}: not a satpose report (missing {missing}, unknown {unknown})")
+    for key, value in data.items():
+        # untimed values are finite; fps is inf when no wall time elapsed
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ManifestError(f"{path}: {key} must be a number, got {value!r}")
+        if key in REPORT_KEYS and not math.isfinite(value):
+            raise ManifestError(f"{path}: {key} must be finite, got {value!r}")
+    return data
+
+
 def emit_report(
     report: AggregateReport,
     fmt: str,
@@ -361,11 +379,14 @@ def emit_report(
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     payload = report_payload(report, failures=failures, timing=timing)
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json_reports(payload, path)
     else:
         write_csv_reports([payload], path)
+
+
+def write_json_reports(payload, path) -> None:
+    """Write one report payload, or a list of them, as indented JSON with sorted keys."""
+    write_json(payload, path, indent=1, sort_keys=True)
 
 
 def write_csv_reports(payloads: list[dict], path) -> None:

@@ -7,19 +7,20 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from satpose import load_manifest, load_wireframe
+from satpose import load_manifest, load_wireframe, save_wireframe
 from satpose.cli import (
     _SECTIONS,
     EXIT_IO,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_SOLVER,
-    Config,
     _cmd_report,
+    _section,
     main,
+    read_config,
 )
 from satpose.errors import ManifestError
 from satpose.geometry import example_wireframe
@@ -154,7 +155,7 @@ UNDECODABLE = {
 # every JSON reader, called as a library function
 READERS = {
     "manifest": load_manifest,
-    "config": lambda path: Config.load(path, ("roi",)),
+    "config": lambda path: read_config(path, ("roi",)),
     "report": lambda path: _cmd_report(
         argparse.Namespace(reports=[path], format="csv", out=path.parent / "merged.csv")
     ),
@@ -586,8 +587,27 @@ def test_report_merges_timed_and_untimed(workspace):
     assert rows[0]["E"] == rows[1]["E"]
 
 
+CAMERA_FIELDS = [f.name for f in dataclasses.fields(_SECTIONS["camera"])]
+
+
+@st.composite
+def camera_objects(draw):
+    """The six camera fields as ints or floats, then maybe one key dropped, added or retyped."""
+    number = st.integers(1, 2000) | st.floats(1.0, 2000.0)
+    camera = {name: draw(number) for name in CAMERA_FIELDS}
+    change = draw(st.sampled_from(["none", "drop", "add", "retype"]))
+    key = draw(st.sampled_from(CAMERA_FIELDS))
+    if change == "drop":
+        del camera[key]
+    elif change == "add":
+        camera["k1"] = draw(number)
+    elif change == "retype":
+        camera[key] = draw(st.booleans() | st.text(max_size=4) | st.integers(2**64, 10**300))
+    return camera
+
+
 # per section: arbitrary JSON, objects whose keys are the section's fields,
-# and such objects with booleans among plausible numbers
+# and such objects with booleans among plausible numbers; drawn camera objects
 SECTION_INPUTS = {
     name: json_values
     | st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(cls)]), json_values)
@@ -595,18 +615,95 @@ SECTION_INPUTS = {
         st.sampled_from([f.name for f in dataclasses.fields(cls)]),
         st.booleans() | st.integers(0, 2000) | st.floats(0.0, 2000.0),
     )
+    | (camera_objects() if name == "camera" else st.nothing())
     for name, cls in _SECTIONS.items()
 }
 
 
-@pytest.mark.parametrize("name", sorted(_SECTIONS))
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_any_config_section_gives_its_dataclass_or_a_schema_error(name, data):
-    value = data.draw(SECTION_INPUTS[name])
+def _or_none(read):
+    """``read()``, or ``None`` when it raises a schema error."""
     try:
-        section = Config({name: value}).section(name)
+        return read()
     except ManifestError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(_SECTIONS))
+@settings(
+    max_examples=200, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_any_config_section_gives_its_dataclass_or_a_schema_error(tmp_path, name, data):
+    value = data.draw(SECTION_INPUTS[name])
+    section = _or_none(lambda: _section({name: value}, name))
+    if name == "camera":  # a manifest camera follows the same rule
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"camera": value, "records": []}))
+        assert _or_none(lambda: load_manifest(manifest).camera) == section
+    if section is None:
         return
     assert isinstance(section, _SECTIONS[name])
     assert not any(isinstance(v, bool) for v in value.values())  # a boolean is no number
+
+
+_CAMERA = {"fx": 2000, "fy": 2000, "cx": 640, "cy": 512, "width": 1280, "height": 1024}
+
+
+@pytest.mark.parametrize("reader", ["manifest", "config"])
+@pytest.mark.parametrize(
+    "camera, named",
+    [({**_CAMERA, "k1": 0.01}, r"camera: unknown keys \['k1'\]"),
+     ({k: v for k, v in _CAMERA.items() if k != "fx"}, r"camera: missing fields \['fx'\]")],
+    ids=["unknown-k1", "missing-fx"],
+)
+def test_camera_keys_are_exactly_the_six_fields(workspace, capsys, reader, camera, named):
+    tmp_path, labeled = workspace
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if reader == "manifest":
+        payload = json.loads(labeled.read_text())
+        payload["camera"] = camera
+        labeled.write_text(json.dumps(payload))
+        with pytest.raises(ManifestError, match=named):
+            load_manifest(labeled)
+        argv = ["generate-labels", "--manifest", str(labeled)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"camera": camera}))
+        argv = ["sample-poses", "--n", "2", "--config", str(cfg)]
+    assert main([*argv, "--out", str(out_dir / "o.json")]) == EXIT_SCHEMA
+    assert not any(out_dir.iterdir())
+    assert re.search(named, capsys.readouterr().err)
+
+
+def test_wireframe_references_follow_manifests_into_other_directories(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("models", "a", "b", "c"):
+        (tmp_path / name).mkdir()
+    save_wireframe(example_wireframe(), "models/w.json")
+    steps = [
+        ["sample-poses", "--n", "12", "--seed", "3", "--wireframe", "models/w.json",
+         "--out", "a/poses.json"],
+        ["generate-labels", "--manifest", "a/poses.json", "--out", "b/labeled.json"],
+        ["split", "--manifest", "b/labeled.json", "--train-fraction", "0.5", "--seed", "1",
+         "--out-train", "c/train.json", "--out-test", "a/test.json"],
+        ["run", "--manifest", "c/train.json", "--sigma", "1", "--outlier-rate", "0.1",
+         "--no-timing", "--dump-predictions", "a/pred.json", "--out", "b/run.json"],
+        ["run", "--manifest", "a/pred.json", "--provider", "file", "--no-timing",
+         "--out", "c/run.json"],
+    ]
+    for argv in steps:
+        assert main(argv) == EXIT_OK, argv
+    for path in ("a/poses.json", "b/labeled.json", "c/train.json", "a/pred.json"):
+        assert json.loads((tmp_path / path).read_text())["wireframe"] == "../models/w.json"
+    assert (tmp_path / "b/run.json").read_bytes() == (tmp_path / "c/run.json").read_bytes()
+    # the default wireframe file sits beside the manifest; an absolute reference stays absolute
+    absolute = str(tmp_path / "models" / "w.json")
+    for wireframe, stored in (None, "wireframe.json"), (absolute, absolute):
+        argv = ["sample-poses", "--n", "2", "--out", str(tmp_path / "c" / "m.json")]
+        assert main(argv + (["--wireframe", wireframe] if wireframe else [])) == EXIT_OK
+        assert json.loads((tmp_path / "c/m.json").read_text())["wireframe"] == stored
+        assert main(["generate-labels", "--manifest", "c/m.json", "--out", "b/m.json"]) == EXIT_OK
+        relabeled = json.loads((tmp_path / "b/m.json").read_text())["wireframe"]
+        assert relabeled == ("../c/wireframe.json" if wireframe is None else absolute)

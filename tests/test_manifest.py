@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import warnings
 
 import numpy as np
@@ -76,6 +77,14 @@ class TestRoundTrip:
         save_manifest(load_manifest(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_integer_camera_values_are_kept(self, tmp_path):
+        cam = CameraIntrinsics(fx=3000, fy=3000, cx=960, cy=600, width=1920, height=1200)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_manifest(make_manifest(cam, n=3), first)
+        save_manifest(load_manifest(first), second)
+        assert '"fx": 3000, ' in first.read_text()
+        assert first.read_bytes() == second.read_bytes()
+
     def test_failed_save_leaves_existing_file(self, cam, tmp_path):
         path = tmp_path / "m.json"
         save_manifest(make_manifest(cam, n=5, with_labels=True), path)
@@ -137,10 +146,15 @@ def manifests(draw):
     )
 
 
+def _resolved(wireframe: str | None) -> str | None:
+    """The file a wireframe reference names; empty and absent references stay as they are."""
+    return os.path.abspath(wireframe) if wireframe else wireframe
+
+
 def assert_same_manifest(a: Manifest, b: Manifest) -> None:
     """Equal camera, wireframe and records, every float to the bit."""
     assert a.camera == b.camera
-    assert a.wireframe == b.wireframe
+    assert _resolved(a.wireframe) == _resolved(b.wireframe)
     assert [r.id for r in a.records] == [r.id for r in b.records]
     for ra, rb in zip(a.records, b.records):
         np.testing.assert_array_equal(ra.pose_gt.position, rb.pose_gt.position)
