@@ -117,12 +117,13 @@ def _cmd_sample_poses(args) -> int:
         wireframe = example_wireframe()
         # beside the manifest, named from the working directory like any in-memory reference
         wf_path = os.path.relpath(os.path.join(os.path.dirname(args.out), "wireframe.json"))
-        save_wireframe(wireframe, wf_path)
 
     records = [
         SampleRecord(id=f"img{i:06d}", pose_gt=sample_pose(streams, sampler_cfg, cam, wireframe))
         for i in range(args.n)
     ]
+    if not args.wireframe:  # written only once sampling succeeded, like the manifest
+        save_wireframe(wireframe, wf_path)
     save_manifest(Manifest(camera=cam, records=records, wireframe=wf_path), args.out)
     print(f"wrote {args.n} poses to {args.out}")
     return EXIT_OK

@@ -21,6 +21,7 @@ belong to :mod:`satpose.manifest`; this module does no I/O.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +33,16 @@ MIN_PROJECTION_DEPTH = 1e-6  # metres
 _MAX_IMAGE_SIDE = 1 << 16  # pixels
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every value of a short array is finite; cheaper than numpy on a few values."""
+    return all(map(math.isfinite, values.tolist()))
+
+
 def _vec3(v, name: str = "vector") -> np.ndarray:
     out = np.array(v, dtype=float).reshape(-1)
     if out.shape != (3,):
         raise ValueError(f"{name} must have 3 components, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    if not _finite(out):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
 
@@ -45,7 +51,7 @@ def _quat(q, name: str = "quaternion") -> np.ndarray:
     out = np.array(q, dtype=float).reshape(-1)
     if out.shape != (4,):
         raise ValueError(f"{name} must have 4 components (w, x, y, z)")
-    if not np.isfinite(out).all():
+    if not _finite(out):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
 
@@ -118,7 +124,12 @@ def quat_rotate(q, v) -> np.ndarray:
 
 def quat_to_matrix(q) -> np.ndarray:
     """3x3 rotation matrix of a unit quaternion."""
-    w, x, y, z = quat_normalize(q).tolist()
+    return _unit_quat_matrix(quat_normalize(q))
+
+
+def _unit_quat_matrix(q: np.ndarray) -> np.ndarray:
+    """3x3 rotation matrix of a quaternion already unit to 1e-12, which normalizing keeps."""
+    w, x, y, z = q.tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -181,7 +192,7 @@ class Pose:
         object.__setattr__(self, "attitude", att)
 
     def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.attitude)
+        return _unit_quat_matrix(self.attitude)  # unit since construction
 
     def transform(self, points) -> np.ndarray:
         """Map body-frame point(s) into the camera frame."""
@@ -331,6 +342,14 @@ def bbox_from_points(points, cam: CameraIntrinsics) -> BBox:
         raise ValueError("points must have shape (N, 2)")
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
+    return clamp_box(xmin, ymin, xmax, ymax, cam)
+
+
+def clamp_box(xmin: float, ymin: float, xmax: float, ymax: float, cam: CameraIntrinsics) -> BBox:
+    """The box with these extents intersected with the image bounds.
+
+    Raises :class:`OutOfFrameError` when the box lies entirely outside the image.
+    """
     if xmax < 0 or ymax < 0 or xmin > cam.width or ymin > cam.height:
         raise OutOfFrameError(
             f"box ({xmin:.1f}, {ymin:.1f})-({xmax:.1f}, {ymax:.1f}) "

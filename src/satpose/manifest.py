@@ -46,6 +46,12 @@ A wireframe file holds the target model's ordered body-frame keypoints::
 Both kinds of file are written as compact one-line JSON, encoded in one pass
 by the C encoder of :mod:`json`. Any JSON whitespace loads, so hand-indented
 files work too, and ``python -m json.tool m.json`` prints one readably.
+
+Loading parses each numeric record field across every record that sets it:
+one number check over its flattened values and one array per field. A lone
+record, or a file where some record or field is malformed, is parsed one
+record at a time, and that parse alone words the error. Both give the same
+values and the same renormalization warnings, once per record in record order.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -175,18 +181,32 @@ def _parse_numbers(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
     return arr
 
 
+def _renormalizable(norm: float) -> bool:
+    """Whether a quaternion norm is neither (near) zero nor overflowing."""
+    return 1e-12 <= norm < np.inf
+
+
+def _off_unit(norm: float) -> bool:
+    """Whether a quaternion norm deviates enough from 1 to warn; every norm out of range does."""
+    return abs(norm - 1.0) > _QUAT_NORM_WARN
+
+
+def _warn_renormalized(norm, where: str) -> None:
+    warnings.warn(
+        f"{where}: quaternion norm deviates by {abs(norm - 1.0):.3g}; renormalizing",
+        ManifestWarning,
+        stacklevel=4,
+    )
+
+
 def _parse_quaternion(raw, where: str, convention: str) -> np.ndarray:
     q = _parse_numbers(raw, (4,), where)
     with np.errstate(over="ignore"):  # an overflowing norm is reported below
         norm = np.linalg.norm(q)
-    if not 1e-12 <= norm < np.inf:
+    if not _renormalizable(norm):
         raise ManifestError(f"{where}: quaternion norm {norm:.3g} is zero or overflows")
-    if abs(norm - 1.0) > _QUAT_NORM_WARN:
-        warnings.warn(
-            f"{where}: quaternion norm deviates by {abs(norm - 1.0):.3g}; renormalizing",
-            ManifestWarning,
-            stacklevel=3,
-        )
+    if _off_unit(norm):
+        _warn_renormalized(norm, where)
     # Pose divides by the same norm; conjugation commutes with that bit for bit
     return quat_conjugate(q) if convention == "camera_to_body" else q
 
@@ -236,6 +256,102 @@ def _parse_record(data: dict, index: int, convention: str) -> SampleRecord:
     return record
 
 
+def _stack_rows(rows: list, width: int) -> np.ndarray | None:
+    """``rows`` as one ``(len(rows), width)`` float array; None unless each is ``width`` numbers.
+
+    The numbers follow the rule of :func:`_check_numbers`.
+    """
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        return None
+    values = list(chain.from_iterable(rows))
+    try:
+        _check_numbers(values, "rows")
+    except ManifestError:
+        return None
+    # a flat list converts faster than nested ones, and each number to the same float
+    return np.array(values, dtype=float).reshape(len(rows), width)
+
+
+def _optional_field(raw: list[dict], key: str) -> tuple[list[int], list]:
+    """Indices of the records whose ``key`` is set and not null, and those values."""
+    index = [i for i, r in enumerate(raw) if r.get(key) is not None]
+    return index, [raw[i][key] for i in index]
+
+
+def _point_lists(lists: list) -> list[np.ndarray] | None:
+    """Each list of ``[u, v]`` points as a ``(K, 2)`` view of one stacked array, or None."""
+    if not all(type(points) is list for points in lists):
+        return None
+    stacked = _stack_rows(list(chain.from_iterable(lists)), 2)
+    if stacked is None:
+        return None
+    ends = accumulate(map(len, lists))
+    return [stacked[end - len(points) : end] for end, points in zip(ends, lists)]
+
+
+def _parse_records(raw: list, convention: str) -> list[SampleRecord] | None:
+    """Every record, each numeric field parsed across all records at once.
+
+    Returns None when any record or field is malformed, and the caller then
+    parses record by record with :func:`_parse_record`, which names the
+    fault. Otherwise values and :class:`ManifestWarning` texts are those of
+    :func:`_parse_record`, and the warnings come once per record in record
+    order.
+    """
+    if not all(type(r) is dict and type(r.get("id")) is str for r in raw):
+        return None
+    q = _stack_rows([r.get("q") for r in raw], 4)
+    t = _stack_rows([r.get("t") for r in raw], 3)
+    if q is None or t is None:
+        return None
+    # a (1, 4) @ (4, 1) product per row is the one BLAS dot product np.linalg.norm
+    # makes on that row, so each norm has its bits
+    with np.errstate(over="ignore"):  # an overflowing norm falls back, and is reported there
+        norms = np.sqrt(q[:, None, :] @ q[:, :, None]).ravel().tolist()
+    off_unit = [i for i, norm in enumerate(norms) if _off_unit(norm)]
+    if not all(_renormalizable(norms[i]) for i in off_unit):
+        return None
+    if convention == "camera_to_body":
+        q[:, 1:] *= -1.0  # quat_conjugate's negation, row by row
+    records = [
+        SampleRecord(id=r["id"], pose_gt=Pose(position=position, attitude=attitude))
+        for r, position, attitude in zip(raw, t, q)
+    ]
+
+    for key, attr in (("bbox", "bbox_gt"), ("pred_bbox", "bbox_pred")):
+        index, rows = _optional_field(raw, key)
+        values = _stack_rows(rows, 4)
+        if values is None:
+            return None
+        try:
+            for i, box in zip(index, values.tolist()):
+                setattr(records[i], attr, BBox(*box))
+        except ValueError:  # inverted extents
+            return None
+
+    index, rows = _optional_field(raw, "landmarks")
+    parsed = _point_lists(rows)
+    if parsed is None:
+        return None
+    for i, landmarks in zip(index, parsed):
+        records[i].landmarks_gt = landmarks
+
+    index, rows = _optional_field(raw, "pred_landmarks")
+    if not all(type(entries) is list for entries in rows):
+        return None
+    points = [[p for p in entries if p is not None] for entries in rows]
+    parsed = _point_lists(points)
+    if parsed is None:
+        return None
+    for i, entries, kept in zip(index, rows, parsed):
+        kept_rows = iter(kept)
+        records[i].landmarks_pred = [None if p is None else next(kept_rows) for p in entries]
+
+    for i in off_unit:
+        _warn_renormalized(norms[i], f"records[{i}]: field 'q'")
+    return records
+
+
 def read_json(path):
     """The JSON value in the file at ``path``.
 
@@ -277,7 +393,11 @@ def load_manifest(path) -> Manifest:
     raw_records = _field(data, "records", "manifest")
     if not isinstance(raw_records, list):
         raise ManifestError("records: expected a list")
-    records = [_parse_record(r, i, convention) for i, r in enumerate(raw_records)]
+    records = None
+    if len(raw_records) > 1:  # one record has nothing to stack, and parses faster alone
+        records = _parse_records(raw_records, convention)
+    if records is None:  # or a malformed field: parsing record by record names the first
+        records = [_parse_record(r, i, convention) for i, r in enumerate(raw_records)]
     wireframe = data.get("wireframe")
     if wireframe is not None and not isinstance(wireframe, str):
         raise ManifestError(f"wireframe: expected a file path string, got {wireframe!r}")

@@ -20,16 +20,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientLandmarksError, ManifestError, SatposeError
+from .errors import BehindCameraError, InsufficientLandmarksError, ManifestError, SatposeError
 from .geometry import (
+    MIN_PROJECTION_DEPTH,
     CameraIntrinsics,
     WireframeModel,
-    bbox_from_points,
+    clamp_box,
     denormalize_landmarks,
     normalize_landmarks,
-    project,
+    pinhole,
     whole_number,
 )
+
+# not called here: bench/tracing.py wraps this name as the geometry.project layer
+from .geometry import project  # noqa: F401
 from .manifest import Manifest, SampleRecord, read_json, write_json
 from .metrics import AggregateReport, ImageScore, aggregate, image_score
 from .pnp import Correspondence, RansacConfig, lm_refine, ransac_pnp
@@ -105,18 +109,39 @@ def generate_labels(
     projects behind the camera or fully out of frame are collected as
     ``(record id, reason)`` rejects, the shape of
     :attr:`PipelineRun.failures`; the run continues with the rest.
+
+    All records are projected in one stacked pass: one transform, depth test
+    and pinhole over ``(N, K)`` points. Each record's landmarks, box and
+    reject reason have the bits and text of :func:`project` followed by
+    :func:`bbox_from_points` on that record alone.
     """
     cam = manifest.camera
+    n, k = len(manifest.records), wireframe.count
+    rot = np.array([r.pose_gt.rotation_matrix() for r in manifest.records]).reshape(n, 3, 3)
+    position = np.array([r.pose_gt.position for r in manifest.records]).reshape(n, 1, 3)
+    cam_pts = wireframe.keypoints @ rot.transpose(0, 2, 1) + position  # (N, K, 3)
+    z = cam_pts[..., 2]
+    behind = z <= MIN_PROJECTION_DEPTH
+    landmarks = np.empty((n, k, 2))
+    # rejected rows divide by the cut instead, so every row stays finite
+    landmarks[..., 0], landmarks[..., 1] = pinhole(
+        cam_pts[..., 0], cam_pts[..., 1], np.maximum(z, MIN_PROJECTION_DEPTH), cam
+    )
+    lows, highs = landmarks.min(axis=1).tolist(), landmarks.max(axis=1).tolist()
     labeled: list[SampleRecord] = []
     rejects: list[tuple[str, str]] = []
-    for record in manifest.records:
+    for i, (record, low, high, rejected) in enumerate(
+        zip(manifest.records, lows, highs, behind.any(axis=1).tolist())
+    ):
         try:
-            landmarks = project(record.pose_gt, cam, wireframe.keypoints)
-            bbox = bbox_from_points(landmarks, cam)
+            if rejected:
+                first = int(behind[i].argmax())
+                raise BehindCameraError(first, float(z[i, first]))
+            bbox = clamp_box(*low, *high, cam)
         except SatposeError as exc:
             rejects.append((record.id, str(exc)))
             continue
-        labeled.append(replace(record, landmarks_gt=landmarks, bbox_gt=bbox))
+        labeled.append(replace(record, landmarks_gt=landmarks[i], bbox_gt=bbox))
     return (
         Manifest(camera=cam, records=labeled, wireframe=manifest.wireframe),
         rejects,
@@ -328,6 +353,7 @@ _STAT_FIELDS = ("e_t_m", "e_t_norm", "e_q_deg")
 _STATS = ("mean", "std", "median")
 REPORT_KEYS = ("n", "failures", "E") + tuple(f"{f}_{s}" for f in _STAT_FIELDS for s in _STATS)
 TIMING_KEYS = ("fps", "detection_ms", "landmarks_ms", "pnp_ms", "ransac_ms", "refine_ms")
+_COUNT_KEYS = {"n": 1, "failures": 0}  # report counts and their least values
 
 
 def report_payload(
@@ -364,6 +390,11 @@ def load_report(path) -> dict:
             raise ManifestError(f"{path}: {key} must be a number, got {value!r}")
         if key in REPORT_KEYS and not math.isfinite(value):
             raise ManifestError(f"{path}: {key} must be finite, got {value!r}")
+    for key, least in _COUNT_KEYS.items():  # a report counts at least one record
+        try:
+            whole_number(data[key], key, least)
+        except ValueError as exc:
+            raise ManifestError(f"{path}: {exc}") from exc
     return data
 
 

@@ -9,8 +9,9 @@ bound keeps its meaning. ``iterations_used`` counts every hypothesis scored,
 the all-point one included, and ``max_iterations`` caps that count.
 
 Minimal samples are drawn without replacement from a seeded Philox stream,
-solved in chunks of up to 16 by one stacked EPnP call and scored together by
-per-point reprojection error. Results are taken in order, all-point
+which is built when the first one is drawn, so clean data builds none. They
+are solved in chunks of up to 16 by one stacked EPnP call and scored together
+by per-point reprojection error. Results are taken in order, all-point
 hypothesis first, then draw order; a later hypothesis replaces the best only
 with more inliers, or as many at a lower inlier RMS. Hypotheses drawn past
 the stop are discarded and not counted. The returned pose is the winning
@@ -92,7 +93,7 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
         raise ValueError(f"need at least min_sample={cfg.min_sample} correspondences, got {n}")
     image, world = split_correspondences(corrs)
 
-    rng = stream(cfg.seed, "ransac")
+    rng = None  # built at the first random sample: a full all-point consensus draws none
     best_mask: np.ndarray | None = None
     best_rot = best_t = None
     best_count = 0
@@ -103,6 +104,8 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
 
     while iterations < required:
         if iterations:
+            if rng is None:
+                rng = stream(cfg.seed, "ransac")
             samples = np.array(
                 [
                     rng.choice(n, size=cfg.min_sample, replace=False)

@@ -9,10 +9,9 @@ the image when it overhangs a border. The image size is the camera's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:  # geometry imports this module
     from .geometry import CameraIntrinsics
@@ -30,7 +29,7 @@ class BBox:
     def __post_init__(self):
         for name in ("xmin", "ymin", "xmax", "ymax"):
             value = float(getattr(self, name))
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"BBox.{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
         if self.xmin > self.xmax or self.ymin > self.ymax:

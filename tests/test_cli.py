@@ -258,6 +258,16 @@ def test_sample_count_must_be_positive(tmp_path, n, code):
     assert any(out_dir.iterdir()) == (code == EXIT_OK)
 
 
+def test_failed_sampling_writes_nothing(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampler": {"max_rejects": 1, "in_frame_margin": 5000}}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["sample-poses", "--n", "3", "--config", str(cfg), "--out", str(out_dir / "m.json")]
+    assert main(argv) == EXIT_SOLVER  # no pose fits in the inset frame
+    assert not any(out_dir.iterdir())  # neither the manifest nor the default wireframe file
+
+
 def test_io_error_exit_code(workspace):
     tmp_path, labeled = workspace
     code = main(
@@ -570,6 +580,24 @@ def test_report_rejects_bad_values_and_unknown_keys(workspace):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**payload, key: value}))
         assert main(["report", str(bad), "--out", str(tmp_path / "m.csv")]) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n", 2.5), ("n", 0), ("failures", -3), ("failures", 1.5)]
+)
+def test_report_counts_are_whole_numbers(workspace, capsys, key, value):
+    tmp_path, labeled = workspace
+    good = tmp_path / "good.json"
+    argv = ["run", "--manifest", str(labeled), "--no-timing", "--out", str(good)]
+    assert main(argv) == EXIT_OK
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(good.read_text()), key: value}))
+    merged = tmp_path / "merged.csv"
+    capsys.readouterr()
+    assert main(["report", str(good), str(bad), "--out", str(merged)]) == EXIT_SCHEMA
+    assert not merged.exists()
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"{key} must be a whole number" in err
 
 
 def test_report_merges_timed_and_untimed(workspace):

@@ -4,10 +4,11 @@ import copy
 import json
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from satpose import (
@@ -20,6 +21,7 @@ from satpose import (
     save_manifest,
     split_dataset,
 )
+from satpose import manifest as manifest_module
 from satpose.errors import ManifestError
 from satpose.geometry import quat_conjugate
 from satpose.manifest import ManifestWarning
@@ -151,24 +153,28 @@ def _resolved(wireframe: str | None) -> str | None:
     return os.path.abspath(wireframe) if wireframe else wireframe
 
 
+def assert_same_bits(a, b) -> None:
+    """Equal shapes and float bits (signed zeros told apart); ``None`` only equals ``None``."""
+    assert (a is None) == (b is None)
+    if a is not None:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def assert_same_manifest(a: Manifest, b: Manifest) -> None:
     """Equal camera, wireframe and records, every float to the bit."""
     assert a.camera == b.camera
     assert _resolved(a.wireframe) == _resolved(b.wireframe)
     assert [r.id for r in a.records] == [r.id for r in b.records]
     for ra, rb in zip(a.records, b.records):
-        np.testing.assert_array_equal(ra.pose_gt.position, rb.pose_gt.position)
-        np.testing.assert_array_equal(ra.pose_gt.attitude, rb.pose_gt.attitude)
-        assert ra.bbox_gt == rb.bbox_gt
-        assert ra.bbox_pred == rb.bbox_pred
-        assert (ra.landmarks_gt is None) == (rb.landmarks_gt is None)
-        if ra.landmarks_gt is not None:
-            np.testing.assert_array_equal(ra.landmarks_gt, rb.landmarks_gt)
+        assert_same_bits(ra.pose_gt.position, rb.pose_gt.position)
+        assert_same_bits(ra.pose_gt.attitude, rb.pose_gt.attitude)
+        for box_a, box_b in ((ra.bbox_gt, rb.bbox_gt), (ra.bbox_pred, rb.bbox_pred)):
+            assert_same_bits(box_a and box_a.as_list(), box_b and box_b.as_list())
+        assert_same_bits(ra.landmarks_gt, rb.landmarks_gt)
         assert (ra.landmarks_pred is None) == (rb.landmarks_pred is None)
         for pa, pb in zip(ra.landmarks_pred or [], rb.landmarks_pred or [], strict=True):
-            assert (pa is None) == (pb is None)
-            if pa is not None:
-                np.testing.assert_array_equal(pa, pb)
+            assert_same_bits(pa, pb)
 
 
 roundtrip_settings = settings(
@@ -320,7 +326,8 @@ class TestSchemaErrors:
             load_manifest(self.write(tmp_path, payload))
 
 
-# a manifest that sets every field, for the mutations below
+# a manifest that sets every field, for the mutations below; each optional
+# field is set on some records and null or missing on others
 FULL_PAYLOAD = {
     "camera": {"fx": 3000.0, "fy": 3000.0, "cx": 960.0, "cy": 600.0,
                "width": 1920, "height": 1200},
@@ -330,8 +337,16 @@ FULL_PAYLOAD = {
         {"id": "a", "q": [0.8, 0.6, 0.0, 0.0], "t": [0.5, 0.0, 40.0],
          "bbox": [100.0, 90.0, 400.0, 390.0], "landmarks": [[120.0, 100.0], [300.0, 250.0]],
          "pred_bbox": [101.0, 91.0, 401.0, 391.0], "pred_landmarks": [[0.1, 0.2], None]},
+        {"id": "b", "q": [2.0, 0.0, -0.0, 1e-3], "t": [-0.0, 1, 55.25],
+         "bbox": None, "landmarks": [[5, 6.5]], "pred_landmarks": [None, [1, 0.75], [0.5, 0]]},
+        {"id": "c", "q": [0.5, -0.5, 0.5, -0.5], "t": [2.0, -1.5, 36.0],
+         "bbox": [0, 0, 1920, 1200], "landmarks": [], "pred_bbox": None, "pred_landmarks": None},
     ],
 }
+
+
+# finite numbers keep most numeric fields valid, so loads get past the first record
+json_numbers = st.integers(-(10**6), 10**6) | st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _paths(node, prefix=()):
@@ -347,6 +362,7 @@ def _paths(node, prefix=()):
 
 @st.composite
 def mutated_payloads(draw):
+    """FULL_PAYLOAD with one to three values deleted, replaced, or replaced by a number."""
     payload = copy.deepcopy(FULL_PAYLOAD)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(payload))))
@@ -355,11 +371,29 @@ def mutated_payloads(draw):
         parent = payload
         for key in path[:-1]:
             parent = parent[key]
-        if draw(st.booleans()):
+        change = draw(st.sampled_from(["delete", "value", "number", "number", "number"]))
+        if change == "delete":
             del parent[path[-1]]
         else:
-            parent[path[-1]] = draw(json_values)
+            parent[path[-1]] = draw(json_values if change == "value" else json_numbers)
     return payload
+
+
+def load_record_by_record(path) -> Manifest:
+    """``load_manifest`` parsing one record at a time: the reference for its stacked parse."""
+    with mock.patch.object(manifest_module, "_parse_records", lambda raw, convention: None):
+        return load_manifest(path)
+
+
+def load_outcome(load, path):
+    """The manifest ``load`` reads from ``path`` or its error text, and its warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(path)
+        except ManifestError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 class TestMutatedManifests:
@@ -368,15 +402,20 @@ class TestMutatedManifests:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(payload=mutated_payloads())
+    @example(payload=FULL_PAYLOAD)  # camera_to_body, with one off-unit quaternion
+    @example(payload={**FULL_PAYLOAD, "attitude_convention": "body_to_camera"})
+    @example(payload={**FULL_PAYLOAD, "records": []})
     def test_load_raises_only_manifest_errors(self, tmp_path, payload):
+        # and loads what the record-by-record parse loads, with the same warnings
         path = tmp_path / "m.json"
         path.write_text(json.dumps(payload))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ManifestWarning)
-            try:
-                load_manifest(path)
-            except ManifestError:
-                pass
+        stacked, stacked_warnings = load_outcome(load_manifest, path)
+        reference, reference_warnings = load_outcome(load_record_by_record, path)
+        assert stacked_warnings == reference_warnings
+        if isinstance(reference, str):
+            assert stacked == reference
+        else:
+            assert_same_manifest(stacked, reference)
 
 
 class TestQuaternionPolicy:

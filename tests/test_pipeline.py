@@ -1,5 +1,6 @@
 """Label generation, noise oracle, and end-to-end pipeline tests."""
 
+import functools
 import hashlib
 import json
 import time
@@ -7,8 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpose import (
+    DEFAULT_CAMERA,
     BBox,
     FileProvider,
     Manifest,
@@ -18,16 +22,19 @@ from satpose import (
     RansacConfig,
     RoiConfig,
     SampleRecord,
+    bbox_from_points,
     emit_report,
     epnp,
+    example_wireframe,
     generate_labels,
     load_manifest,
     oracle_landmarks,
+    project,
     run_pipeline,
     save_manifest,
 )
 from satpose import pipeline
-from satpose.errors import ConsensusFailureError, InsufficientLandmarksError
+from satpose.errors import ConsensusFailureError, InsufficientLandmarksError, SatposeError
 from satpose.geometry import denormalize_landmarks
 from satpose.metrics import image_score
 from satpose.pipeline import _solve_record, report_payload
@@ -45,6 +52,29 @@ def sampled_manifest(cam, wireframe, n, seed=0) -> Manifest:
         for i in range(n)
     ]
     return Manifest(camera=cam, records=records)
+
+
+SAMPLED_RECORDS = 40
+
+# pose edits that reach each label outcome: behind the camera, some points
+# behind it, fully out of frame, and partly out of frame (a clamped box)
+POSE_MOVES = {
+    "keep": lambda t: t,
+    "behind": lambda t: t * [1.0, 1.0, -1.0],
+    "straddle": lambda t: [t[0], t[1], 0.5],
+    "out": lambda t: t + [60.0, 0.0, 0.0],
+    "edge": lambda t: t + [0.0, -0.25 * t[2], 0.0],
+}
+
+
+@functools.cache
+def sampled_poses(seed) -> Manifest:
+    """Poses from the default sampler, camera and wireframe: those of the fixtures."""
+    streams = SampleStreams(seed)
+    cfg, wireframe = PoseSamplerConfig(), example_wireframe()
+    poses = [sample_pose(streams, cfg, DEFAULT_CAMERA, wireframe) for _ in range(SAMPLED_RECORDS)]
+    records = [SampleRecord(id=f"img{i:06d}", pose_gt=pose) for i, pose in enumerate(poses)]
+    return Manifest(camera=DEFAULT_CAMERA, records=records)
 
 
 @pytest.fixture()
@@ -84,6 +114,32 @@ class TestGenerateLabels:
         labeled, rejects = generate_labels(manifest, wireframe)
         assert [r.id for r in labeled.records] == ["good"]
         assert len(rejects) == 1 and rejects[0][0] == "bad"
+
+    @pytest.mark.parametrize("seed", [3, 1001])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(moves=st.lists(st.sampled_from(sorted(POSE_MOVES)), max_size=SAMPLED_RECORDS))
+    def test_stacked_labels_equal_one_record_projections(self, cam, wireframe, seed, moves):
+        manifest = sampled_poses(seed)
+        records = [
+            replace(r, pose_gt=Pose(POSE_MOVES[move](r.pose_gt.position), r.pose_gt.attitude))
+            for r, move in zip(manifest.records, moves)
+        ] + manifest.records[len(moves):]
+        labeled, rejects = generate_labels(replace(manifest, records=records), wireframe)
+
+        kept, reasons = [], []
+        for record in records:  # the reference: one record at a time
+            try:
+                landmarks = project(record.pose_gt, cam, wireframe.keypoints)
+                kept.append((record, landmarks, bbox_from_points(landmarks, cam)))
+            except SatposeError as exc:
+                reasons.append((record.id, str(exc)))
+        assert rejects == reasons
+        assert [r.id for r in labeled.records] == [record.id for record, _, _ in kept]
+        for got, (record, landmarks, bbox) in zip(labeled.records, kept):
+            assert got.pose_gt is record.pose_gt
+            assert got.landmarks_gt.shape == landmarks.shape
+            assert got.landmarks_gt.tobytes() == landmarks.tobytes()
+            assert np.array(got.bbox_gt.as_list()).tobytes() == np.array(bbox.as_list()).tobytes()
 
 
 class TestOracleLandmarks:

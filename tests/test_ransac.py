@@ -100,6 +100,18 @@ def test_returned_rms_and_mask_belong_to_returned_pose(cam, wireframe, make_case
         assert abs(result.rms_reprojection - rms) < 1e-9
 
 
+def count_streams(monkeypatch) -> list:
+    """Record the labels of every stream ``ransac_pnp`` builds."""
+    built = []
+
+    def counted(seed, *labels):
+        built.append(labels)
+        return stream(seed, *labels)
+
+    monkeypatch.setattr(robust, "stream", counted)
+    return built
+
+
 def test_adaptive_stop_on_clean_data(cam, wireframe, make_case, monkeypatch):
     _, corrs = make_case(19)
     rows = []
@@ -109,14 +121,19 @@ def test_adaptive_stop_on_clean_data(cam, wireframe, make_case, monkeypatch):
         return epnp_stack(image, world, cam)
 
     monkeypatch.setattr(robust, "epnp_stack", counted)
+    streams = count_streams(monkeypatch)
     result = ransac_pnp(corrs, cam, RansacConfig(seed=8, max_iterations=1000))
     assert result.iterations_used == 1  # the all-point hypothesis ends the loop
     assert rows == [(1, len(corrs))]  # one kernel call, one row over all n points
+    assert streams == []  # nothing was drawn, so no random stream was built
 
 
-def test_all_point_hypothesis_does_not_count_toward_the_samples(cam, wireframe, make_case):
+def test_all_point_hypothesis_does_not_count_toward_the_samples(
+    cam, wireframe, make_case, monkeypatch
+):
     # one 15 px outlier: the all-point hypothesis keeps the other n - 1 points,
     # and the stopping rule still asks for its full count of random samples
+    streams = count_streams(monkeypatch)
     for seed in range(5):
         _, corrs = make_case(1400 + seed, noise_sigma=0.5)
         n = len(corrs)
@@ -135,6 +152,7 @@ def test_all_point_hypothesis_does_not_count_toward_the_samples(cam, wireframe, 
         assert samples > 1
         assert result.iterations_used == 1 + samples
         np.testing.assert_array_equal(result.inlier_mask, first)
+        assert streams == [("ransac",)] * (seed + 1)  # one stream per call that draws
 
 
 def test_degenerate_hypotheses_are_counted(cam):
