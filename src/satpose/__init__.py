@@ -12,6 +12,7 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientLandmarksError,
     ManifestError,
+    NoScoredRecordsError,
     NoValidPoseError,
     NumericalFailureError,
     OutOfFrameError,

@@ -17,7 +17,8 @@ key outside the command's sections is refused. Each section is built by
 follows: only the section's fields, each a finite JSON number. A manifest
 written to another directory than its input gets its wireframe reference
 rebased by :func:`satpose.manifest.save_manifest`. Exit codes: 0 success,
-2 schema error, 3 solver failure rate above the limit, 4 I/O error.
+2 schema error, 3 solver failure (a failure rate above the limit, no record
+scored, or no pose sampled), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -310,12 +311,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, ValueError) as exc:
+    except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except SatposeError as exc:
+    except SatposeError as exc:  # before ValueError: a run with no scored record is both
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -54,5 +54,12 @@ class SamplingFailureError(SatposeError):
     """Rejection sampling exhausted its retry budget."""
 
 
+class NoScoredRecordsError(SatposeError, ValueError):
+    """Every record of a run failed, so there is no score to report.
+
+    It is a ``ValueError`` too, for callers that treat such a run as bad input.
+    """
+
+
 class ManifestError(SatposeError):
     """A dataset manifest violates the expected schema."""

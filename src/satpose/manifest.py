@@ -47,11 +47,9 @@ Both kinds of file are written as compact one-line JSON, encoded in one pass
 by the C encoder of :mod:`json`. Any JSON whitespace loads, so hand-indented
 files work too, and ``python -m json.tool m.json`` prints one readably.
 
-Loading parses each numeric record field across every record that sets it:
-one number check over its flattened values and one array per field. A lone
-record, or a file where some record or field is malformed, is parsed one
-record at a time, and that parse alone words the error. Both give the same
-values and the same renormalization warnings, once per record in record order.
+Loading parses one record at a time, in file order, so renormalization
+warnings come once per record in record order and an error names the first
+faulty record and field.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -107,9 +105,13 @@ class Manifest:
     wireframe: str | None = None
 
     def __post_init__(self):
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise ManifestError("record ids must be unique within a manifest")
+        seen = set()
+        for record in self.records:
+            if record.id in seen:
+                raise ManifestError(
+                    f"record ids must be unique within a manifest; {record.id!r} repeats"
+                )
+            seen.add(record.id)
 
 
 def _field(mapping: dict, key: str, where: str):
@@ -181,40 +183,51 @@ def _parse_numbers(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
     return arr
 
 
-def _renormalizable(norm: float) -> bool:
-    """Whether a quaternion norm is neither (near) zero nor overflowing."""
-    return 1e-12 <= norm < np.inf
+def _numbers(raw, shape: tuple[int, ...], where: str) -> list:
+    """The numbers of ``raw`` in one flat list; ``shape`` is as for :func:`_parse_numbers`.
 
-
-def _off_unit(norm: float) -> bool:
-    """Whether a quaternion norm deviates enough from 1 to warn; every norm out of range does."""
-    return abs(norm - 1.0) > _QUAT_NORM_WARN
-
-
-def _warn_renormalized(norm, where: str) -> None:
-    warnings.warn(
-        f"{where}: quaternion norm deviates by {abs(norm - 1.0):.3g}; renormalizing",
-        ManifestWarning,
-        stacklevel=4,
-    )
+    A list of that structure whose values pass :func:`_check_numbers` is
+    taken as it stands, with no numpy call. Anything else goes through
+    :func:`_parse_numbers`, which raises :class:`ManifestError` naming the fault.
+    """
+    flat = None
+    if type(raw) is list and shape[0] in (-1, len(raw)):
+        if len(shape) == 1:
+            flat = raw
+        elif set(map(type, raw)) <= {list} and set(map(len, raw)) <= {shape[1]}:
+            flat = list(chain.from_iterable(raw))
+    if flat is not None:
+        try:
+            _check_numbers(flat, where)
+        except ManifestError:
+            pass  # _parse_numbers words the fault
+        else:
+            return flat
+    return _parse_numbers(raw, shape, where).ravel().tolist()
 
 
 def _parse_quaternion(raw, where: str, convention: str) -> np.ndarray:
-    q = _parse_numbers(raw, (4,), where)
-    with np.errstate(over="ignore"):  # an overflowing norm is reported below
-        norm = np.linalg.norm(q)
-    if not _renormalizable(norm):
+    """``raw`` as a body-to-camera quaternion, not yet normalized; warns when off unit norm.
+
+    Call it with numpy's overflow warning off: an overflowing norm raises here.
+    """
+    q = np.array(_numbers(raw, (4,), where), dtype=float)
+    norm = math.sqrt(q.dot(q))  # np.linalg.norm's arithmetic, to the bit
+    if not 1e-12 <= norm < math.inf:
         raise ManifestError(f"{where}: quaternion norm {norm:.3g} is zero or overflows")
-    if _off_unit(norm):
-        _warn_renormalized(norm, where)
+    if abs(norm - 1.0) > _QUAT_NORM_WARN:
+        warnings.warn(
+            f"{where}: quaternion norm deviates by {abs(norm - 1.0):.3g}; renormalizing",
+            ManifestWarning,
+            stacklevel=4,  # the caller of load_manifest
+        )
     # Pose divides by the same norm; conjugation commutes with that bit for bit
     return quat_conjugate(q) if convention == "camera_to_body" else q
 
 
 def _parse_bbox(raw, where: str) -> BBox:
-    values = _parse_numbers(raw, (4,), where).tolist()
     try:
-        return BBox(*values)
+        return BBox(*_numbers(raw, (4,), where))
     except ValueError as exc:
         raise ManifestError(f"{where}: {exc}") from exc
 
@@ -222,13 +235,10 @@ def _parse_bbox(raw, where: str) -> BBox:
 def _parse_pred_landmarks(raw, where: str) -> list[np.ndarray | None]:
     if not isinstance(raw, list):
         raise ManifestError(f"{where}: expected a list")
-    out: list[np.ndarray | None] = []
-    for k, entry in enumerate(raw):
-        if entry is None:
-            out.append(None)
-        else:
-            out.append(_parse_numbers(entry, (2,), f"{where}[{k}]"))
-    return out
+    return [
+        None if entry is None else np.array(_numbers(entry, (2,), f"{where}[{k}]"), dtype=float)
+        for k, entry in enumerate(raw)
+    ]
 
 
 def _parse_record(data: dict, index: int, convention: str) -> SampleRecord:
@@ -239,14 +249,13 @@ def _parse_record(data: dict, index: int, convention: str) -> SampleRecord:
     if not isinstance(rec_id, str):
         raise ManifestError(f"{where}: field 'id' must be a string, got {rec_id!r}")
     q = _parse_quaternion(_field(data, "q", where), f"{where}: field 'q'", convention)
-    t = _parse_numbers(_field(data, "t", where), (3,), f"{where}: field 't'")
+    t = _numbers(_field(data, "t", where), (3,), f"{where}: field 't'")
     record = SampleRecord(id=rec_id, pose_gt=Pose(position=t, attitude=q))
     if data.get("bbox") is not None:
         record.bbox_gt = _parse_bbox(data["bbox"], f"{where}: field 'bbox'")
     if data.get("landmarks") is not None:
-        record.landmarks_gt = _parse_numbers(
-            data["landmarks"], (-1, 2), f"{where}: field 'landmarks'"
-        )
+        flat = _numbers(data["landmarks"], (-1, 2), f"{where}: field 'landmarks'")
+        record.landmarks_gt = np.array(flat, dtype=float).reshape(-1, 2)
     if data.get("pred_bbox") is not None:
         record.bbox_pred = _parse_bbox(data["pred_bbox"], f"{where}: field 'pred_bbox'")
     if data.get("pred_landmarks") is not None:
@@ -254,102 +263,6 @@ def _parse_record(data: dict, index: int, convention: str) -> SampleRecord:
             data["pred_landmarks"], f"{where}: field 'pred_landmarks'"
         )
     return record
-
-
-def _stack_rows(rows: list, width: int) -> np.ndarray | None:
-    """``rows`` as one ``(len(rows), width)`` float array; None unless each is ``width`` numbers.
-
-    The numbers follow the rule of :func:`_check_numbers`.
-    """
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
-        return None
-    values = list(chain.from_iterable(rows))
-    try:
-        _check_numbers(values, "rows")
-    except ManifestError:
-        return None
-    # a flat list converts faster than nested ones, and each number to the same float
-    return np.array(values, dtype=float).reshape(len(rows), width)
-
-
-def _optional_field(raw: list[dict], key: str) -> tuple[list[int], list]:
-    """Indices of the records whose ``key`` is set and not null, and those values."""
-    index = [i for i, r in enumerate(raw) if r.get(key) is not None]
-    return index, [raw[i][key] for i in index]
-
-
-def _point_lists(lists: list) -> list[np.ndarray] | None:
-    """Each list of ``[u, v]`` points as a ``(K, 2)`` view of one stacked array, or None."""
-    if not all(type(points) is list for points in lists):
-        return None
-    stacked = _stack_rows(list(chain.from_iterable(lists)), 2)
-    if stacked is None:
-        return None
-    ends = accumulate(map(len, lists))
-    return [stacked[end - len(points) : end] for end, points in zip(ends, lists)]
-
-
-def _parse_records(raw: list, convention: str) -> list[SampleRecord] | None:
-    """Every record, each numeric field parsed across all records at once.
-
-    Returns None when any record or field is malformed, and the caller then
-    parses record by record with :func:`_parse_record`, which names the
-    fault. Otherwise values and :class:`ManifestWarning` texts are those of
-    :func:`_parse_record`, and the warnings come once per record in record
-    order.
-    """
-    if not all(type(r) is dict and type(r.get("id")) is str for r in raw):
-        return None
-    q = _stack_rows([r.get("q") for r in raw], 4)
-    t = _stack_rows([r.get("t") for r in raw], 3)
-    if q is None or t is None:
-        return None
-    # a (1, 4) @ (4, 1) product per row is the one BLAS dot product np.linalg.norm
-    # makes on that row, so each norm has its bits
-    with np.errstate(over="ignore"):  # an overflowing norm falls back, and is reported there
-        norms = np.sqrt(q[:, None, :] @ q[:, :, None]).ravel().tolist()
-    off_unit = [i for i, norm in enumerate(norms) if _off_unit(norm)]
-    if not all(_renormalizable(norms[i]) for i in off_unit):
-        return None
-    if convention == "camera_to_body":
-        q[:, 1:] *= -1.0  # quat_conjugate's negation, row by row
-    records = [
-        SampleRecord(id=r["id"], pose_gt=Pose(position=position, attitude=attitude))
-        for r, position, attitude in zip(raw, t, q)
-    ]
-
-    for key, attr in (("bbox", "bbox_gt"), ("pred_bbox", "bbox_pred")):
-        index, rows = _optional_field(raw, key)
-        values = _stack_rows(rows, 4)
-        if values is None:
-            return None
-        try:
-            for i, box in zip(index, values.tolist()):
-                setattr(records[i], attr, BBox(*box))
-        except ValueError:  # inverted extents
-            return None
-
-    index, rows = _optional_field(raw, "landmarks")
-    parsed = _point_lists(rows)
-    if parsed is None:
-        return None
-    for i, landmarks in zip(index, parsed):
-        records[i].landmarks_gt = landmarks
-
-    index, rows = _optional_field(raw, "pred_landmarks")
-    if not all(type(entries) is list for entries in rows):
-        return None
-    points = [[p for p in entries if p is not None] for entries in rows]
-    parsed = _point_lists(points)
-    if parsed is None:
-        return None
-    for i, entries, kept in zip(index, rows, parsed):
-        kept_rows = iter(kept)
-        records[i].landmarks_pred = [None if p is None else next(kept_rows) for p in entries]
-
-    for i in off_unit:
-        _warn_renormalized(norms[i], f"records[{i}]: field 'q'")
-    return records
 
 
 def read_json(path):
@@ -393,11 +306,11 @@ def load_manifest(path) -> Manifest:
     raw_records = _field(data, "records", "manifest")
     if not isinstance(raw_records, list):
         raise ManifestError("records: expected a list")
-    records = None
-    if len(raw_records) > 1:  # one record has nothing to stack, and parses faster alone
-        records = _parse_records(raw_records, convention)
-    if records is None:  # or a malformed field: parsing record by record names the first
-        records = [_parse_record(r, i, convention) for i, r in enumerate(raw_records)]
+    records = []
+    with np.errstate(over="ignore"):  # an overflowing quaternion norm raises ManifestError
+        # a plain loop, not a comprehension, so warnings skip the same frames on every Python
+        for i, r in enumerate(raw_records):
+            records.append(_parse_record(r, i, convention))
     wireframe = data.get("wireframe")
     if wireframe is not None and not isinstance(wireframe, str):
         raise ManifestError(f"wireframe: expected a file path string, got {wireframe!r}")

@@ -20,7 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BehindCameraError, InsufficientLandmarksError, ManifestError, SatposeError
+from .errors import (
+    BehindCameraError,
+    InsufficientLandmarksError,
+    ManifestError,
+    NoScoredRecordsError,
+    SatposeError,
+)
 from .geometry import (
     MIN_PROJECTION_DEPTH,
     CameraIntrinsics,
@@ -294,7 +300,8 @@ def run_pipeline(
 
     ROIs fit the manifest camera's image. Per-record satpose failures
     (:class:`SatposeError`) become failure entries and are excluded from the
-    aggregate; scored + failed always equals the manifest size. Any other
+    aggregate; scored + failed always equals the manifest size, and a run
+    with no scored record raises :class:`NoScoredRecordsError`. Any other
     exception, from a provider, numpy or a bug, propagates. With
     ``record_predictions`` the provider outputs, of failed records too, are
     written back into a copy of the manifest, which a :class:`FileProvider`
@@ -326,7 +333,7 @@ def run_pipeline(
     total_s = time.perf_counter() - start
 
     if not scores:
-        raise ValueError(
+        raise NoScoredRecordsError(
             f"no record could be scored ({len(failures)} failures); "
             f"first: {failures[0][1] if failures else 'n/a'}"
         )

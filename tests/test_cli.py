@@ -233,6 +233,18 @@ def test_failure_rate_exit_code(workspace):
     assert code == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("rate", ["0.5", "1"])
+def test_no_scored_record_is_a_solver_error(workspace, capsys, rate):
+    tmp_path, labeled = workspace
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = main(["run", "--manifest", str(labeled), "--dropout-rate", "1",
+                 "--max-failure-rate", rate, "--out", str(out_dir / "r.json")])
+    assert code == EXIT_SOLVER
+    assert "solver error: no record could be scored (25 failures)" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("source", ["flag"])  # the flag is the rate's one source
 @pytest.mark.parametrize("rate, code", [
     ("nan", EXIT_SCHEMA), ("-1", EXIT_SCHEMA), ("1.5", EXIT_SCHEMA), ("inf", EXIT_SCHEMA),

@@ -4,7 +4,6 @@ import copy
 import json
 import os
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from satpose import (
     save_manifest,
     split_dataset,
 )
-from satpose import manifest as manifest_module
 from satpose.errors import ManifestError
 from satpose.geometry import quat_conjugate
 from satpose.manifest import ManifestWarning
@@ -257,6 +255,34 @@ class TestSchemaErrors:
         with pytest.raises(ManifestError, match="unique"):
             load_manifest(self.write(tmp_path, payload))
 
+    def test_duplicate_ids_name_the_first_repeat(self, cam):
+        pose = Pose([0, 0, 40], [1, 0, 0, 0])
+        ids = ["a", "b", "c", "b", "a"]
+        with pytest.raises(ManifestError, match="unique.*'b' repeats"):
+            Manifest(camera=cam, records=[SampleRecord(id=i, pose_gt=pose) for i in ids])
+
+    def test_first_faulty_record_is_named(self, cam, tmp_path):
+        payload = self.base_payload(cam)
+        record = payload["records"][0]
+        payload["records"] = [dict(record, id=name) for name in "abc"]
+        payload["records"][0]["landmarks"] = [[1, 2], [3]]
+        payload["records"][2]["q"] = [0, 0, 0, 0]
+        with pytest.raises(ManifestError, match=r"^records\[0\]: field 'landmarks'"):
+            load_manifest(self.write(tmp_path, payload))
+
+    def test_warnings_of_earlier_records_come_before_the_error(self, cam, tmp_path):
+        payload = self.base_payload(cam)
+        record = payload["records"][0]
+        payload["records"] = [dict(record, id="a", q=[2, 0, 0, 0]), dict(record, id="b", t=[0, 0])]
+        path = self.write(tmp_path, payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ManifestError, match=r"^records\[1\]: field 't'"):
+                load_manifest(path)
+        assert [str(w.message) for w in caught] == [
+            "records[0]: field 'q': quaternion norm deviates by 1; renormalizing"
+        ]
+
     def test_invalid_json_reported(self, cam, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
@@ -288,8 +314,10 @@ class TestSchemaErrors:
     def test_overflowing_quaternion_norm_rejected(self, cam, tmp_path):
         payload = self.base_payload(cam)
         payload["records"][0]["q"] = [1e300, 1e300, 0, 0]
-        with pytest.raises(ManifestError, match=r"records\[0\].*overflows"):
-            load_manifest(self.write(tmp_path, payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warning stays off
+            with pytest.raises(ManifestError, match=r"records\[0\].*overflows"):
+                load_manifest(self.write(tmp_path, payload))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -319,6 +347,28 @@ class TestSchemaErrors:
         with pytest.raises(ManifestError, match=named):
             load_manifest(self.write(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "field, value, fault",
+        [
+            ("t", [0, 0, 10**400], "not numeric"),
+            ("t", [0, 0, "abc"], "not numeric"),
+            ("t", [0, 0, "40"], "values must be JSON numbers"),
+            ("t", [0, 0, float("inf")], "values must be finite"),
+            ("t", [0, 0], "expected shape (3,), got shape (2,)"),
+            ("q", [[1, 0, 0, 0]], "expected shape (4,), got shape (1, 4)"),
+            ("bbox", [0, 0, 1, None], "values must be JSON numbers"),
+            ("landmarks", [[1, 2], [3]], "not numeric"),
+            ("landmarks", [[1, 2, 3]], "expected shape (K, 2), got shape (1, 3)"),
+            ("landmarks", 5, "expected shape (K, 2), got shape ()"),
+        ],
+    )
+    def test_number_faults_keep_their_wording(self, cam, tmp_path, field, value, fault):
+        payload = self.base_payload(cam)
+        payload["records"][0][field] = value
+        with pytest.raises(ManifestError) as caught:
+            load_manifest(self.write(tmp_path, payload))
+        assert str(caught.value) == f"records[0]: field '{field}': {fault}"
+
     def test_non_string_wireframe_rejected(self, cam, tmp_path):
         payload = self.base_payload(cam)
         payload["wireframe"] = 5
@@ -342,6 +392,13 @@ FULL_PAYLOAD = {
         {"id": "c", "q": [0.5, -0.5, 0.5, -0.5], "t": [2.0, -1.5, 36.0],
          "bbox": [0, 0, 1920, 1200], "landmarks": [], "pred_bbox": None, "pred_landmarks": None},
     ],
+}
+
+
+# a record whose numbers are all JSON integers
+INTEGER_RECORD = {
+    "id": "i", "q": [1, 0, 0, 0], "t": [0, 0, 40], "bbox": [1, 2, 3, 4], "landmarks": [[1, 2]],
+    "pred_bbox": [0, 0, 5, 5], "pred_landmarks": [[0, 1], None],
 }
 
 
@@ -379,23 +436,6 @@ def mutated_payloads(draw):
     return payload
 
 
-def load_record_by_record(path) -> Manifest:
-    """``load_manifest`` parsing one record at a time: the reference for its stacked parse."""
-    with mock.patch.object(manifest_module, "_parse_records", lambda raw, convention: None):
-        return load_manifest(path)
-
-
-def load_outcome(load, path):
-    """The manifest ``load`` reads from ``path`` or its error text, and its warning texts."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = load(path)
-        except ManifestError as exc:
-            result = str(exc)
-    return result, [(w.category, str(w.message)) for w in caught]
-
-
 class TestMutatedManifests:
     @settings(
         max_examples=200, deadline=None, derandomize=True,
@@ -405,17 +445,23 @@ class TestMutatedManifests:
     @example(payload=FULL_PAYLOAD)  # camera_to_body, with one off-unit quaternion
     @example(payload={**FULL_PAYLOAD, "attitude_convention": "body_to_camera"})
     @example(payload={**FULL_PAYLOAD, "records": []})
+    @example(payload={**FULL_PAYLOAD, "records": [INTEGER_RECORD]})
     def test_load_raises_only_manifest_errors(self, tmp_path, payload):
-        # and loads what the record-by-record parse loads, with the same warnings
-        path = tmp_path / "m.json"
+        # and a manifest that loads saves and reloads bit for bit
+        path, saved = tmp_path / "m.json", tmp_path / "saved.json"
         path.write_text(json.dumps(payload))
-        stacked, stacked_warnings = load_outcome(load_manifest, path)
-        reference, reference_warnings = load_outcome(load_record_by_record, path)
-        assert stacked_warnings == reference_warnings
-        if isinstance(reference, str):
-            assert stacked == reference
-        else:
-            assert_same_manifest(stacked, reference)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ManifestWarning)
+            try:
+                loaded = load_manifest(path)
+            except ManifestError:
+                return
+        for record in loaded.records:  # integers in the file load as floats
+            arrays = [record.pose_gt.position, record.pose_gt.attitude, record.landmarks_gt]
+            arrays += record.landmarks_pred or []
+            assert all(a.dtype == np.float64 for a in arrays if a is not None)
+        save_manifest(loaded, saved)
+        assert_same_manifest(load_manifest(saved), loaded)
 
 
 class TestQuaternionPolicy:
@@ -427,6 +473,17 @@ class TestQuaternionPolicy:
         with pytest.warns(ManifestWarning):
             manifest = load_manifest(path)
         np.testing.assert_array_equal(manifest.records[0].pose_gt.attitude, [1, 0, 0, 0])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_warning_points_at_the_caller(self, cam, tmp_path, n):
+        payload = TestSchemaErrors().base_payload(cam)
+        record = dict(payload["records"][0], q=[2.0, 0.0, 0.0, 0.0])
+        payload["records"] = [dict(record, id=str(i)) for i in range(n)]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.warns(ManifestWarning) as caught:
+            load_manifest(path)
+        assert [w.filename for w in caught] == [__file__] * n
 
     def test_tiny_deviation_passes_silently(self, cam, tmp_path, recwarn):
         payload = TestSchemaErrors().base_payload(cam)

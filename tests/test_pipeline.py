@@ -34,7 +34,12 @@ from satpose import (
     save_manifest,
 )
 from satpose import pipeline
-from satpose.errors import ConsensusFailureError, InsufficientLandmarksError, SatposeError
+from satpose.errors import (
+    ConsensusFailureError,
+    InsufficientLandmarksError,
+    NoScoredRecordsError,
+    SatposeError,
+)
 from satpose.geometry import denormalize_landmarks
 from satpose.metrics import image_score
 from satpose.pipeline import _solve_record, report_payload
@@ -342,6 +347,12 @@ class TestRunPipeline:
     def test_empty_manifest_rejected(self, cam, wireframe):
         with pytest.raises(ValueError):
             run_pipeline(Manifest(camera=cam, records=[]), OracleProvider(NoiseModel()), wireframe)
+
+    def test_run_with_no_scored_record_raises(self, labeled, wireframe):
+        provider = OracleProvider(NoiseModel(dropout_rate=1.0))
+        with pytest.raises(NoScoredRecordsError, match=r"no record could be scored"):
+            run_pipeline(labeled, provider, wireframe)
+        assert issubclass(NoScoredRecordsError, ValueError)  # callers that catch ValueError
 
     def test_scores_do_not_depend_on_record_order(self, labeled, wireframe):
         noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, seed=41)
