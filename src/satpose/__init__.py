@@ -30,7 +30,6 @@ from .geometry import (
     normalize_landmarks,
     project,
     quat_multiply,
-    quat_rotate,
 )
 from .manifest import (
     Manifest,
@@ -43,11 +42,9 @@ from .manifest import (
 )
 from .metrics import (
     AggregateReport,
-    DetectionMetrics,
     ImageScore,
     aggregate,
     attitude_error,
-    detection_metrics,
     image_score,
     position_error,
 )
@@ -56,7 +53,6 @@ from .pipeline import (
     NoiseModel,
     OracleProvider,
     TimingReport,
-    emit_report,
     generate_labels,
     oracle_landmarks,
     run_pipeline,

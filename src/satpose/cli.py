@@ -16,7 +16,9 @@ key outside the command's sections is refused. Each section is built by
 :func:`satpose.manifest.parse_settings`, the rule the manifest camera
 follows: only the section's fields, each a finite JSON number. A manifest
 written to another directory than its input gets its wireframe reference
-rebased by :func:`satpose.manifest.save_manifest`. Exit codes: 0 success,
+rebased by :func:`satpose.manifest.save_manifest`. ``run`` and ``report``
+write their report files through :func:`satpose.pipeline.write_report`, a
+run's object or a list of merged ones. Exit codes: 0 success,
 2 schema error, 3 solver failure (a failure rate above the limit, no record
 scored, or no pose sampled), 4 I/O error.
 """
@@ -51,12 +53,11 @@ from .pipeline import (
     FileProvider,
     NoiseModel,
     OracleProvider,
-    emit_report,
     generate_labels,
     load_report,
+    report_payload,
     run_pipeline,
-    write_csv_reports,
-    write_json_reports,
+    write_report,
 )
 from .pnp import RansacConfig, triangulate
 from .roi import RoiConfig
@@ -190,7 +191,8 @@ def _cmd_run(args) -> int:
         save_manifest(run.predicted, args.dump_predictions)
 
     timing = None if args.no_timing else run.timing
-    emit_report(run.report, args.format, args.out, failures=len(run.failures), timing=timing)
+    payload = report_payload(run.report, failures=len(run.failures), timing=timing)
+    write_report(payload, args.format, args.out)
 
     n = len(manifest.records)
     failure_rate = len(run.failures) / n
@@ -231,10 +233,7 @@ def _cmd_triangulate(args) -> int:
 
 def _cmd_report(args) -> int:
     payloads = [load_report(path) for path in args.reports]
-    if args.format == "csv":
-        write_csv_reports(payloads, args.out)
-    else:
-        write_json_reports(payloads, args.out)
+    write_report(payloads, args.format, args.out)
     print(f"merged {len(payloads)} reports into {args.out}")
     return EXIT_OK
 

@@ -117,11 +117,6 @@ def quat_from_rotvec(rotvec) -> np.ndarray:
     return np.concatenate([[np.cos(0.5 * angle)], np.sin(0.5 * angle) * rv / angle])
 
 
-def quat_rotate(q, v) -> np.ndarray:
-    """Rotate vector(s) by quaternion q; accepts (3,) or (N, 3)."""
-    return np.asarray(v, dtype=float) @ quat_to_matrix(q).T
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """3x3 rotation matrix of a unit quaternion."""
     return _unit_quat_matrix(quat_normalize(q))
@@ -196,7 +191,7 @@ class Pose:
 
     def transform(self, points) -> np.ndarray:
         """Map body-frame point(s) into the camera frame."""
-        return quat_rotate(self.attitude, points) + self.position
+        return np.asarray(points, dtype=float) @ self.rotation_matrix().T + self.position
 
 
 @dataclass(frozen=True)

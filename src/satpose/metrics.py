@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, _quat, _vec3
-from .roi import BBox, RoiConfig, contains, iou, make_roi
+from .geometry import Pose, _quat, _vec3
 
 _UNIT_INPUT_TOL = 1e-6
 
@@ -60,15 +59,6 @@ class AggregateReport:
     def e(self) -> float:
         """Dataset pose error E = mean per-image score."""
         return self.score.mean
-
-
-@dataclass(frozen=True)
-class DetectionMetrics:
-    """Detector quality: raw IoU statistics plus ROI containment accuracy."""
-
-    iou_mean: float
-    iou_median: float
-    roi_accuracy: float  # percentage in [0, 100]
 
 
 def position_error(t_gt, t_est) -> tuple[float, float]:
@@ -141,25 +131,4 @@ def aggregate(scores) -> AggregateReport:
         e_q_rad=_stats(e_q),
         e_q_deg=_stats(np.degrees(e_q)),
         score=_stats(total),
-    )
-
-
-def detection_metrics(
-    pred: list[BBox], gt: list[BBox], roi_cfg: RoiConfig, cam: CameraIntrinsics
-) -> DetectionMetrics:
-    """IoU statistics of raw predictions plus ROI containment accuracy.
-
-    ROI accuracy is the percentage of pairs where the ground-truth box is
-    contained in the crop :func:`make_roi` builds from the prediction.
-    """
-    if len(pred) != len(gt):
-        raise ValueError(f"length mismatch: {len(pred)} predictions vs {len(gt)} truths")
-    if not pred:
-        raise ValueError("need at least one box pair")
-    ious = np.array([iou(p, g) for p, g in zip(pred, gt)])
-    contained = np.array([contains(make_roi(p, roi_cfg, cam), g) for p, g in zip(pred, gt)])
-    return DetectionMetrics(
-        iou_mean=float(ious.mean()),
-        iou_median=float(np.median(ious)),
-        roi_accuracy=100.0 * float(contained.mean()),
     )

@@ -7,7 +7,8 @@ solving: RANSAC over EPnP hypotheses (all points first, then minimal
 samples) picks the consensus set and a starting pose, and LM refinement is
 the one fit over all of those inliers. A noise-model provider stands in for
 the regression network so the geometric stages can be driven and measured
-without any learned components.
+without any learned components. One :func:`write_report` writes every report
+file, a run's payload or a merged list of them, as JSON or CSV.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma_px >= 0:  # NaN fails
-            raise ValueError("sigma_px must be >= 0")
+        # each guard states what is valid, so a NaN setting fails it
+        if not 0.0 <= self.sigma_px < math.inf:
+            raise ValueError("sigma_px must be finite and >= 0")
         for name in ("outlier_rate", "dropout_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -191,8 +193,6 @@ def oracle_landmarks(record: SampleRecord, noise: NoiseModel) -> list[np.ndarray
 class OracleProvider:
     """Landmark provider backed by :func:`oracle_landmarks`."""
 
-    name = "oracle"
-
     def __init__(self, noise: NoiseModel):
         self.noise = noise
 
@@ -206,8 +206,6 @@ class OracleProvider:
 
 class FileProvider:
     """Landmark provider reading ``pred_landmarks`` already in the manifest."""
-
-    name = "file"
 
     def landmarks(self, record: SampleRecord, roi: BBox) -> list[np.ndarray | None]:
         if record.landmarks_pred is None:
@@ -368,7 +366,7 @@ def report_payload(
     failures: int = 0,
     timing: TimingReport | None = None,
 ) -> dict:
-    """Flat metric dictionary shared by the JSON and CSV emitters.
+    """Flat metric dictionary that :func:`write_report` writes as JSON or CSV.
 
     Attitude columns are degrees, position columns metres; timing fields are
     only present when a timing report is supplied (wall time is not seeded,
@@ -405,39 +403,26 @@ def load_report(path) -> dict:
     return data
 
 
-def emit_report(
-    report: AggregateReport,
-    fmt: str,
-    path,
-    failures: int = 0,
-    timing: TimingReport | None = None,
-) -> None:
-    """Write the aggregate as JSON or a one-row CSV with identical values."""
+def write_report(payload, fmt: str, path) -> None:
+    """Write a :func:`report_payload`, or a list of them, as JSON or CSV.
+
+    JSON writes ``payload`` as given, indented with sorted keys. CSV writes one
+    row per payload, columns in first-seen order; cells use repr so values
+    match the JSON.
+    """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    payload = report_payload(report, failures=failures, timing=timing)
     if fmt == "json":
-        write_json_reports(payload, path)
-    else:
-        write_csv_reports([payload], path)
-
-
-def write_json_reports(payload, path) -> None:
-    """Write one report payload, or a list of them, as indented JSON with sorted keys."""
-    write_json(payload, path, indent=1, sort_keys=True)
-
-
-def write_csv_reports(payloads: list[dict], path) -> None:
-    """CSV with one row per run; cells use repr so values match the JSON."""
-    if not payloads:
-        raise ValueError("no report payloads to write")
+        write_json(payload, path, indent=1, sort_keys=True)
+        return
+    payloads = [payload] if isinstance(payload, dict) else payload
     columns: list[str] = []
-    for payload in payloads:
-        for key in payload:
+    for row in payloads:
+        for key in row:
             if key not in columns:
                 columns.append(key)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for payload in payloads:
-            writer.writerow([repr(payload[c]) if c in payload else "" for c in columns])
+        for row in payloads:
+            writer.writerow([repr(row[c]) if c in row else "" for c in columns])

@@ -50,10 +50,6 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
-
     def as_list(self) -> list[float]:
         """Serialize as [xmin, ymin, xmax, ymax] (the manifest wire order)."""
         return [self.xmin, self.ymin, self.xmax, self.ymax]

@@ -51,7 +51,6 @@ class SampleStreams:
     """Named per-field Philox streams for one sampling run."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
         self.distance = stream(seed, "distance")
         self.offset = stream(seed, "offset")
         self.attitude = stream(seed, "attitude")

@@ -245,6 +245,17 @@ def test_no_scored_record_is_a_solver_error(workspace, capsys, rate):
     assert not any(out_dir.iterdir())
 
 
+def test_infinite_sigma_is_a_schema_error(workspace, capsys):
+    tmp_path, labeled = workspace
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = main(["run", "--manifest", str(labeled), "--sigma", "inf",
+                 "--out", str(out_dir / "r.json")])
+    assert code == EXIT_SCHEMA
+    assert not any(out_dir.iterdir())
+    assert "sigma_px must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source", ["flag"])  # the flag is the rate's one source
 @pytest.mark.parametrize("rate, code", [
     ("nan", EXIT_SCHEMA), ("-1", EXIT_SCHEMA), ("1.5", EXIT_SCHEMA), ("inf", EXIT_SCHEMA),

@@ -1,15 +1,12 @@
-"""Scoring, aggregation, and detection-metric tests."""
+"""Scoring and aggregation tests."""
 
 import numpy as np
 import pytest
 
 from satpose import (
-    BBox,
     ImageScore,
-    RoiConfig,
     aggregate,
     attitude_error,
-    detection_metrics,
     image_score,
     position_error,
 )
@@ -132,29 +129,3 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([])
 
-
-class TestDetectionMetrics:
-    CFG = RoiConfig()
-
-    def test_perfect_predictions(self, cam):
-        boxes = [BBox(100, 100, 300, 280), BBox(700, 500, 900, 640)]
-        result = detection_metrics(boxes, boxes, self.CFG, cam)
-        assert result.iou_mean == 1.0
-        assert result.iou_median == 1.0
-        assert result.roi_accuracy == 100.0
-
-    def test_all_disjoint(self, cam):
-        pred = [BBox(0, 0, 10, 10), BBox(0, 0, 10, 10)]
-        gt = [BBox(900, 900, 1000, 1000), BBox(500, 500, 600, 600)]
-        result = detection_metrics(pred, gt, self.CFG, cam)
-        assert result.iou_mean == 0.0
-        assert result.roi_accuracy == 0.0
-
-    def test_report_field_names(self, cam):
-        boxes = [BBox(100, 100, 300, 280)]
-        result = detection_metrics(boxes, boxes, self.CFG, cam)
-        assert set(vars(result)) == {"iou_mean", "iou_median", "roi_accuracy"}
-
-    def test_length_mismatch_rejected(self, cam):
-        with pytest.raises(ValueError):
-            detection_metrics([BBox(0, 0, 1, 1)], [], self.CFG, cam)

@@ -23,7 +23,6 @@ from satpose import (
     RoiConfig,
     SampleRecord,
     bbox_from_points,
-    emit_report,
     epnp,
     example_wireframe,
     generate_labels,
@@ -42,7 +41,7 @@ from satpose.errors import (
 )
 from satpose.geometry import denormalize_landmarks
 from satpose.metrics import image_score
-from satpose.pipeline import _solve_record, report_payload
+from satpose.pipeline import _solve_record, report_payload, write_report
 from satpose.pnp import Correspondence, lm_refine, ransac_pnp
 from satpose.rng import MAX_SEED, derive_seed, stream
 from satpose.roi import make_roi
@@ -96,7 +95,7 @@ class TestGenerateLabels:
         labeled, rejects = generate_labels(manifest, wireframe)
         assert not rejects
         box = labeled.records[0].bbox_gt
-        center = box.center
+        center = (0.5 * (box.xmin + box.xmax), 0.5 * (box.ymin + box.ymax))
         assert abs(center[0] - cam.cx) < 1.0 and abs(center[1] - cam.cy) < 1.0
 
     def test_landmark_count_matches_wireframe(self, labeled, wireframe):
@@ -185,6 +184,13 @@ class TestOracleLandmarks:
         record = labeled.records[3]
         out = oracle_landmarks(record, NoiseModel(dropout_rate=1.0, seed=3))
         assert all(p is None for p in out)
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("sigma", [-1.0, float("-inf"), float("inf"), float("nan")])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="sigma_px"):
+            NoiseModel(sigma_px=sigma)
 
 
 class TestRunPipeline:
@@ -427,8 +433,9 @@ class TestEmitReport:
         run = run_pipeline(labeled, OracleProvider(NoiseModel()), wireframe)
         json_path = tmp_path / "report.json"
         csv_path = tmp_path / "report.csv"
-        emit_report(run.report, "json", json_path, failures=0, timing=run.timing)
-        emit_report(run.report, "csv", csv_path, failures=0, timing=run.timing)
+        written = report_payload(run.report, failures=0, timing=run.timing)
+        write_report(written, "json", json_path)
+        write_report(written, "csv", csv_path)
 
         payload = json.loads(json_path.read_text())
         header, row = csv_path.read_text().strip().split("\n")
@@ -447,7 +454,7 @@ class TestEmitReport:
     def test_unknown_format_rejected(self, labeled, wireframe, tmp_path):
         run = run_pipeline(labeled, OracleProvider(NoiseModel()), wireframe)
         with pytest.raises(ValueError):
-            emit_report(run.report, "xml", tmp_path / "r.xml")
+            write_report(report_payload(run.report), "xml", tmp_path / "r.xml")
 
 
 def test_derive_seed_packs_unsigned():
