@@ -143,27 +143,28 @@ def quat_from_matrix(rot) -> np.ndarray:
     m = np.asarray(rot, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("rotation matrix must be 3x3")
-    t = np.trace(m)
-    candidates = [t, m[0, 0], m[1, 1], m[2, 2]]
-    case = int(np.argmax(candidates))
+    t = float(np.trace(m))  # numpy's summation order, not Python's
+    # Python floats round as numpy scalars do; the pick is np.argmax's: the
+    # first maximum, and a NaN trace (any NaN on the diagonal) wins
+    e = m.tolist()
+    candidates = [t, e[0][0], e[1][1], e[2][2]]
+    case = candidates.index(max(candidates))
     if case == 0:
-        r = np.sqrt(1.0 + t)
+        r = math.sqrt(1.0 + t)
         s = 0.5 / r
-        q = np.array(
-            [0.5 * r, (m[2, 1] - m[1, 2]) * s, (m[0, 2] - m[2, 0]) * s, (m[1, 0] - m[0, 1]) * s]
-        )
+        q = [0.5 * r, (e[2][1] - e[1][2]) * s, (e[0][2] - e[2][0]) * s, (e[1][0] - e[0][1]) * s]
     else:
         i = case - 1
         j, k = (i + 1) % 3, (i + 2) % 3
-        r = np.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+        r = math.sqrt(1.0 + e[i][i] - e[j][j] - e[k][k])
         s = 0.5 / r
-        q = np.empty(4)
-        q[0] = (m[k, j] - m[j, k]) * s
+        q = [0.0] * 4
+        q[0] = (e[k][j] - e[j][k]) * s
         q[1 + i] = 0.5 * r
-        q[1 + j] = (m[j, i] + m[i, j]) * s
-        q[1 + k] = (m[k, i] + m[i, k]) * s
+        q[1 + j] = (e[j][i] + e[i][j]) * s
+        q[1 + k] = (e[k][i] + e[i][k]) * s
     if q[0] < 0:
-        q = -q
+        q = [-v for v in q]
     return quat_normalize(q)
 
 
@@ -294,10 +295,13 @@ def camera_to_pixels(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
     or below ``MIN_PROJECTION_DEPTH``.
     """
     z = cam_pts[:, 2]
-    bad = np.nonzero(z <= MIN_PROJECTION_DEPTH)[0]
-    if bad.size:
-        raise BehindCameraError(int(bad[0]), float(z[bad[0]]))
-    return np.column_stack(pinhole(cam_pts[:, 0], cam_pts[:, 1], z, cam))
+    behind = z <= MIN_PROJECTION_DEPTH
+    if behind.any():
+        first = int(behind.argmax())
+        raise BehindCameraError(first, float(z[first]))
+    uv = np.empty((len(cam_pts), 2))
+    uv[:, 0], uv[:, 1] = pinhole(cam_pts[:, 0], cam_pts[:, 1], z, cam)
+    return uv
 
 
 def pinhole_jacobian(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, _quat, _vec3
+from .geometry import Pose, _norm, _quat, _vec3
 
 _UNIT_INPUT_TOL = 1e-6
 
@@ -63,12 +63,15 @@ class AggregateReport:
 
 def position_error(t_gt, t_est) -> tuple[float, float]:
     """Euclidean position error and its value normalized by |t_gt|."""
-    gt = _vec3(t_gt, "t_gt")
-    est = _vec3(t_est, "t_est")
-    gt_norm = np.linalg.norm(gt)
+    return _position_error(_vec3(t_gt, "t_gt"), _vec3(t_est, "t_est"))
+
+
+def _position_error(gt: np.ndarray, est: np.ndarray) -> tuple[float, float]:
+    """:func:`position_error` of checked (3,) arrays."""
+    gt_norm = _norm(gt)
     if gt_norm <= 0:
         raise ValueError("ground-truth position has zero norm")
-    e_t = float(np.linalg.norm(gt - est))
+    e_t = float(_norm(gt - est))
     return e_t, e_t / gt_norm
 
 
@@ -83,18 +86,27 @@ def attitude_error(q_gt, q_est) -> float:
     gt = _quat(q_gt, "q_gt")
     est = _quat(q_est, "q_est")
     for name, q in (("q_gt", gt), ("q_est", est)):
-        if abs(np.linalg.norm(q) - 1.0) > _UNIT_INPUT_TOL:
-            raise ValueError(f"{name} must be unit norm, |q|={np.linalg.norm(q):.9g}")
-    dot = abs(float(np.dot(gt, est)))
+        if abs(_norm(q) - 1.0) > _UNIT_INPUT_TOL:
+            raise ValueError(f"{name} must be unit norm, |q|={_norm(q):.9g}")
+    return _attitude_error(gt, est)
+
+
+def _attitude_error(gt: np.ndarray, est: np.ndarray) -> float:
+    """:func:`attitude_error` of checked unit (4,) arrays."""
+    dot = abs(float(gt.dot(est)))
     if dot >= 1.0 - 1e-12:
         return 0.0
     return 2.0 * np.arccos(dot)
 
 
 def image_score(gt: Pose, est: Pose) -> ImageScore:
-    """Score one estimate against ground truth."""
-    e_t, e_t_norm = position_error(gt.position, est.position)
-    e_q = attitude_error(gt.attitude, est.attitude)
+    """Score one estimate against ground truth.
+
+    A Pose's position and attitude are checked on construction, its attitude
+    unit, so they are scored as they stand.
+    """
+    e_t, e_t_norm = _position_error(gt.position, est.position)
+    e_q = _attitude_error(gt.attitude, est.attitude)
     return ImageScore(e_t=e_t, e_t_normalized=e_t_norm, e_q=e_q)
 
 

@@ -156,52 +156,64 @@ def generate_labels(
     )
 
 
-def oracle_landmarks(record: SampleRecord, noise: NoiseModel) -> list[np.ndarray | None]:
-    """Corrupted copies of a record's ground-truth landmark pixels.
+def _oracle_pixels(record: SampleRecord, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupted landmark pixels (K, 2) of a record and the mask (K,) of kept ones.
 
-    Every landmark consumes the same number of draws whatever its fate, so
-    changing ``sigma_px`` alone never changes which points are outliers or
-    dropped.
+    Dropped rows hold their noisy pixel, which no caller reads. Each landmark
+    draws, in order, its dropout and outlier uniforms, two unit normals and
+    the outlier's two box uniforms. A landmark's box pair and the next
+    landmark's decision pair are one call's four uniforms, the values of two
+    two-value calls.
     """
     if record.landmarks_gt is None:
         raise ManifestError(f"record {record.id!r} has no ground-truth landmarks")
     if record.bbox_gt is None:
         raise ManifestError(f"record {record.id!r} has no ground-truth bounding box")
     rng = stream(noise.seed, "oracle", record.id)
+    points = np.asarray(record.landmarks_gt)
+    k = len(points)
+    # per landmark: u_drop, u_out, then the box uniforms; 2 spare draws at the end
+    uniform = np.empty(4 * k + 2)
+    gauss = np.empty((k, 2))
+    rng.random(out=uniform[:2])
+    for i in range(k):
+        gauss[i] = rng.normal(0.0, 1.0, size=2)
+        rng.random(out=uniform[4 * i + 2 : 4 * i + 6])
+    uniform = uniform[: 4 * k].reshape(k, 4)
     box = record.bbox_gt
-    out: list[np.ndarray | None] = []
-    for point in np.asarray(record.landmarks_gt):
-        u_drop, u_out = rng.random(2)
-        gauss = rng.normal(0.0, 1.0, size=2)
-        uniform = rng.random(2)
-        if u_drop < noise.dropout_rate:
-            out.append(None)
-        elif u_out < noise.outlier_rate:
-            out.append(
-                np.array(
-                    [
-                        box.xmin + uniform[0] * box.width,
-                        box.ymin + uniform[1] * box.height,
-                    ]
-                )
-            )
-        else:
-            out.append(point + noise.sigma_px * gauss)
-    return out
+    outlier = uniform[:, 1] < noise.outlier_rate
+    pixels = np.where(
+        outlier[:, None],
+        np.array([box.xmin, box.ymin]) + uniform[:, 2:] * np.array([box.width, box.height]),
+        points + noise.sigma_px * gauss,
+    )
+    return pixels, ~(uniform[:, 0] < noise.dropout_rate)
+
+
+def oracle_landmarks(record: SampleRecord, noise: NoiseModel) -> list[np.ndarray | None]:
+    """Corrupted copies of a record's ground-truth landmark pixels.
+
+    Per landmark, independently: dropped (``None``) with ``dropout_rate``;
+    otherwise with ``outlier_rate`` a uniform point over the ground-truth
+    box; otherwise the point plus ``sigma_px`` times two unit normals. Every
+    landmark consumes the same draws whatever its fate, so changing
+    ``sigma_px`` alone never changes which points are outliers or dropped.
+    """
+    pixels, kept = _oracle_pixels(record, noise)
+    return [p if keep else None for p, keep in zip(pixels, kept.tolist())]
 
 
 class OracleProvider:
-    """Landmark provider backed by :func:`oracle_landmarks`."""
+    """Landmark provider: the landmarks of :func:`oracle_landmarks`, normalised to the ROI."""
 
     def __init__(self, noise: NoiseModel):
         self.noise = noise
 
     def landmarks(self, record: SampleRecord, roi: BBox) -> list[np.ndarray | None]:
-        pixels = oracle_landmarks(record, self.noise)
-        kept = [p for p in pixels if p is not None]
+        pixels, kept = _oracle_pixels(record, self.noise)
         # one array call: normalising works element by element, so each row has the per-point bits
-        rows = iter(normalize_landmarks(np.array(kept).reshape(len(kept), 2), roi))
-        return [None if p is None else next(rows) for p in pixels]
+        rows = iter(normalize_landmarks(pixels[kept], roi))
+        return [next(rows) if keep else None for keep in kept.tolist()]
 
 
 class FileProvider:

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateGeometryError, NoValidPoseError
-from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, Pose, pinhole, quat_from_matrix
+from ..geometry import (
+    MIN_PROJECTION_DEPTH,
+    CameraIntrinsics,
+    Pose,
+    _finite,
+    pinhole,
+    quat_from_matrix,
+)
 
 PLANAR_EIGENVALUE_RATIO = 1e-8
 _COLLINEAR_EIGENVALUE_RATIO = 1e-10
@@ -72,9 +79,11 @@ def _init_systems(k: int):
 
 
 # built once: per control-point count m, the pair differences; per basis
-# size k (4 for m = 4, 2 for m = 3), the beta-init system tables
+# size k (4 for m = 4, 2 for m = 3), the beta-init system tables and the
+# Gauss-Newton damping term, with the Jacobian's factor 2 folded in
 _PAIR_DIFFERENCES = {m: _pair_differences(m) for m in (3, 4)}
 _INIT_SYSTEMS = {k: _init_systems(k) for k in (2, 4)}
+_GN_DAMPING = {k: (_BETA_GN_DAMPING / 4.0) * np.eye(k) for k in (2, 4)}
 
 # per-problem status returned by epnp_stack
 EPNP_OK = 0
@@ -95,7 +104,7 @@ class Correspondence:
         wld = np.array(self.world, dtype=float).reshape(-1)
         if img.shape != (2,) or wld.shape != (3,):
             raise ValueError("Correspondence needs a 2-vector image and 3-vector world point")
-        if not (np.all(np.isfinite(img)) and np.all(np.isfinite(wld))):
+        if not (_finite(img) and _finite(wld)):
             raise ValueError("Correspondence coordinates must be finite")
         img.setflags(write=False)
         wld.setflags(write=False)
@@ -123,7 +132,7 @@ def point_errors(
     ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``
     and ``image (..., n, 2)``; a non-finite pose gives inf everywhere.
     """
-    cam_pts = world @ np.swapaxes(rot, -1, -2) + t[..., None, :]
+    cam_pts = world @ rot.swapaxes(-1, -2) + t[..., None, :]
     z = cam_pts[..., 2]
     front = z > MIN_PROJECTION_DEPTH
     u, v = pinhole(cam_pts[..., 0], cam_pts[..., 1], np.where(front, z, 1.0), cam)
@@ -176,9 +185,9 @@ def _control_frame(world: np.ndarray):
 
     Also returns the degenerate (collinear or coincident) and near-planar masks.
     """
-    c0 = world.mean(axis=1)
+    c0 = world.sum(axis=1) / world.shape[1]  # mean(axis=1)'s arithmetic
     centered = world - c0[:, None]
-    cov = np.swapaxes(centered, 1, 2) @ centered / world.shape[1]
+    cov = centered.swapaxes(1, 2) @ centered / world.shape[1]
     lam, vec = _eigh(cov)  # ascending eigenvalues
     lam, axes = lam[:, ::-1], vec[:, :, ::-1]
     # written so that NaN eigenvalues count as degenerate
@@ -196,7 +205,7 @@ def _null_basis(alphas: np.ndarray, image: np.ndarray, cam: CameraIntrinsics, k:
     system[:, :, 0, :, 2] = alphas * (cam.cx - image[:, :, 0:1])
     system[:, :, 1, :, 2] = alphas * (cam.cy - image[:, :, 1:2])
     system = system.reshape(h, 2 * n, 3 * m)
-    _, vec = _eigh(np.swapaxes(system, 1, 2) @ system)
+    _, vec = _eigh(system.swapaxes(1, 2) @ system)
     return vec[:, :, :k]
 
 
@@ -209,9 +218,9 @@ def _distance_terms(basis: np.ndarray, ctrl: np.ndarray):
     """
     h, m = ctrl.shape[:2]
     diff = _PAIR_DIFFERENCES[m]
-    vectors = np.swapaxes(basis, 1, 2).reshape(h, basis.shape[2], m, 3)
-    dv = np.swapaxes(diff @ vectors, 1, 2)  # (H, P, k, 3)
-    gram = dv @ np.swapaxes(dv, 2, 3)
+    vectors = basis.swapaxes(1, 2).reshape(h, basis.shape[2], m, 3)
+    dv = (diff @ vectors).swapaxes(1, 2)  # (H, P, k, 3)
+    gram = dv @ dv.swapaxes(2, 3)
     rho = np.sum((diff @ ctrl) ** 2, axis=-1)
     return gram, rho
 
@@ -267,12 +276,21 @@ def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.nda
     stop test. The Jacobian is twice ``G_p b``; the step solves the normal
     equations with that factor 2 folded into the damping and the gradient.
     """
-    damping = (_BETA_GN_DAMPING / 4.0) * np.eye(beta.shape[1])
+    n, p, k = gram.shape[:3]
+    flat = gram.reshape(n, p * k, k)
+    damping = _GN_DAMPING[k]
     for _ in range(_BETA_GN_STEPS):
-        half, residual = _distance_residual(beta, gram, rho)
-        half_t = np.swapaxes(half, 1, 2)
+        # _distance_residual, with the Gram stack reshaped once
+        column = beta[:, :, None]
+        half = (flat @ column).reshape(n, p, k)
+        residual = (half @ column)[..., 0] - rho
+        half_t = half.swapaxes(1, 2)
         delta = _solve(half_t @ half + damping, (half_t @ (-0.5 * residual)[..., None])[..., 0])
-        beta = beta + np.where(np.isfinite(delta).all(axis=1, keepdims=True), delta, 0.0)
+        finite = np.isfinite(delta)
+        if finite.all():
+            beta = beta + delta
+        else:
+            beta = beta + np.where(finite.all(axis=1, keepdims=True), delta, 0.0)
     return beta
 
 
@@ -289,20 +307,21 @@ def _curvature_restarts(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> 
     n, p, k = gram.shape[:3]
     # a quarter of the Hessian: the same eigenvectors
     curvature = (residual[:, None] @ gram.reshape(n, p, k * k)).reshape(n, k, k)
-    _, vec = _eigh(np.swapaxes(half, 1, 2) @ half + curvature)
+    _, vec = _eigh(half.swapaxes(1, 2) @ half + curvature)
     scale = np.maximum(1.0, _norm(beta))
     steps = _RESTART_OFFSETS[None, None, :, None] * scale[:, None, None, None]
-    restarts = beta[:, None, None] + steps * np.swapaxes(vec, 1, 2)[:, :, None]
+    restarts = beta[:, None, None] + steps * vec.swapaxes(1, 2)[:, :, None]
     return restarts.reshape(beta.shape[0], -1, beta.shape[1])
 
 
 def _procrustes(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best-fit rigid maps world -> camera per row, with proper (det=+1) rotations."""
-    wc = world.mean(axis=1)
-    cc = camera.mean(axis=1)
-    h, ok = _finite_or(np.swapaxes(world - wc[:, None], 1, 2) @ (camera - cc[:, None]), np.eye(3))
+    # mean(axis=1)'s arithmetic
+    wc = world.sum(axis=1) / world.shape[1]
+    cc = camera.sum(axis=1) / camera.shape[1]
+    h, ok = _finite_or((world - wc[:, None]).swapaxes(1, 2) @ (camera - cc[:, None]), np.eye(3))
     u, _, vt = np.linalg.svd(h)
-    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+    v, ut = vt.swapaxes(1, 2), u.swapaxes(1, 2)
     v[:, :, 2] *= np.where(np.linalg.det(v @ ut) < 0, -1.0, 1.0)[:, None]
     rot = np.where(ok[:, None, None], v @ ut, np.nan)
     return rot, cc - (rot @ wc[:, :, None])[..., 0]
@@ -316,7 +335,8 @@ def _candidate_poses(beta, basis, alphas, world, image, cam):
     behind = np.count_nonzero(cam_pts[:, :, 2] < 0, axis=1) > cam_pts.shape[1] / 2
     cam_pts = np.where(behind[:, None, None], -cam_pts, cam_pts)
     rot, t = _procrustes(world, cam_pts)
-    rms = np.sqrt(np.mean(point_errors(rot, t, world, image, cam) ** 2, axis=1))
+    # mean(axis=1)'s arithmetic
+    rms = np.sqrt((point_errors(rot, t, world, image, cam) ** 2).sum(axis=1) / world.shape[1])
     rms[~(t[:, 2] > 0) | ~np.isfinite(rms)] = np.inf
     return rot, t, rms
 
@@ -328,7 +348,7 @@ def _solve_group(image, world, c0, axes, lam, cam):
     k = 4 if m == 4 else 2
     scales = np.sqrt(lam)
     ctrl = c0[:, None] + np.concatenate(
-        [np.zeros((g, 1, 3)), scales[:, :, None] * np.swapaxes(axes, 1, 2)], axis=1
+        [np.zeros((g, 1, 3)), scales[:, :, None] * axes.swapaxes(1, 2)], axis=1
     )
     # barycentric coordinates in the orthonormal principal frame; they sum to 1
     coords = (world - c0[:, None]) @ axes / scales[:, None]

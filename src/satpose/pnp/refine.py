@@ -26,6 +26,7 @@ from ..errors import BehindCameraError, NumericalFailureError
 from ..geometry import (
     CameraIntrinsics,
     Pose,
+    _norm,
     camera_to_pixels,
     pinhole_jacobian,
     project,
@@ -119,7 +120,7 @@ def least_squares(x, start, residual, jacobian, step):
             except np.linalg.LinAlgError:
                 damping *= _DAMPING_UP
                 continue
-            if np.linalg.norm(delta) < _STEP_TOL:
+            if _norm(delta) < _STEP_TOL:
                 break
             x_new = step(x, delta)
             cost_new = np.inf

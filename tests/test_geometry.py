@@ -24,7 +24,7 @@ from satpose import (
     save_wireframe,
 )
 from satpose.errors import DegenerateGeometryError
-from satpose.geometry import quat_conjugate, quat_from_matrix, quat_to_matrix
+from satpose.geometry import quat_conjugate, quat_from_matrix, quat_normalize, quat_to_matrix
 from satpose.rng import stream
 from satpose.sampler import sample_attitude
 from tests.conftest import quat_from_axis_angle
@@ -113,6 +113,52 @@ class TestQuaternions:
         q = quat_from_axis_angle(np.array(axis) / np.linalg.norm(axis), angle)
         q2 = quat_from_matrix(quat_to_matrix(q))
         assert min(np.linalg.norm(q - q2), np.linalg.norm(q + q2)) < 1e-14
+
+    def test_matrix_to_quaternion_has_the_numpy_scalar_bits(self):
+        def reference(m):  # Shepperd's branches on numpy scalars, case picked by np.argmax
+            t = np.trace(m)
+            case = int(np.argmax([t, m[0, 0], m[1, 1], m[2, 2]]))
+            if case == 0:
+                r = np.sqrt(1.0 + t)
+                s = 0.5 / r
+                q = np.array(
+                    [
+                        0.5 * r,
+                        (m[2, 1] - m[1, 2]) * s,
+                        (m[0, 2] - m[2, 0]) * s,
+                        (m[1, 0] - m[0, 1]) * s,
+                    ]
+                )
+            else:
+                i = case - 1
+                j, k = (i + 1) % 3, (i + 2) % 3
+                r = np.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+                s = 0.5 / r
+                q = np.empty(4)
+                q[0] = (m[k, j] - m[j, k]) * s
+                q[1 + i] = 0.5 * r
+                q[1 + j] = (m[j, i] + m[i, j]) * s
+                q[1 + k] = (m[k, i] + m[i, k]) * s
+            return quat_normalize(-q if q[0] < 0 else q)
+
+        rng = stream(7, "quat")
+        for n in range(5000):
+            q = rng.normal(size=4)
+            if n % 3 == 0:  # near a half turn, or near the identity
+                q[rng.integers(0, 4)] = 1e-9 * rng.normal()
+            m = quat_to_matrix(q)
+            if n % 2 == 0:  # not quite a rotation, as a solver's output can be
+                m = m + 1e-9 * rng.normal(size=(3, 3))
+            assert quat_from_matrix(m).tobytes() == reference(m).tobytes()
+
+    @pytest.mark.parametrize(
+        "row, col, value", [(0, 0, np.nan), (1, 1, np.inf), (0, 1, np.nan), (2, 2, -np.inf)]
+    )
+    def test_matrix_to_quaternion_rejects_non_finite_input(self, row, col, value):
+        m = np.eye(3)
+        m[row, col] = value
+        with pytest.raises(ValueError):
+            quat_from_matrix(m)
 
 
 class TestProjection:

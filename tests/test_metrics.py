@@ -93,6 +93,31 @@ class TestImageScore:
             s = image_score(gt, est)
             assert s.score == s.e_t_normalized + s.e_q
 
+    def test_equals_position_and_attitude_errors_to_the_bit(self):
+        rng = stream(34, "metrics")
+        pairs = []
+        for i in range(2000):
+            gt = Pose(position=rng.normal([0, 0, 50], 3), attitude=sample_attitude(rng))
+            if i % 4 == 0:  # the same pose
+                est = gt
+            elif i % 4 == 1:  # the same attitude through the double cover
+                est = Pose(position=rng.normal([0, 0, 50], 3), attitude=-gt.attitude)
+            else:
+                est = Pose(position=rng.normal([0, 0, 50], 3), attitude=sample_attitude(rng))
+            pairs.append((gt, est))
+        for gt, est in pairs:
+            s = image_score(gt, est)
+            e_t, e_t_norm = position_error(gt.position, est.position)
+            e_q = attitude_error(gt.attitude, est.attitude)
+            got = np.array([s.e_t, s.e_t_normalized, s.e_q])
+            assert got.tobytes() == np.array([e_t, e_t_norm, e_q]).tobytes()
+
+    def test_zero_ground_truth_position_rejected(self):
+        gt = Pose(position=[0, 0, 0], attitude=[1, 0, 0, 0])
+        est = Pose(position=[0, 0, 40], attitude=[1, 0, 0, 0])
+        with pytest.raises(ValueError, match="zero norm"):
+            image_score(gt, est)
+
 
 class TestAggregate:
     def test_single_score(self):

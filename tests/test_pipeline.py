@@ -185,6 +185,38 @@ class TestOracleLandmarks:
         out = oracle_landmarks(record, NoiseModel(dropout_rate=1.0, seed=3))
         assert all(p is None for p in out)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("outlier", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    def test_matches_landmark_by_landmark_reference(self, labeled, sigma, outlier, dropout):
+        def reference(record, noise):  # three draw calls and the arithmetic per landmark
+            rng = stream(noise.seed, "oracle", record.id)
+            box = record.bbox_gt
+            out = []
+            for point in np.asarray(record.landmarks_gt):
+                u_drop, u_out = rng.random(2)
+                gauss = rng.normal(0.0, 1.0, size=2)
+                uniform = rng.random(2)
+                if u_drop < noise.dropout_rate:
+                    out.append(None)
+                elif u_out < noise.outlier_rate:
+                    out.append(
+                        np.array(
+                            [box.xmin + uniform[0] * box.width, box.ymin + uniform[1] * box.height]
+                        )
+                    )
+                else:
+                    out.append(point + noise.sigma_px * gauss)
+            return out
+
+        for record in labeled.records[:8]:
+            noise = NoiseModel(sigma_px=sigma, outlier_rate=outlier, dropout_rate=dropout, seed=41)
+            got, want = oracle_landmarks(record, noise), reference(record, noise)
+            assert [p is None for p in got] == [p is None for p in want]
+            assert all(
+                g.tobytes() == w.tobytes() for g, w in zip(got, want) if w is not None
+            )
+
 
 class TestNoiseModel:
     @pytest.mark.parametrize("sigma", [-1.0, float("-inf"), float("inf"), float("nan")])
