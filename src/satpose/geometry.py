@@ -57,9 +57,12 @@ def _quat(q, name: str = "quaternion") -> np.ndarray:
 
 
 def whole_number(value, name: str, lo: int, hi: float = np.inf) -> int:
-    """``value`` as an ``int``; raises ``ValueError`` unless it is a whole number in [lo, hi]."""
+    """``value`` as an ``int``; raises ``ValueError`` unless it is a whole number in [lo, hi].
+
+    A boolean, Python's or numpy's, is not a number here, although ``bool`` is an ``int``.
+    """
     try:
-        whole = float(value).is_integer()
+        whole = not isinstance(value, (bool, np.bool_)) and float(value).is_integer()
     except OverflowError:  # an int too large for a float
         whole = False
     if not (whole and lo <= value <= hi):
@@ -78,13 +81,17 @@ def quat_normalize(q) -> np.ndarray:
     Inputs already unit to 1e-12 pass through bit-identically, so values that
     round-trip through files are not perturbed by repeated renormalization.
     """
-    out = _quat(q)
-    norm = _norm(out)
+    return _unit(_quat(q))
+
+
+def _unit(q: np.ndarray) -> np.ndarray:
+    """The rule of :func:`quat_normalize` on a checked finite (4,) quaternion."""
+    norm = math.sqrt(q.dot(q))  # np.linalg.norm's arithmetic, to the bit
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero quaternion")
     if abs(norm - 1.0) <= 1e-12:
-        return out
-    return out / norm
+        return q
+    return q / norm
 
 
 def quat_multiply(a, b) -> np.ndarray:
@@ -180,8 +187,21 @@ class Pose:
     attitude: np.ndarray
 
     def __post_init__(self):
-        pos = _vec3(self.position, "position")
-        att = quat_normalize(self.attitude)
+        # the checks of _vec3 and quat_normalize, with one finiteness pass over both fields
+        pos = np.array(self.position, dtype=float).reshape(-1)
+        try:
+            att = np.array(self.attitude, dtype=float).reshape(-1)
+        except (TypeError, ValueError, OverflowError):
+            att = np.empty(0)  # an attitude numpy cannot read; _quat below words the fault
+        if not (
+            pos.shape == (3,)
+            and att.shape == (4,)
+            and all(map(math.isfinite, pos.tolist() + att.tolist()))
+        ):
+            # raises the first fault in their order: position shape and finiteness, then attitude's
+            pos = _vec3(pos, "position")
+            att = _quat(self.attitude)
+        att = _unit(att)
         pos.setflags(write=False)
         att.setflags(write=False)
         object.__setattr__(self, "position", pos)

@@ -149,7 +149,17 @@ def generate_labels(
         except SatposeError as exc:
             rejects.append((record.id, str(exc)))
             continue
-        labeled.append(replace(record, landmarks_gt=landmarks[i], bbox_gt=bbox))
+        # every field, named here rather than through dataclasses.replace, which costs twice as much
+        labeled.append(
+            SampleRecord(
+                id=record.id,
+                pose_gt=record.pose_gt,
+                bbox_gt=bbox,
+                landmarks_gt=landmarks[i],
+                landmarks_pred=record.landmarks_pred,
+                bbox_pred=record.bbox_pred,
+            )
+        )
     return (
         Manifest(camera=cam, records=labeled, wireframe=manifest.wireframe),
         rejects,

@@ -85,7 +85,12 @@ def _shoemake(u: np.ndarray) -> np.ndarray:
     """
     r1, r2 = np.sqrt(1.0 - u[..., 0]), np.sqrt(u[..., 0])
     t1, t2 = 2.0 * np.pi * u[..., 1], 2.0 * np.pi * u[..., 2]
-    return np.stack([np.cos(t2) * r2, np.sin(t1) * r1, np.cos(t1) * r1, np.sin(t2) * r2], axis=-1)
+    q = np.empty(u.shape[:-1] + (4,))
+    q[..., 0] = np.cos(t2) * r2
+    q[..., 1] = np.sin(t1) * r1
+    q[..., 2] = np.cos(t1) * r1
+    q[..., 3] = np.sin(t2) * r2
+    return q
 
 
 def sample_pose(
@@ -116,12 +121,9 @@ def sample_pose(
             uv = project(pose, cam, wireframe.keypoints)
         except BehindCameraError:
             continue
-        if (
-            uv[:, 0].min() >= lo
-            and uv[:, 0].max() <= hi_u
-            and uv[:, 1].min() >= lo
-            and uv[:, 1].max() <= hi_v
-        ):
+        # one min and one max over both columns, read as Python floats; a NaN fails every test
+        (u_min, v_min), (u_max, v_max) = uv.min(axis=0).tolist(), uv.max(axis=0).tolist()
+        if u_min >= lo and u_max <= hi_u and v_min >= lo and v_max <= hi_v:
             return pose
     raise SamplingFailureError(
         f"no fully in-frame pose after {cfg.max_rejects} attempts"

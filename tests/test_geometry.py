@@ -24,9 +24,18 @@ from satpose import (
     save_wireframe,
 )
 from satpose.errors import DegenerateGeometryError
-from satpose.geometry import quat_conjugate, quat_from_matrix, quat_normalize, quat_to_matrix
-from satpose.rng import stream
-from satpose.sampler import sample_attitude
+from satpose.geometry import (
+    _quat,
+    _vec3,
+    quat_conjugate,
+    quat_from_matrix,
+    quat_normalize,
+    quat_to_matrix,
+)
+from satpose.pipeline import NoiseModel
+from satpose.pnp import RansacConfig
+from satpose.rng import derive_seed, stream
+from satpose.sampler import PoseSamplerConfig, sample_attitude
 from tests.conftest import quat_from_axis_angle
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -316,3 +325,113 @@ class TestTypes:
         # order is significant and must survive the file format
         raw = json.loads(path.read_text())
         np.testing.assert_array_equal(np.array(raw["keypoints"]), model.keypoints)
+
+
+def reference_normalize(q) -> np.ndarray:
+    """``quat_normalize`` restated on ``np.linalg.norm``."""
+    out = _quat(q)
+    norm = np.linalg.norm(out)
+    if norm < 1e-12:
+        raise ValueError("cannot normalize a zero quaternion")
+    return out if abs(norm - 1.0) <= 1e-12 else out / norm
+
+
+def reference_pose_fields(position, attitude):
+    """A Pose's fields as ``_vec3`` and ``quat_normalize`` give them, checked in that order."""
+    return _vec3(position, "position"), reference_normalize(attitude)
+
+
+def fault(call):
+    """The type and text of the error ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestPose:
+    def test_fields_equal_the_reference_to_the_bit(self):
+        rng = stream(31, "pose-fields")
+        for i in range(600):
+            position = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=3)
+            unit = sample_attitude(rng)
+            attitude = [
+                unit,
+                unit * (1.0 + rng.uniform(-1e-12, 1e-12)),  # unit to 1e-12 passes through
+                unit * (1.0 + rng.uniform(-1e-6, 1e-6)),
+                unit * rng.uniform(1e-6, 1e6),
+                rng.normal(size=4),
+            ][i % 5]
+            if i % 2:  # lists, and a position as a (1, 3) nested list
+                position, attitude = [position.tolist()], attitude.tolist()
+            pose = Pose(position=position, attitude=attitude)
+            pos, att = reference_pose_fields(position, attitude)
+            assert pose.position.shape == (3,) and pose.attitude.shape == (4,)
+            assert pose.position.tobytes() == pos.tobytes()
+            assert pose.attitude.tobytes() == att.tobytes()
+            assert quat_normalize(attitude).tobytes() == att.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0], ids=["unit", "rescaled"])
+    def test_fields_are_read_only_copies(self, scale):
+        position = np.array([1.0, 2.0, 40.0])
+        attitude = scale * np.array([0.5, 0.5, 0.5, 0.5])
+        pose = Pose(position=position, attitude=attitude)
+        for field, given in ((pose.position, position), (pose.attitude, attitude)):
+            assert not field.flags.writeable
+            assert not np.shares_memory(field, given)
+        position[0] = attitude[0] = 7.0
+        assert pose.position[0] == 1.0 and pose.attitude[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "position, attitude",
+        [
+            ([0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+            ([[0.0, 0.0, 1.0, 2.0]], [1.0, 0.0, 0.0, 0.0]),
+            ([np.nan, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]),
+            ([np.inf, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]),
+            ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+            ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0]),
+            ([0.0, 0.0, 1.0], [1.0, np.nan, 0.0, 0.0]),
+            ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -np.inf]),
+            ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]),
+            ([0.0, 0.0, 1.0], [1e-13, 0.0, 0.0, 0.0]),
+            ([0.0, 0.0, 1.0], "abcd"),
+            ([0.0, 0.0, 1.0], None),
+            ([0.0, 0.0, 1.0], [10**400, 0, 0, 0]),
+            ([0.0, 0.0, 1.0], [1.0, [0.0], 0.0, 0.0]),
+            ("xyz", [1.0, 0.0, 0.0, 0.0]),
+            # the first fault in order: position shape, position finite, attitude shape, ...
+            ([0.0, 0.0], [np.nan, 0.0, 0.0]),
+            ([np.nan, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0, 0.0]),
+            ([np.nan, 0.0, 1.0], "abcd"),
+            ([np.nan, 0.0, 1.0], {"w": 1.0}),
+            ([np.nan, 0.0, 1.0], [np.nan, 0.0, 0.0, 0.0]),
+            ([np.inf, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_invalid_fields_raise_the_reference_error(self, position, attitude):
+        got = fault(lambda: Pose(position=position, attitude=attitude))
+        assert got == fault(lambda: reference_pose_fields(position, attitude))
+
+    def test_position_fault_is_reported_before_attitude_shape(self):
+        with pytest.raises(ValueError, match="^position must be finite"):
+            Pose(position=[np.nan, 0.0, 1.0], attitude=[1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+# a boolean is refused where a whole number is asked for, Python's or numpy's
+BOOLEAN_SETTINGS = {
+    "stream": lambda flag: stream(flag, "x"),
+    "derive_seed": lambda flag: derive_seed(flag, "x"),
+    "RansacConfig.seed": lambda flag: RansacConfig(seed=flag),
+    "NoiseModel.seed": lambda flag: NoiseModel(seed=flag),
+    "PoseSamplerConfig.max_rejects": lambda flag: PoseSamplerConfig(max_rejects=flag),
+    "CameraIntrinsics.width": lambda flag: CameraIntrinsics(
+        fx=1.0, fy=1.0, cx=0.5, cy=0.5, width=flag, height=1
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("build", BOOLEAN_SETTINGS.values(), ids=BOOLEAN_SETTINGS.keys())
+def test_booleans_are_not_whole_numbers(build, flag):
+    with pytest.raises(ValueError, match=r"must be a whole number in \[\d+, [^\]]+\], got "):
+        build(flag)

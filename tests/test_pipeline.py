@@ -4,7 +4,7 @@ import functools
 import hashlib
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -118,6 +118,22 @@ class TestGenerateLabels:
         labeled, rejects = generate_labels(manifest, wireframe)
         assert [r.id for r in labeled.records] == ["good"]
         assert len(rejects) == 1 and rejects[0][0] == "bad"
+
+    def test_labeled_record_carries_every_other_field(self, cam, wireframe):
+        # a field that SampleRecord gains and the label path does not carry fails here
+        pose = Pose(position=[0.0, 0.0, 40.0], attitude=[1, 0, 0, 0])
+        values = {f.name: object() for f in fields(SampleRecord)}
+        values.update(id="c", pose_gt=pose)
+        record = SampleRecord(**values)
+        labeled, rejects = generate_labels(Manifest(camera=cam, records=[record]), wireframe)
+        assert not rejects
+        got = labeled.records[0]
+        assert type(got) is SampleRecord
+        for name, value in values.items():
+            if name not in ("landmarks_gt", "bbox_gt"):
+                assert getattr(got, name) is value, name
+        assert got.landmarks_gt.shape == (wireframe.count, 2)
+        assert isinstance(got.bbox_gt, BBox)
 
     @pytest.mark.parametrize("seed", [3, 1001])
     @settings(max_examples=25, deadline=None, derandomize=True)

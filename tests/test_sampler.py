@@ -12,11 +12,47 @@ from satpose import (
     sample_distance,
     sample_pose,
 )
-from satpose.errors import SamplingFailureError
-from satpose.geometry import project, quat_multiply
+from satpose.errors import BehindCameraError, SamplingFailureError
+from satpose.geometry import Pose, project, quat_multiply
 from satpose.rng import stream
 
 CFG = PoseSamplerConfig()
+# an inset that rejects about one candidate in three with the default camera and wireframe
+REJECTING = PoseSamplerConfig(in_frame_margin=300.0)
+
+
+def reference_shoemake(u: np.ndarray) -> np.ndarray:
+    """Shoemake's formula with its four columns joined by ``np.stack``."""
+    r1, r2 = np.sqrt(1.0 - u[..., 0]), np.sqrt(u[..., 0])
+    t1, t2 = 2.0 * np.pi * u[..., 1], 2.0 * np.pi * u[..., 2]
+    return np.stack([np.cos(t2) * r2, np.sin(t1) * r1, np.cos(t1) * r1, np.sin(t2) * r2], axis=-1)
+
+
+def reference_pose(streams, cfg, cam, wireframe) -> Pose:
+    """The candidate loop with four column reductions compared as numpy scalars."""
+    lo = cfg.in_frame_margin
+    hi_u = cam.width - cfg.in_frame_margin
+    hi_v = cam.height - cfg.in_frame_margin
+    for _ in range(cfg.max_rejects):
+        z = sample_distance(streams.distance, cfg)
+        half_x = z * (cam.width / 2.0) / cam.fx
+        half_y = z * (cam.height / 2.0) / cam.fy
+        tx = streams.offset.normal(0.0, cfg.offset_sigma_frac * half_x)
+        ty = streams.offset.normal(0.0, cfg.offset_sigma_frac * half_y)
+        q = reference_shoemake(streams.attitude.random(3))
+        pose = Pose(position=np.array([tx, ty, z]), attitude=q)
+        try:
+            uv = project(pose, cam, wireframe.keypoints)
+        except BehindCameraError:
+            continue
+        if (
+            uv[:, 0].min() >= lo
+            and uv[:, 0].max() <= hi_u
+            and uv[:, 1].min() >= lo
+            and uv[:, 1].max() <= hi_v
+        ):
+            return pose
+    raise SamplingFailureError(f"no fully in-frame pose after {cfg.max_rejects} attempts")
 
 
 def truncated_mean_oracle(cfg: PoseSamplerConfig) -> float:
@@ -96,6 +132,13 @@ class TestAttitude:
         expected = angle_bin_probabilities(edges) * angles.size
         assert stats.chisquare(observed, expected).pvalue > 0.01
 
+    @pytest.mark.parametrize("seed", [0, 86, 2**64 - 1])
+    def test_batch_rows_equal_the_stacked_reference(self, seed):
+        got = sample_attitudes(stream(seed, "att"), 1000)
+        want = reference_shoemake(stream(seed, "att").random((1000, 3)))
+        assert got.shape == want.shape == (1000, 4)
+        assert got.tobytes() == want.tobytes()
+
     def test_scalar_and_batch_agree(self):
         # k successive single draws read the stream exactly as one k-row batch
         rng = stream(85, "att")
@@ -141,6 +184,40 @@ class TestSamplePose:
         cfg = PoseSamplerConfig(in_frame_margin=900.0, max_rejects=25)  # impossible inset
         with pytest.raises(SamplingFailureError):
             sample_pose(SampleStreams(seed=94), cfg, cam, wireframe)
+
+    @pytest.mark.parametrize("cfg", [CFG, REJECTING], ids=["default", "rejecting"])
+    def test_candidate_loop_equals_the_reference(self, cam, wireframe, cfg):
+        for seed in range(200):
+            got, want = SampleStreams(seed), SampleStreams(seed)
+            pose = sample_pose(got, cfg, cam, wireframe)
+            ref = reference_pose(want, cfg, cam, wireframe)
+            assert pose.position.tobytes() == ref.position.tobytes()
+            assert pose.attitude.tobytes() == ref.attitude.tobytes()
+            # the same number of draws was taken from every stream
+            for name in ("distance", "offset", "attitude"):
+                assert getattr(got, name).random() == getattr(want, name).random()
+
+    def test_rejecting_config_rejects(self, cam, wireframe, monkeypatch):
+        candidates = []
+
+        def counted(*args):
+            candidates.append(args)
+            return project(*args)
+
+        monkeypatch.setattr("satpose.sampler.project", counted)
+        for seed in range(20):
+            sample_pose(SampleStreams(seed), REJECTING, cam, wireframe)
+        assert len(candidates) > 20
+
+    def test_first_pose_at_seed_3_is_golden(self, cam, wireframe):
+        pose = sample_pose(SampleStreams(3), CFG, cam, wireframe)
+        assert [v.hex() for v in pose.position.tolist()] == [
+            "-0x1.629b496cf6587p-1", "0x1.b41b8191e160bp-2", "0x1.3bb8ebe6ab8f8p+5",
+        ]
+        assert [v.hex() for v in pose.attitude.tolist()] == [
+            "-0x1.107f92c4344e1p-1", "0x1.6cf953717646bp-1",
+            "-0x1.d3afb9763eb57p-2", "0x1.a0fddb4f9e916p-12",
+        ]
 
 
 class TestStreamIsolation:
