@@ -86,11 +86,15 @@ def quat_normalize(q) -> np.ndarray:
 
 def _unit(q: np.ndarray) -> np.ndarray:
     """The rule of :func:`quat_normalize` on a checked finite (4,) quaternion."""
-    norm = math.sqrt(q.dot(q))  # np.linalg.norm's arithmetic, to the bit
+    # np.linalg.norm's arithmetic, to the bit; vdot, unlike dot, does not warn on overflow
+    norm = math.sqrt(np.vdot(q, q))
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero quaternion")
     if abs(norm - 1.0) <= 1e-12:
         return q
+    if norm == math.inf:  # the square overflowed: scale the largest component to 1 first
+        q = q / np.abs(q).max()
+        norm = math.sqrt(np.vdot(q, q))
     return q / norm
 
 

@@ -8,8 +8,9 @@ directions); the camera-frame control points are a combination of the four
 smallest eigenvectors of the projection-constraint normal matrix; candidate
 combination weights (betas) are estimated for assumed null-space dimensions
 1..3, from one zero-padded stack of least-squares systems, and all of them
-are refined together by 10 fixed Gauss-Newton steps on the
-inter-control-point distance constraints; the rigid transform then follows
+are refined together by Gauss-Newton on the inter-control-point distance
+constraints, each row stopping once its constraints hold to round-off or
+after 10 steps; the rigid transform then follows
 from orthogonal Procrustes alignment with det=+1 enforcement, and the
 candidate with the lowest reprojection RMS wins.
 
@@ -41,6 +42,8 @@ PLANAR_EIGENVALUE_RATIO = 1e-8
 _COLLINEAR_EIGENVALUE_RATIO = 1e-10
 _BETA_GN_STEPS = 10
 _BETA_GN_DAMPING = 1e-12
+# a row stops once its distance residual norm is at most this times |rho|
+_BETA_GN_ROUNDOFF = 1e-12
 # restart offsets along each curvature direction, in units of |beta|
 _RESTART_OFFSETS = np.array(
     [sign * step for step in (0.05, 0.2, 0.5, 1.0) for sign in (1.0, -1.0)]
@@ -84,6 +87,7 @@ def _init_systems(k: int):
 _PAIR_DIFFERENCES = {m: _pair_differences(m) for m in (3, 4)}
 _INIT_SYSTEMS = {k: _init_systems(k) for k in (2, 4)}
 _GN_DAMPING = {k: (_BETA_GN_DAMPING / 4.0) * np.eye(k) for k in (2, 4)}
+_MINUS_HALF = np.array(-0.5)  # the same product as by the float -0.5, with less dispatch
 
 # per-problem status returned by epnp_stack
 EPNP_OK = 0
@@ -148,19 +152,19 @@ def _finite_or(a: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked ``a x = b``; NaN for slices that are non-finite or exactly singular."""
+    """Stacked ``a x = b`` for columns ``b (..., k, 1)``; NaN for non-finite or singular slices."""
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         # LAPACK fails the whole stack on one bad slice; det factors every
         # slice the same way and reads exactly 0 for the singular ones
         eye = np.eye(a.shape[-1])
         a, ok = _finite_or(a, eye)
         ok &= np.linalg.det(a) != 0.0
-        ok &= np.isfinite(b).all(axis=-1)
+        ok &= np.isfinite(b).all(axis=(-2, -1))
         a = np.where(ok[..., None, None], a, eye)
-        x = np.linalg.solve(a, np.where(ok[..., None], b, 0.0)[..., None])[..., 0]
-        return np.where(ok[..., None], x, np.nan)
+        x = np.linalg.solve(a, np.where(ok[..., None, None], b, 0.0))
+        return np.where(ok[..., None, None], x, np.nan)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,29 +273,39 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the distance constraints b^T G_p b = rho_p: 10 fixed steps.
+    """Gauss-Newton on the distance constraints b^T G_p b = rho_p, at most 10 steps.
 
-    Every row takes every step; a row whose damped step is not finite keeps
-    its betas. Rows reach round-off within about 8 steps, so there is no
-    stop test. The Jacobian is twice ``G_p b``; the step solves the normal
-    equations with that factor 2 folded into the damping and the gradient.
+    Before each step every row checks its own residual: a row whose squared
+    residual norm is at most ``(_BETA_GN_ROUNDOFF |rho|)^2``, or is not
+    finite, takes no more steps, and the loop ends once no row is live. The
+    stop keys on the constraints, not on the step size, so noisy rows, which
+    cannot meet them, take all 10 steps; each row's betas depend on its own
+    data only. A row whose damped step is not finite keeps its betas. The
+    Jacobian is twice ``G_p b``; the step solves the normal equations with
+    that factor 2 folded into the damping and the gradient.
     """
     n, p, k = gram.shape[:3]
     flat = gram.reshape(n, p * k, k)
     damping = _GN_DAMPING[k]
+    floor = _BETA_GN_ROUNDOFF**2 * np.vecdot(rho, rho)
+    column = beta[:, :, None]  # the betas as columns, as _solve takes and returns them
     for _ in range(_BETA_GN_STEPS):
         # _distance_residual, with the Gram stack reshaped once
-        column = beta[:, :, None]
         half = (flat @ column).reshape(n, p, k)
         residual = (half @ column)[..., 0] - rho
+        live = np.vecdot(residual, residual) > floor  # False for NaN
+        n_live = np.count_nonzero(live)
+        if not n_live:
+            break
         half_t = half.swapaxes(1, 2)
-        delta = _solve(half_t @ half + damping, (half_t @ (-0.5 * residual)[..., None])[..., 0])
+        delta = _solve(half_t @ half + damping, half_t @ (_MINUS_HALF * residual)[..., None])
         finite = np.isfinite(delta)
-        if finite.all():
-            beta = beta + delta
+        if n_live == n and np.count_nonzero(finite) == finite.size:
+            column = column + delta
         else:
-            beta = beta + np.where(finite.all(axis=1, keepdims=True), delta, 0.0)
-    return beta
+            live &= finite.all(axis=(1, 2))
+            column = np.where(live[:, None, None], column + delta, column)
+    return column[..., 0]
 
 
 def _curvature_restarts(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """EPnP solver tests against the projection synthesis oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from satpose import Correspondence, attitude_error, epnp
 from satpose.errors import DegenerateGeometryError
 from satpose.geometry import Pose, project, quat_from_matrix, quat_to_matrix
 from satpose.pnp.epnp import (
+    _GN_DAMPING,
     EPNP_DEGENERATE,
     EPNP_OK,
     PLANAR_EIGENVALUE_RATIO,
@@ -22,6 +25,8 @@ from satpose.pnp.epnp import (
 )
 from satpose.rng import stream
 from tests.conftest import random_pose, reprojection_rms, synthesize
+
+epnp_mod = importlib.import_module("satpose.pnp.epnp")
 
 
 def test_recovers_generating_pose_at_fixed_range(cam, wireframe):
@@ -283,11 +288,125 @@ def test_gauss_newton_keeps_a_non_finite_row_apart():
     np.testing.assert_allclose(beta[[0, 2]], truth[[0, 2]], rtol=0, atol=1e-9)
 
 
+def _fixed_step_gauss_newton(beta, gram, rho):
+    """The beta refinement without a stop: every row takes all 10 steps."""
+    n, p, k = gram.shape[:3]
+    flat = gram.reshape(n, p * k, k)
+    for _ in range(10):
+        column = beta[:, :, None]
+        half = (flat @ column).reshape(n, p, k)
+        residual = (half @ column)[..., 0] - rho
+        half_t = half.swapaxes(1, 2)
+        delta = _solve(half_t @ half + _GN_DAMPING[k], half_t @ (-0.5 * residual)[..., None])
+        delta = delta[..., 0]
+        finite = np.isfinite(delta)
+        if finite.all():
+            beta = beta + delta
+        else:
+            beta = beta + np.where(finite.all(axis=1, keepdims=True), delta, 0.0)
+    return beta
+
+
+def _random_problems(cam, wireframe, rng, count, n, sigma):
+    world = np.array(
+        [wireframe.keypoints[rng.choice(wireframe.count, n, replace=False)] for _ in range(count)]
+    )
+    image = np.array([project(random_pose(rng), cam, w) for w in world])
+    return image + rng.normal(0.0, sigma, image.shape), world
+
+
+@pytest.mark.parametrize("n", [5, 11])
+def test_noisy_stacks_match_the_fixed_step_loop(cam, wireframe, monkeypatch, n):
+    # noisy rows never meet their distance constraints, so they take every step
+    image, world = _random_problems(cam, wireframe, stream(109, "epnp"), 16, n, 2.0)
+    calls = []
+
+    def recorded(beta, gram, rho):
+        calls.append((beta, gram, rho))
+        return _fixed_step_gauss_newton(beta, gram, rho)
+
+    monkeypatch.setattr(epnp_mod, "_gauss_newton", recorded)
+    reference = epnp_stack(image, world, cam)
+    monkeypatch.undo()
+    for full, ref in zip(epnp_stack(image, world, cam), reference):
+        np.testing.assert_array_equal(full, ref)
+    assert calls
+    for args in calls:
+        np.testing.assert_array_equal(_gauss_newton(*args), _fixed_step_gauss_newton(*args))
+
+
+@pytest.mark.parametrize("n", [5, 11])
+def test_noise_free_rows_stop_within_three_solves(cam, wireframe, monkeypatch, n):
+    # a row stops once its distance constraints hold; every row of an 11-point
+    # problem does, but with 5 points the kernel is two-dimensional, and the
+    # beta row that assumes one dimension crawls through all 10 steps
+    image, world = _random_problems(cam, wireframe, stream(110, "epnp"), 20, n, 0.0)
+    calls, solves = [], [0]
+
+    def recorded(*args):
+        calls.append(args)
+        return _gauss_newton(*args)
+
+    def counted_solve(a, b):
+        solves[0] += 1
+        return _solve(a, b)
+
+    monkeypatch.setattr(epnp_mod, "_gauss_newton", recorded)
+    for h in range(len(world)):
+        rot, t, status = epnp_stack(image[h : h + 1], world[h : h + 1], cam)
+        assert status[0] == EPNP_OK
+        rms = np.sqrt(np.mean(point_errors(rot, t, world[h : h + 1], image[h : h + 1], cam) ** 2))
+        assert rms < 1e-6
+    monkeypatch.setattr(epnp_mod, "_solve", counted_solve)
+    stacked, rows = [], []
+    for beta, gram, rho in calls:
+        solves[0] = 0
+        _gauss_newton(beta, gram, rho)
+        stacked.append(solves[0])
+        for r in range(n == 5, len(beta)):  # row 0 assumes one dimension
+            solves[0] = 0
+            _gauss_newton(beta[r : r + 1], gram[r : r + 1], rho[r : r + 1])
+            rows.append(solves[0])
+    assert len(calls) >= len(world) and max(rows) <= 3 and sum(rows) > 0
+    assert max(stacked) <= (3 if n == 11 else 10)
+
+
+def test_gauss_newton_rows_stop_on_their_own(monkeypatch):
+    # an exact row stops early, a noisy row takes every step and a NaN row
+    # keeps its betas; each comes out as it does alone
+    rng = stream(111, "epnp")
+    basis = rng.normal(size=(3, 12, 4))
+    gram, _ = _distance_terms(basis, rng.normal(size=(3, 4, 3)))
+    truth = rng.normal(size=(3, 4))
+    rho = np.einsum("hk,hpkl,hl->hp", truth, gram, truth)
+    rho[1] += 0.01 * rng.normal(size=rho.shape[1])
+    start = truth + 0.01 * rng.normal(size=(3, 4))
+    gram[2, 3, 1, 1] = np.nan
+    solves = []
+
+    def counted_solve(a, b):
+        solves.append(len(a))
+        return _solve(a, b)
+
+    monkeypatch.setattr(epnp_mod, "_solve", counted_solve)
+    beta = _gauss_newton(start, gram, rho)
+    assert solves == [3] * 10
+    steps = []
+    for h in range(3):
+        solves.clear()
+        alone = _gauss_newton(start[h : h + 1], gram[h : h + 1], rho[h : h + 1])
+        np.testing.assert_array_equal(beta[h], alone[0])
+        steps.append(len(solves))
+    assert 1 <= steps[0] < 10 and steps[1:] == [10, 0]
+    np.testing.assert_allclose(beta[0], truth[0], rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(beta[2], start[2])
+
+
 def test_stacked_solve_isolates_singular_slices():
     a = np.array(
         [np.eye(3) * 2.0, np.zeros((3, 3)), [[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]]
     )
-    b = np.ones((3, 3))
+    b = np.ones((3, 3, 1))
     x = _solve(a, b)
     assert np.all(np.isnan(x[1]))
     np.testing.assert_allclose(x[0], np.linalg.solve(a[0], b[0]))

@@ -301,6 +301,22 @@ class TestTypes:
         pose = Pose(position=[0, 0, 10], attitude=[2.0, 0.0, 0.0, 0.0])
         assert abs(np.linalg.norm(pose.attitude) - 1.0) < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "attitude, unit",
+        [
+            ([1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+            ([1e200, 1e200, 0.0, 0.0], [0.5**0.5, 0.5**0.5, 0.0, 0.0]),
+            ([0.0, -1e300, 0.0, 1e300], [0.0, -(0.5**0.5), 0.0, 0.5**0.5]),
+            ([1.7e308] * 4, [0.5] * 4),
+        ],
+    )
+    def test_attitudes_whose_square_overflows_normalize(self, attitude, unit):
+        pose = Pose(position=[0, 0, 40], attitude=attitude)
+        for q in (pose.attitude, quat_normalize(attitude)):
+            np.testing.assert_allclose(q, unit, rtol=0, atol=1e-15)
+            assert abs(np.linalg.norm(q) - 1.0) < 1e-12
+
     def test_pose_is_immutable(self):
         pose = Pose(position=[0, 0, 10], attitude=[1, 0, 0, 0])
         with pytest.raises((ValueError, AttributeError)):
