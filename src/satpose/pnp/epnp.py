@@ -87,7 +87,6 @@ def _init_systems(k: int):
 _PAIR_DIFFERENCES = {m: _pair_differences(m) for m in (3, 4)}
 _INIT_SYSTEMS = {k: _init_systems(k) for k in (2, 4)}
 _GN_DAMPING = {k: (_BETA_GN_DAMPING / 4.0) * np.eye(k) for k in (2, 4)}
-_MINUS_HALF = np.array(-0.5)  # the same product as by the float -0.5, with less dispatch
 
 # per-problem status returned by epnp_stack
 EPNP_OK = 0
@@ -152,7 +151,7 @@ def _finite_or(a: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked ``a x = b`` for columns ``b (..., k, 1)``; NaN for non-finite or singular slices."""
+    """Stacked ``a x = b`` for columns ``b (..., k, m)``; NaN for non-finite or singular slices."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -287,24 +286,27 @@ def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.nda
     n, p, k = gram.shape[:3]
     flat = gram.reshape(n, p * k, k)
     damping = _GN_DAMPING[k]
-    floor = _BETA_GN_ROUNDOFF**2 * np.vecdot(rho, rho)
-    column = beta[:, :, None]  # the betas as columns, as _solve takes and returns them
+    # betas and residuals as columns: no reindexing per step, and a row's
+    # squared residual norm is one matmul
+    column = beta[:, :, None]
+    rho = rho[:, :, None]
+    floor = _BETA_GN_ROUNDOFF**2 * (rho.swapaxes(1, 2) @ rho)
     for _ in range(_BETA_GN_STEPS):
         # _distance_residual, with the Gram stack reshaped once
         half = (flat @ column).reshape(n, p, k)
-        residual = (half @ column)[..., 0] - rho
-        live = np.vecdot(residual, residual) > floor  # False for NaN
+        residual = half @ column - rho
+        live = residual.swapaxes(1, 2) @ residual > floor  # (n, 1, 1); False for NaN
         n_live = np.count_nonzero(live)
         if not n_live:
             break
         half_t = half.swapaxes(1, 2)
-        delta = _solve(half_t @ half + damping, half_t @ (_MINUS_HALF * residual)[..., None])
+        delta = _solve(half_t @ half + damping, half_t @ (-0.5 * residual))
         finite = np.isfinite(delta)
         if n_live == n and np.count_nonzero(finite) == finite.size:
             column = column + delta
         else:
-            live &= finite.all(axis=(1, 2))
-            column = np.where(live[:, None, None], column + delta, column)
+            live &= finite.all(axis=1, keepdims=True)
+            column = np.where(live, column + delta, column)
     return column[..., 0]
 
 

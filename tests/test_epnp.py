@@ -336,10 +336,13 @@ def test_noisy_stacks_match_the_fixed_step_loop(cam, wireframe, monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [5, 11])
-def test_noise_free_rows_stop_within_three_solves(cam, wireframe, monkeypatch, n):
-    # a row stops once its distance constraints hold; every row of an 11-point
-    # problem does, but with 5 points the kernel is two-dimensional, and the
-    # beta row that assumes one dimension crawls through all 10 steps
+def test_noise_free_step_counts(cam, wireframe, monkeypatch, n):
+    # a row stops once its distance constraints hold and keeps the bits it gets
+    # alone, and a stack takes as many solves as its slowest row. Every row of
+    # an 11-point problem stops within 3. With 5 points the kernel is
+    # two-dimensional; the rows that assume two and three dimensions stop as
+    # fast, but the row that assumes one converges only linearly and takes 8
+    # to 10 steps, and so does every 5-point call
     image, world = _random_problems(cam, wireframe, stream(110, "epnp"), 20, n, 0.0)
     calls, solves = [], [0]
 
@@ -361,14 +364,21 @@ def test_noise_free_rows_stop_within_three_solves(cam, wireframe, monkeypatch, n
     stacked, rows = [], []
     for beta, gram, rho in calls:
         solves[0] = 0
-        _gauss_newton(beta, gram, rho)
+        out = _gauss_newton(beta, gram, rho)
         stacked.append(solves[0])
-        for r in range(n == 5, len(beta)):  # row 0 assumes one dimension
+        counts = []
+        for r in range(len(beta)):
             solves[0] = 0
-            _gauss_newton(beta[r : r + 1], gram[r : r + 1], rho[r : r + 1])
-            rows.append(solves[0])
-    assert len(calls) >= len(world) and max(rows) <= 3 and sum(rows) > 0
-    assert max(stacked) <= (3 if n == 11 else 10)
+            alone = _gauss_newton(beta[r : r + 1], gram[r : r + 1], rho[r : r + 1])
+            np.testing.assert_array_equal(out[r], alone[0])
+            counts.append(solves[0])
+        rows.append(counts)
+    rows = np.array(rows)
+    assert len(calls) >= len(world) and stacked == list(rows.max(axis=1))
+    if n == 11:
+        assert rows.max() <= 3 and rows.sum() > 0
+    else:
+        assert rows[:, 0].min() >= 8 and rows[:, 1:].max() <= 3 and rows[:, 1:].sum() > 0
 
 
 def test_gauss_newton_rows_stop_on_their_own(monkeypatch):
