@@ -7,12 +7,12 @@ barycentric combinations of four control points (centroid plus principal
 directions); the camera-frame control points are a combination of the four
 smallest eigenvectors of the projection-constraint normal matrix; candidate
 combination weights (betas) are estimated for assumed null-space dimensions
-1..3, from one zero-padded stack of least-squares systems, and all of them
-are refined together by Gauss-Newton on the inter-control-point distance
-constraints, each row stopping once its constraints hold to round-off or
-after 10 steps; the rigid transform then follows
-from orthogonal Procrustes alignment with det=+1 enforcement, and the
-candidate with the lowest reprojection RMS wins.
+1..3, from one zero-padded stack of least-squares systems solved through
+their normal equations, and all of them are refined together by
+Gauss-Newton on the inter-control-point distance constraints, each row
+stopping once its constraints hold to round-off or after 10 steps; the
+rigid transform then follows from orthogonal Procrustes alignment with
+det=+1 enforcement, and the candidate with the lowest reprojection RMS wins.
 
 Near-planar point sets fall back to three control points, which keeps the
 barycentric system well conditioned when a face-on solar panel dominates
@@ -62,11 +62,13 @@ def _init_systems(k: int):
     Each system has one column per ``beta_a * beta_b`` monomial, ``(a, b)``:
     dimension 1 takes ``(0, b)`` for every b, dimension 2 takes ``(0, 0),
     (0, 1), (1, 1)`` and, for k = 4, dimension 3 adds ``(0, 2), (1, 2)``.
-    Systems are zero-padded to one column count so that one SVD call solves
-    them all; a padded column points at ``(0, 0)`` with weight 0, and
-    ``lstsq``'s cutoff ``max(rows, cols)`` is the same as unpadded.
-    Returns the row and column index tables (S, C) and the weights (S, C):
-    2 off the diagonal, where the monomial appears twice in ``b^T G b``.
+    Systems are zero-padded to one column count so that one stacked solve of
+    their normal equations solves them all; a padded column points at
+    ``(0, 0)`` with weight 0. Returns the row and column index tables (S, C),
+    the weights (S, C), 2 off the diagonal, where the monomial appears twice
+    in ``b^T G b``, and the padding's diagonal (S, C, C): 1 for each padded
+    column, so that the normal matrix stays regular and the padded unknowns
+    solve to 0.
     """
     systems = [[(0, b) for b in range(k)], [(0, 0), (0, 1), (1, 1)]]
     if k == 4:
@@ -78,7 +80,8 @@ def _init_systems(k: int):
     for s, monomials in enumerate(systems):
         for c, (a, b) in enumerate(monomials):
             rows[s, c], cols[s, c], weights[s, c] = a, b, 1.0 if a == b else 2.0
-    return rows, cols, weights
+    padding = np.eye(width) * (weights == 0.0)[:, None]
+    return rows, cols, weights, padding
 
 
 # built once: per control-point count m, the pair differences; per basis
@@ -173,16 +176,6 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok[..., None], lam, np.nan), np.where(ok[..., None, None], vec, np.nan)
 
 
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked minimum-norm least squares with ``numpy.linalg.lstsq``'s cutoff."""
-    a, ok = _finite_or(a, 0.0)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s[..., :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    x = (inv[..., None, :] * (b[..., None, :] @ u)) @ vt
-    return np.where(ok[..., None], x[..., 0, :], np.nan)
-
-
 def _control_frame(world: np.ndarray):
     """Centroid, principal axes (largest first) and eigenvalues per problem.
 
@@ -240,10 +233,15 @@ def _leading_pair(sol: np.ndarray) -> np.ndarray:
 def _beta_inits(gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Betas (H, I, k) assuming null-space dimension 1, 2 and, for k = 4, 3."""
     h, p, k = gram.shape[:3]
-    rows, cols, weights = _INIT_SYSTEMS[k]
-    # (H, S, P, C): system s, pair p, monomial column c
-    systems = gram[:, np.arange(p)[:, None], rows[:, None], cols[:, None]] * weights[:, None]
-    sol = _lstsq(systems, rho[:, None])  # (H, S, C)
+    rows, cols, weights, padding = _INIT_SYSTEMS[k]
+    # (H, S, P, C): system s, pair p, monomial column c. The gather leaves the
+    # problem axis fastest, and matmul picks its kernel by stride, so the
+    # stack is made C-contiguous to keep each row's bits apart from H
+    systems = np.ascontiguousarray(
+        gram[:, np.arange(p)[:, None], rows[:, None], cols[:, None]] * weights[:, None]
+    )
+    systems_t = systems.swapaxes(2, 3)
+    sol = _solve(systems_t @ systems + padding, systems_t @ rho[:, None, :, None])[..., 0]
 
     inits = np.zeros((h, len(rows), k))
     # [b11 b12 .. b1k] -> beta = sign(b11) [b11 b12 .. b1k] / sqrt|b11|

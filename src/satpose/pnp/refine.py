@@ -7,7 +7,13 @@ the cost, so the refined cost never exceeds the initial one. The damped loop,
 :func:`least_squares`, also refines triangulated points. Its stopping rule is
 fixed: at most 100 iterations, ending early when the largest gradient entry
 falls below 1e-10, a step is shorter than 1e-12, or an accepted step lowers
-the cost by less than 1e-14 of its value.
+the cost by less than 1e-8 of its value. A Gauss-Newton finish then takes up
+to 3 undamped steps, keeping each only while the largest gradient entry
+shrinks and the cost rises by no more than round-off (1e-12 of its value),
+and never past the starting cost (Madsen, Nielsen and Tingleff, "Methods for
+Non-Linear Least Squares Problems", DTU 2004). A cost tolerance fixes a
+minimum only to about its square root; the gradient resolves it, so LM from
+different starts near one minimum ends at the same point.
 
 The loop state is the ``(position, quaternion)`` array pair. The start pose
 is scored through :func:`~satpose.geometry.project`. One trial step computes
@@ -39,7 +45,10 @@ from .epnp import split_correspondences
 _MAX_ITERATIONS = 100
 _GRADIENT_TOL = 1e-10
 _STEP_TOL = 1e-12
-_COST_TOL = 1e-14
+_COST_TOL = 1e-8
+_FINISH_STEPS = 3
+# a finish step may raise the cost by this share of it: round-off in the sum
+_FINISH_COST_SLACK = 1e-12
 _INITIAL_DAMPING = 1e-3
 _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
@@ -96,13 +105,15 @@ def least_squares(x, start, residual, jacobian, step):
     raise its own errors there. ``step(x, delta)`` applies a k-vector update.
     A trial whose residual raises :class:`BehindCameraError` or is not finite
     is rejected like an uphill one. Stops on the gradient, step or
-    relative-cost tolerance, or after ``_MAX_ITERATIONS``; raises
+    relative-cost tolerance, or after ``_MAX_ITERATIONS``, then takes the
+    Gauss-Newton finish that the module docstring states, reusing the
+    loop's last Jacobian when ``x`` has not moved since; raises
     :class:`NumericalFailureError` on non-finite residuals at the start.
     """
     r, at = start
     if not np.isfinite(r).all():
         raise NumericalFailureError("non-finite residuals at the starting point")
-    cost = float(r @ r)
+    cost = start_cost = float(r @ r)
 
     damping = _INITIAL_DAMPING
     for _ in range(_MAX_ITERATIONS):
@@ -135,11 +146,43 @@ def least_squares(x, start, residual, jacobian, step):
                 # a relative cost drop below _COST_TOL ends the loop after this step
                 improved = cost - cost_new >= _COST_TOL * max(cost_new, 1e-30)
                 x, r, at, cost = x_new, r_new, at_new, cost_new
+                jac = None  # x has moved since the Jacobian
                 damping = max(damping * _DAMPING_DOWN, 1e-15)
                 break
             damping *= _DAMPING_UP
         if not improved:
             break
+
+    # Gauss-Newton finish: undamped steps, each kept only while the largest
+    # gradient entry shrinks and the cost rises by no more than round-off,
+    # never past the start; the first step that fails ends it
+    if jac is None:
+        jac = jacobian(at)
+    grad = jac.T @ r
+    largest = np.abs(grad).max()
+    for _ in range(_FINISH_STEPS):
+        if largest < _GRADIENT_TOL:
+            break
+        try:
+            delta = np.linalg.solve(jac.T @ jac, -grad)
+        except np.linalg.LinAlgError:
+            break
+        if not _norm(delta) >= _STEP_TOL:  # also ends on a non-finite step
+            break
+        x_new = step(x, delta)
+        try:
+            r_new, at_new = residual(x_new)
+        except BehindCameraError:
+            break
+        cost_new = float(r_new @ r_new)
+        if not cost_new <= min(cost * (1.0 + _FINISH_COST_SLACK), start_cost):
+            break  # also a non-finite residual
+        jac_new = jacobian(at_new)
+        grad_new = jac_new.T @ r_new
+        largest_new = np.abs(grad_new).max()
+        if not largest_new < largest:
+            break
+        x, r, cost, jac, grad, largest = x_new, r_new, cost_new, jac_new, grad_new, largest_new
     return x
 
 

@@ -359,11 +359,16 @@ class TestRunPipeline:
         assert rerun.scored_ids == first.scored_ids
         assert rerun.scores == first.scores
 
-    def test_scores_match_epnp_resolve_reference(self, cam, labeled, wireframe):
+    @pytest.mark.parametrize(
+        "noise_seed, ransac_seed", [(41, 7)] + [(k, 100 + k) for k in range(1, 8)]
+    )
+    def test_scores_match_epnp_resolve_reference(
+        self, cam, labeled, wireframe, noise_seed, ransac_seed
+    ):
         # LM from the winning hypothesis reaches the minimum that LM from an
         # EPnP re-solve over the same inliers reaches
-        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, seed=41)
-        ransac_cfg = RansacConfig(seed=7)
+        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, seed=noise_seed)
+        ransac_cfg = RansacConfig(seed=ransac_seed)
         run = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=ransac_cfg)
         assert not run.failures
         roi_cfg = RoiConfig()
