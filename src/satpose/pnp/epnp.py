@@ -20,6 +20,14 @@ the correspondences; problems are grouped by control-point count. Every
 stacked linear-algebra call is guarded per problem, so one degenerate
 problem never fails the others. :func:`epnp` is the single-problem entry
 point over a correspondence list.
+
+The control points, barycentric coordinates and squared control-point
+distances depend on the world points alone. For a one-problem stack (every
+RANSAC all-point hypothesis, and :func:`epnp`) they come from a memo keyed
+by the world points' bytes, which holds read-only arrays and is emptied at
+64 entries, so frames that keep the same keypoints of one model compute them
+once. A hit returns the arrays a miss computes, so no result changes. Stacks
+of random samples compute them inline: their point sets rarely repeat.
 """
 
 from __future__ import annotations
@@ -95,6 +103,37 @@ _GN_DAMPING = {k: (_BETA_GN_DAMPING / 4.0) * np.eye(k) for k in (2, 4)}
 EPNP_OK = 0
 EPNP_DEGENERATE = 1  # collinear or coincident world points
 EPNP_NO_POSE = 2  # every candidate puts the target behind the camera
+
+# results of functions of the world points alone, keyed by function and world
+# bytes; emptied when it holds _WORLD_MEMO_SIZE entries
+_WORLD_MEMO: dict = {}
+_WORLD_MEMO_SIZE = 64
+
+
+def _frozen(terms):
+    """Mark every array in ``terms``, an array or nested tuples of them, read-only."""
+    if isinstance(terms, np.ndarray):
+        terms.setflags(write=False)
+    else:
+        for item in terms:
+            _frozen(item)
+    return terms
+
+
+def _memoised(fn, world: np.ndarray):
+    """``fn(world)`` through the world memo, as read-only arrays.
+
+    Frame after frame, one target model gives the same kept keypoints, so
+    what only they determine is computed once for them. A hit returns the
+    arrays a miss computed from the same bytes, so no result changes.
+    """
+    key = (fn, world.shape, world.tobytes())
+    terms = _WORLD_MEMO.get(key)
+    if terms is None:
+        if len(_WORLD_MEMO) >= _WORLD_MEMO_SIZE:
+            _WORLD_MEMO.clear()
+        terms = _WORLD_MEMO[key] = _frozen(fn(world))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -205,20 +244,18 @@ def _null_basis(alphas: np.ndarray, image: np.ndarray, cam: CameraIntrinsics, k:
     return vec[:, :, :k]
 
 
-def _distance_terms(basis: np.ndarray, ctrl: np.ndarray):
-    """Distance Gram matrices (H, P, k, k) and squared control distances (H, P).
+def _distance_terms(basis: np.ndarray) -> np.ndarray:
+    """Distance Gram matrices (H, P, k, k) of the basis (H, 3m, k).
 
     For betas b, the squared distance between the camera-frame control
     points of pair p is b^T G_p b, with G_p the Gram matrix of the pair's
     basis-vector differences.
     """
-    h, m = ctrl.shape[:2]
-    diff = _PAIR_DIFFERENCES[m]
-    vectors = basis.swapaxes(1, 2).reshape(h, basis.shape[2], m, 3)
+    h, rows, k = basis.shape
+    diff = _PAIR_DIFFERENCES[rows // 3]
+    vectors = basis.swapaxes(1, 2).reshape(h, k, rows // 3, 3)
     dv = (diff @ vectors).swapaxes(1, 2)  # (H, P, k, 3)
-    gram = dv @ dv.swapaxes(2, 3)
-    rho = np.sum((diff @ ctrl) ** 2, axis=-1)
-    return gram, rho
+    return dv @ dv.swapaxes(2, 3)
 
 
 def _leading_pair(sol: np.ndarray) -> np.ndarray:
@@ -355,20 +392,40 @@ def _candidate_poses(beta, basis, alphas, world, image, cam):
     return rot, t, rms
 
 
-def _solve_group(image, world, c0, axes, lam, cam):
-    """Solve problems that share one control-point count m = axes.shape[2] + 1."""
-    g, n = world.shape[:2]
-    m = axes.shape[2] + 1
+def _world_terms(world: np.ndarray):
+    """What EPnP takes from the world points (H, n, 3) alone, per control-point group.
+
+    Returns one ``(idx, alphas, rho)`` per group with problems in it, m = 4
+    first, then the near-planar m = 3: the group's problem indices, their
+    barycentric coordinates (g, n, m), which sum to 1, and the squared
+    distances (g, P) between their control points. Degenerate problems are
+    in no group.
+    """
+    c0, axes, lam, degenerate, planar = _control_frame(world)
+    groups = []
+    for m, group in ((4, ~degenerate & ~planar), (3, planar)):
+        idx = np.flatnonzero(group)
+        if not idx.size:
+            continue
+        g_axes, scales = axes[idx, :, : m - 1], np.sqrt(lam[idx, : m - 1])
+        g_c0 = c0[idx]
+        ctrl = g_c0[:, None] + np.concatenate(
+            [np.zeros((idx.size, 1, 3)), scales[:, :, None] * g_axes.swapaxes(1, 2)], axis=1
+        )
+        # barycentric coordinates in the orthonormal principal frame
+        coords = (world[idx] - g_c0[:, None]) @ g_axes / scales[:, None]
+        alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
+        rho = np.sum((_PAIR_DIFFERENCES[m] @ ctrl) ** 2, axis=-1)
+        groups.append((idx, alphas, rho))
+    return tuple(groups)
+
+
+def _solve_group(image, world, alphas, rho, cam):
+    """Solve problems that share one control-point count m = alphas.shape[2]."""
+    g, n, m = alphas.shape
     k = 4 if m == 4 else 2
-    scales = np.sqrt(lam)
-    ctrl = c0[:, None] + np.concatenate(
-        [np.zeros((g, 1, 3)), scales[:, :, None] * axes.swapaxes(1, 2)], axis=1
-    )
-    # barycentric coordinates in the orthonormal principal frame; they sum to 1
-    coords = (world - c0[:, None]) @ axes / scales[:, None]
-    alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
     basis = _null_basis(alphas, image, cam, k)
-    gram, rho = _distance_terms(basis, ctrl)
+    gram = _distance_terms(basis)
 
     inits = _beta_inits(gram, rho)
     owner = np.repeat(np.arange(g), inits.shape[1])  # problem index of each beta row
@@ -409,14 +466,10 @@ def epnp_stack(image, world, cam: CameraIntrinsics):
     rot = np.full((h, 3, 3), np.nan)
     t = np.full((h, 3), np.nan)
     status = np.full(h, EPNP_DEGENERATE, dtype=np.int8)
-    c0, axes, lam, degenerate, planar = _control_frame(world)
-    for m, group in ((4, ~degenerate & ~planar), (3, planar)):
-        idx = np.flatnonzero(group)
-        if idx.size:
-            rot[idx], t[idx], found = _solve_group(
-                image[idx], world[idx], c0[idx], axes[idx, :, : m - 1], lam[idx, : m - 1], cam
-            )
-            status[idx] = np.where(found, EPNP_OK, EPNP_NO_POSE)
+    groups = _memoised(_world_terms, world) if h == 1 else _world_terms(world)
+    for idx, alphas, rho in groups:
+        rot[idx], t[idx], found = _solve_group(image[idx], world[idx], alphas, rho, cam)
+        status[idx] = np.where(found, EPNP_OK, EPNP_NO_POSE)
     return rot, t, status
 
 

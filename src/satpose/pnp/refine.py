@@ -21,7 +21,8 @@ the trial quaternion's rotation matrix once, the world points in the camera
 frame once, and their pixels with :func:`~satpose.geometry.camera_to_pixels`.
 An accepted trial hands that rotation and those camera-frame points to the
 next Jacobian, and every Jacobian of one :func:`lm_refine` call shares the
-world points' cross-product matrices, built once per call.
+world points' cross-product matrices, taken through the EPnP module's world
+memo, so a call with the inlier set of an earlier one does not rebuild them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..geometry import (
     quat_multiply,
     quat_to_matrix,
 )
-from .epnp import split_correspondences
+from .epnp import _memoised, split_correspondences
 
 _MAX_ITERATIONS = 100
 _GRADIENT_TOL = 1e-10
@@ -199,7 +200,7 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics) -> Pose:
     x0 = np.array(initial.position, dtype=float), np.array(initial.attitude, dtype=float)
     rot = initial.rotation_matrix()
     start = (project(initial, cam, world) - image).ravel(), (rot, world @ rot.T + x0[0])
-    world_skew = skew_table(world)
+    world_skew = _memoised(skew_table, world)
     t, q = least_squares(
         x0,
         start,

@@ -11,10 +11,14 @@ the all-point one included, and ``max_iterations`` caps that count.
 Minimal samples are drawn without replacement from a seeded Philox stream,
 which is built when the first one is drawn, so clean data builds none. They
 are solved in chunks of up to 16 by one stacked EPnP call and scored together
-by per-point reprojection error. Results are taken in order, all-point
-hypothesis first, then draw order; a later hypothesis replaces the best only
-with more inliers, or as many at a lower inlier RMS. Hypotheses drawn past
-the stop are discarded and not counted. The returned pose is the winning
+by per-point reprojection error. Until some hypothesis reaches consensus, a
+chunk holds no more samples than the stopping rule asks for with two
+outliers among the n points (11 at n = 11), so that fewer rows past the stop
+are solved; each row's result does not depend on its chunk, so the chunk
+size changes no result. Results are taken in order, all-point hypothesis
+first, then draw order; a later hypothesis replaces the best only with more
+inliers, or as many at a lower inlier RMS. Hypotheses drawn past the stop
+are discarded and not counted. The returned pose is the winning
 hypothesis itself; the one fit over all of its inliers is left to the
 nonlinear refinement that follows (:func:`satpose.pnp.refine.lm_refine`), as
 in the gold-standard scheme of linear start plus reprojection-error
@@ -106,11 +110,12 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
         if iterations:
             if rng is None:
                 rng = stream(cfg.seed, "ransac")
+            chunk = min(_CHUNK, required - iterations)
+            if best_mask is None:  # no consensus yet: the samples two outliers would need
+                two_out = _required_iterations((n - 2) / n, cfg.min_sample, cfg.confidence, _CHUNK)
+                chunk = min(chunk, two_out)
             samples = np.array(
-                [
-                    rng.choice(n, size=cfg.min_sample, replace=False)
-                    for _ in range(min(_CHUNK, required - iterations))
-                ]
+                [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(chunk)]
             )
             hypotheses = image[samples], world[samples]
         rot, t, status = epnp_stack(*hypotheses, cam)

@@ -23,6 +23,7 @@ from satpose.pnp.epnp import (
     point_errors,
     split_correspondences,
 )
+from satpose.pnp.refine import lm_refine
 from satpose.rng import stream
 from tests.conftest import random_pose, reprojection_rms, synthesize
 
@@ -272,10 +273,64 @@ def test_stack_rows_do_not_depend_on_stack_composition(cam, wireframe, n):
                 np.testing.assert_array_equal(full[h : h + 1], part)
 
 
+def _memo_arrays(terms) -> list:
+    if isinstance(terms, np.ndarray):
+        return [terms]
+    return [a for item in terms for a in _memo_arrays(item)]
+
+
+def test_world_memo_changes_no_bit(cam, wireframe, make_case):
+    # one-problem solves read the same bits with the memo emptied (a miss) as
+    # filled (a hit): for a second image of the same world points, and for a
+    # second world of the same shape
+    _, corrs = make_case(130, noise_sigma=1.0)
+    _, other = make_case(131, noise_sigma=1.0)
+    image, world = split_correspondences(corrs)
+    image2, world2 = split_correspondences(other)
+    np.testing.assert_array_equal(world, world2)
+    cases = [(image, world), (image2, world), (image, 1.5 * world)]
+    epnp_mod._WORLD_MEMO.clear()
+    warm = [epnp_stack(img[None], w[None], cam) for img, w in cases + cases]
+    assert len(epnp_mod._WORLD_MEMO) == 2
+    for h, (img, w) in enumerate(cases):
+        epnp_mod._WORLD_MEMO.clear()
+        cold = epnp_stack(img[None], w[None], cam)
+        assert cold[2][0] == EPNP_OK
+        for again in (warm[h], warm[h + len(cases)]):
+            for a, b in zip(cold, again):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_world_memo_holds_read_only_arrays(cam, wireframe, make_case):
+    pose, corrs = make_case(132, noise_sigma=1.0)
+    image, world = split_correspondences(corrs)
+    epnp_mod._WORLD_MEMO.clear()
+    epnp_stack(image[None], world[None], cam)
+    lm_refine(pose, corrs, cam)  # its cross-product matrices go through the memo too
+    arrays = [a for terms in epnp_mod._WORLD_MEMO.values() for a in _memo_arrays(terms)]
+    assert len(epnp_mod._WORLD_MEMO) == 2 and len(arrays) == 4
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_world_memo_stays_within_its_bound(cam, wireframe, make_case):
+    _, corrs = make_case(133)
+    image, world = split_correspondences(corrs)
+    rng = stream(134, "epnp")
+    epnp_mod._WORLD_MEMO.clear()
+    sizes = []
+    for _ in range(200):  # a distinct world each time
+        epnp_stack(image[None], (world + rng.normal(size=3))[None], cam)
+        sizes.append(len(epnp_mod._WORLD_MEMO))
+    assert max(sizes) == epnp_mod._WORLD_MEMO_SIZE
+
+
 def test_gauss_newton_keeps_a_non_finite_row_apart():
     rng = stream(107, "epnp")
     basis = rng.normal(size=(3, 12, 4))
-    gram, _ = _distance_terms(basis, rng.normal(size=(3, 4, 3)))
+    rng.normal(size=(3, 4, 3))  # drawn and unused, so that the draws below stay fixed
+    gram = _distance_terms(basis)
     truth = rng.normal(size=(3, 4))
     rho = np.einsum("hk,hpkl,hl->hp", truth, gram, truth)
     start = truth + 0.05 * rng.normal(size=(3, 4))
@@ -386,7 +441,8 @@ def test_gauss_newton_rows_stop_on_their_own(monkeypatch):
     # keeps its betas; each comes out as it does alone
     rng = stream(111, "epnp")
     basis = rng.normal(size=(3, 12, 4))
-    gram, _ = _distance_terms(basis, rng.normal(size=(3, 4, 3)))
+    rng.normal(size=(3, 4, 3))  # drawn and unused, so that the draws below stay fixed
+    gram = _distance_terms(basis)
     truth = rng.normal(size=(3, 4))
     rho = np.einsum("hk,hpkl,hl->hp", truth, gram, truth)
     rho[1] += 0.01 * rng.normal(size=rho.shape[1])

@@ -413,8 +413,11 @@ class TestRunPipeline:
             run_pipeline(labeled, provider, wireframe)
         assert issubclass(NoScoredRecordsError, ValueError)  # callers that catch ValueError
 
-    def test_scores_do_not_depend_on_record_order(self, labeled, wireframe):
-        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, seed=41)
+    # with dropout, records keep different keypoint sets and meet the EPnP
+    # world memo in another order
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+    def test_scores_do_not_depend_on_record_order(self, labeled, wireframe, dropout_rate):
+        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, dropout_rate=dropout_rate, seed=41)
         cfg = RansacConfig(seed=7)
         forward = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
         order = stream(8, "permute").permutation(len(labeled.records))

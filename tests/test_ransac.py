@@ -201,6 +201,35 @@ def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
     assert max(used) > 1 + 16  # some runs reach a third chunk
 
 
+def test_first_chunk_without_consensus_is_sized_for_two_outliers(
+    cam, wireframe, make_case, monkeypatch
+):
+    # while no hypothesis has consensus, a chunk holds the samples the stopping
+    # rule asks for with two outliers among n points, not a full chunk
+    rows = []
+
+    def counted(image, world, cam):
+        rows.append(len(image))
+        return epnp_stack(image, world, cam)
+
+    monkeypatch.setattr(robust, "epnp_stack", counted)
+    for seed in range(3):
+        _, corrs = make_case(1300 + seed, noise_sigma=1.0)
+        rng = stream(seed, "outliers")
+        noisy = corrupt(corrs, rng.choice(len(corrs), size=4, replace=False), rng)
+        cfg = RansacConfig(inlier_threshold=4.0, seed=seed)
+        n = len(noisy)
+        image, world = split_correspondences(noisy)
+        rot, t, status = epnp_stack(image[None], world[None], cam)
+        first = point_errors(rot[0], t[0], world, image, cam) < cfg.inlier_threshold
+        assert status[0] != EPNP_OK or first.sum() < cfg.min_sample  # no consensus
+        rows.clear()
+        ransac_pnp(noisy, cam, cfg)
+        two_out = _required_iterations((n - 2) / n, cfg.min_sample, cfg.confidence, 10**6)
+        assert two_out < robust._CHUNK
+        assert rows[:2] == [1, two_out]
+
+
 def test_too_few_correspondences_rejected(cam, wireframe, make_case):
     _, corrs = make_case(23)
     with pytest.raises(ValueError):
