@@ -19,15 +19,17 @@ barycentric system well conditioned when a face-on solar panel dominates
 the correspondences; problems are grouped by control-point count. Every
 stacked linear-algebra call is guarded per problem, so one degenerate
 problem never fails the others. :func:`epnp` is the single-problem entry
-point over a correspondence list.
+point over a correspondence list. On the solve path EPnP serves RANSAC's
+all-point hypothesis; random minimal samples go to the P3P kernel
+(:mod:`satpose.pnp.p3p`).
 
 The control points, barycentric coordinates and squared control-point
 distances depend on the world points alone. For a one-problem stack (every
 RANSAC all-point hypothesis, and :func:`epnp`) they come from a memo keyed
 by the world points' bytes, which holds read-only arrays and is emptied at
 64 entries, so frames that keep the same keypoints of one model compute them
-once. A hit returns the arrays a miss computes, so no result changes. Stacks
-of random samples compute them inline: their point sets rarely repeat.
+once. A hit returns the arrays a miss computes, so no result changes.
+Stacks of more than one problem compute them inline.
 """
 
 from __future__ import annotations

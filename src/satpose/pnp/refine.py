@@ -21,8 +21,7 @@ the trial quaternion's rotation matrix once, the world points in the camera
 frame once, and their pixels with :func:`~satpose.geometry.camera_to_pixels`.
 An accepted trial hands that rotation and those camera-frame points to the
 next Jacobian, and every Jacobian of one :func:`lm_refine` call shares the
-world points' cross-product matrices, taken through the EPnP module's world
-memo, so a call with the inlier set of an earlier one does not rebuild them.
+world points' cross-product matrices, built once per call.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from ..geometry import (
     quat_multiply,
     quat_to_matrix,
 )
-from .epnp import _memoised, split_correspondences
+from .epnp import split_correspondences
 
 _MAX_ITERATIONS = 100
 _GRADIENT_TOL = 1e-10
@@ -56,16 +55,20 @@ _DAMPING_DOWN = 0.1
 _DAMPING_MAX = 1e15
 
 
+# (w @ _SKEW).reshape(3, 3) is the cross-product matrix [w]_x: each entry
+# is one signed component of w, so the product is exact
+_SKEW = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
+
+
 def skew_table(world: np.ndarray) -> np.ndarray:
     """(n, 3, 3) cross-product matrices ``[w]_x`` of world points (n, 3)."""
-    wx = np.zeros((world.shape[0], 3, 3))
-    wx[:, 0, 1] = -world[:, 2]
-    wx[:, 0, 2] = world[:, 1]
-    wx[:, 1, 0] = world[:, 2]
-    wx[:, 1, 2] = -world[:, 0]
-    wx[:, 2, 0] = -world[:, 1]
-    wx[:, 2, 1] = world[:, 0]
-    return wx
+    return (world @ _SKEW).reshape(len(world), 3, 3)
 
 
 def reprojection_jacobian(
@@ -200,7 +203,7 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics) -> Pose:
     x0 = np.array(initial.position, dtype=float), np.array(initial.attitude, dtype=float)
     rot = initial.rotation_matrix()
     start = (project(initial, cam, world) - image).ravel(), (rot, world @ rot.T + x0[0])
-    world_skew = _memoised(skew_table, world)
+    world_skew = skew_table(world)
     t, q = least_squares(
         x0,
         start,

@@ -1,4 +1,4 @@
-"""RANSAC wrapper around the EPnP solver.
+"""RANSAC over EPnP and P3P hypotheses.
 
 The first hypothesis is one EPnP solve over all n correspondences. When all
 n points are its inliers the loop ends there, so clean data stops after one
@@ -10,19 +10,22 @@ the all-point one included, and ``max_iterations`` caps that count.
 
 Minimal samples are drawn without replacement from a seeded Philox stream,
 which is built when the first one is drawn, so clean data builds none. They
-are solved in chunks of up to 16 by one stacked EPnP call and scored together
-by per-point reprojection error. Until some hypothesis reaches consensus, a
-chunk holds no more samples than the stopping rule asks for with two
-outliers among the n points (11 at n = 11), so that fewer rows past the stop
-are solved; each row's result does not depend on its chunk, so the chunk
-size changes no result. Results are taken in order, all-point hypothesis
-first, then draw order; a later hypothesis replaces the best only with more
-inliers, or as many at a lower inlier RMS. Hypotheses drawn past the stop
-are discarded and not counted. The returned pose is the winning
-hypothesis itself; the one fit over all of its inliers is left to the
-nonlinear refinement that follows (:func:`satpose.pnp.refine.lm_refine`), as
-in the gold-standard scheme of linear start plus reprojection-error
-minimisation. Identical seed and inputs reproduce the identical result.
+are solved in chunks of up to 16 by one stacked call of the sample kernel,
+:func:`satpose.pnp.p3p.p3p_hypotheses` (P3P on each sample's first three
+points, the root that best fits all of its points, then one Gauss-Newton
+step), and scored together by per-point reprojection error. Until some
+hypothesis reaches consensus, a chunk holds no more samples than the
+stopping rule asks for with two outliers among the n points (11 at
+n = 11), so that fewer rows past the stop are solved; each row's result
+does not depend on its chunk, so the chunk size changes no result.
+Results are taken in order, all-point hypothesis first, then draw order; a
+later hypothesis replaces the best only with more inliers, or as many at a
+lower inlier RMS. Hypotheses drawn past the stop are discarded and not
+counted. The returned pose is the winning hypothesis itself; the one fit
+over all of its inliers is left to the nonlinear refinement that follows
+(:func:`satpose.pnp.refine.lm_refine`), as in the gold-standard scheme of
+linear start plus reprojection-error minimisation. Identical seed and
+inputs reproduce the identical result.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ from ..errors import ConsensusFailureError
 from ..geometry import CameraIntrinsics, Pose, quat_from_matrix, whole_number
 from ..rng import MAX_SEED, stream
 from .epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
+from .p3p import p3p_hypotheses
 
 # not called here: bench/tracing.py wraps this name as the pnp.epnp layer
 from .epnp import epnp  # noqa: F401
 
-_CHUNK = 16  # minimal samples per stacked EPnP call
+_CHUNK = 16  # minimal samples per stacked P3P call
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,11 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
     best_rms = np.inf
     required = cfg.max_iterations  # hypotheses to score, the all-point one included
     iterations = 0
-    hypotheses = image[None], world[None]  # the all-point hypothesis comes first
 
     while iterations < required:
-        if iterations:
+        if not iterations:  # the all-point hypothesis comes first
+            rot, t, status = epnp_stack(image[None], world[None], cam)
+        else:
             if rng is None:
                 rng = stream(cfg.seed, "ransac")
             chunk = min(_CHUNK, required - iterations)
@@ -117,8 +122,7 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
             samples = np.array(
                 [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(chunk)]
             )
-            hypotheses = image[samples], world[samples]
-        rot, t, status = epnp_stack(*hypotheses, cam)
+            rot, t, status = p3p_hypotheses(image[samples], world[samples], cam)
         errors = point_errors(rot, t, world, image, cam)
         for h in range(len(status)):
             if iterations >= required:

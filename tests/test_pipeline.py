@@ -43,6 +43,7 @@ from satpose.geometry import denormalize_landmarks
 from satpose.metrics import image_score
 from satpose.pipeline import _solve_record, report_payload, write_report
 from satpose.pnp import Correspondence, lm_refine, ransac_pnp
+from satpose.pnp.epnp import _WORLD_MEMO
 from satpose.rng import MAX_SEED, derive_seed, stream
 from satpose.roi import make_roi
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
@@ -434,6 +435,16 @@ class TestRunPipeline:
         assert report_payload(forward.report, len(forward.failures)) == report_payload(
             permuted.report, len(permuted.failures)
         )
+
+    def test_dropout_free_pass_leaves_one_world_memo_entry(self, labeled, wireframe):
+        # every record keeps every keypoint, so the all-point EPnP solves share
+        # one memo entry; LM's inlier sets and RANSAC's samples add none
+        _WORLD_MEMO.clear()
+        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.05, seed=41)
+        cfg = RansacConfig(seed=7)
+        run = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
+        assert len(run.scores) == len(labeled.records)
+        assert len(_WORLD_MEMO) == 1
 
     def test_provider_value_error_propagates(self, labeled, wireframe):
         class BrokenProvider:

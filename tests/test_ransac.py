@@ -7,6 +7,7 @@ from satpose import RansacConfig, attitude_error, ransac_pnp
 from satpose.errors import ConsensusFailureError
 from satpose.pnp import Correspondence, robust
 from satpose.pnp.epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
+from satpose.pnp.p3p import p3p_hypotheses
 from satpose.pnp.robust import _required_iterations
 from satpose.rng import stream
 
@@ -165,8 +166,9 @@ def test_degenerate_hypotheses_are_counted(cam):
 
 def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
     # the chunked loop keeps the draw order and the stopping rule of a loop
-    # that scores the all-point hypothesis, then one random sample at a time
-    # from the same stream, until the rule's count of random samples is met
+    # that scores the all-point EPnP hypothesis, then one random sample at a
+    # time from the same stream, each solved alone by the sample kernel, until
+    # the rule's count of random samples is met
     used = []
     for seed in range(6):
         _, corrs = make_case(1200 + seed, noise_sigma=1.0)
@@ -178,9 +180,9 @@ def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
         draws = stream(cfg.seed, "ransac")
         best_mask, best_count, best_rms = None, 0, np.inf
         needed, sampled = cfg.max_iterations, 0  # random samples asked for and scored
-        points = np.arange(n)  # the all-point hypothesis
+        points, solve = np.arange(n), epnp_stack  # the all-point hypothesis
         while True:
-            rot, t, status = epnp_stack(image[points][None], world[points][None], cam)
+            rot, t, status = solve(image[points][None], world[points][None], cam)
             errors = point_errors(rot[0], t[0], world, image, cam)
             mask = errors < cfg.inlier_threshold
             if status[0] == EPNP_OK and mask.sum() >= cfg.min_sample:
@@ -192,7 +194,7 @@ def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
                     )
             if best_count == n or sampled >= needed or 1 + sampled >= cfg.max_iterations:
                 break
-            points = draws.choice(n, size=cfg.min_sample, replace=False)
+            points, solve = draws.choice(n, size=cfg.min_sample, replace=False), p3p_hypotheses
             sampled += 1
         result = ransac_pnp(noisy, cam, cfg)
         assert result.iterations_used == 1 + sampled
@@ -208,11 +210,15 @@ def test_first_chunk_without_consensus_is_sized_for_two_outliers(
     # rule asks for with two outliers among n points, not a full chunk
     rows = []
 
-    def counted(image, world, cam):
-        rows.append(len(image))
-        return epnp_stack(image, world, cam)
+    def counting(kernel):
+        def counted(image, world, cam):
+            rows.append(len(image))
+            return kernel(image, world, cam)
 
-    monkeypatch.setattr(robust, "epnp_stack", counted)
+        return counted
+
+    monkeypatch.setattr(robust, "epnp_stack", counting(epnp_stack))
+    monkeypatch.setattr(robust, "p3p_hypotheses", counting(p3p_hypotheses))
     for seed in range(3):
         _, corrs = make_case(1300 + seed, noise_sigma=1.0)
         rng = stream(seed, "outliers")
