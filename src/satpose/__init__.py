@@ -1,7 +1,7 @@
 """satpose: monocular satellite pose estimation, minus the neural networks.
 
-Pinhole geometry and label derivation, ROI box rules, EPnP + RANSAC + LM pose
-solving, multiview triangulation, SO(3)-uniform pose sampling, scoring, and a
+Pinhole geometry and label derivation, ROI box rules, P3P + RANSAC + LM pose
+solving, EPnP, multiview triangulation, SO(3)-uniform pose sampling, scoring, and a
 dataset/pipeline harness with a CLI.
 """
 

@@ -5,7 +5,7 @@ Subcommands::
     sample-poses     draw random target poses into a manifest
     generate-labels  project wireframe keypoints into bbox + landmark labels
     split            seeded train/test partition of a manifest
-    run              full pipeline: ROI -> landmarks -> RANSAC EPnP -> LM -> report
+    run              full pipeline: ROI -> landmarks -> RANSAC P3P -> LM -> report
     triangulate      rebuild a wireframe from labeled views
     report           merge report JSON files into one table
 

@@ -3,7 +3,7 @@
 The pipeline mirrors the three-stage structure of the estimator it harnesses:
 detection geometry (ROI from a bounding box), landmark regression (delegated
 to a pluggable provider returning ROI-normalized coordinates), and pose
-solving: RANSAC over EPnP hypotheses (all points first, then minimal
+solving: RANSAC over P3P hypotheses (all points first, then minimal
 samples) picks the consensus set and a starting pose, and LM refinement is
 the one fit over all of those inliers. A noise-model provider stands in for
 the regression network so the geometric stages can be driven and measured
@@ -316,7 +316,7 @@ def run_pipeline(
     ransac_cfg: RansacConfig | None = None,
     record_predictions: bool = False,
 ) -> PipelineRun:
-    """Score every record: ROI -> provider landmarks -> RANSAC EPnP -> LM.
+    """Score every record: ROI -> provider landmarks -> RANSAC P3P -> LM.
 
     ROIs fit the manifest camera's image. Per-record satpose failures
     (:class:`SatposeError`) become failure entries and are excluded from the

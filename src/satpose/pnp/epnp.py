@@ -2,13 +2,13 @@
 
 Implements the method of Lepetit, Moreno-Noguer and Fua (IJCV 2009) as one
 array kernel, :func:`epnp_stack`, that solves H independent problems given
-as ``image (H, n, 2)`` and ``world (H, n, 3)``. World points are expressed as
-barycentric combinations of four control points (centroid plus principal
-directions); the camera-frame control points are a combination of the four
-smallest eigenvectors of the projection-constraint normal matrix; candidate
-combination weights (betas) are estimated for assumed null-space dimensions
-1..3, from one zero-padded stack of least-squares systems solved through
-their normal equations, and all of them are refined together by
+as ``image (H, n, 2)`` and ``world (H, n, 3)`` with n >= 5. World points are
+expressed as barycentric combinations of four control points (centroid plus
+principal directions); the camera-frame control points are a combination of
+the four smallest eigenvectors of the projection-constraint normal matrix;
+candidate combination weights (betas) are estimated for assumed null-space
+dimensions 1..3, from one zero-padded stack of least-squares systems solved
+through their normal equations, and all of them are refined together by
 Gauss-Newton on the inter-control-point distance constraints, each row
 stopping once its constraints hold to round-off or after 10 steps; the
 rigid transform then follows from orthogonal Procrustes alignment with
@@ -18,18 +18,12 @@ Near-planar point sets fall back to three control points, which keeps the
 barycentric system well conditioned when a face-on solar panel dominates
 the correspondences; problems are grouped by control-point count. Every
 stacked linear-algebra call is guarded per problem, so one degenerate
-problem never fails the others. :func:`epnp` is the single-problem entry
-point over a correspondence list. On the solve path EPnP serves RANSAC's
-all-point hypothesis; random minimal samples go to the P3P kernel
-(:mod:`satpose.pnp.p3p`).
-
-The control points, barycentric coordinates and squared control-point
-distances depend on the world points alone. For a one-problem stack (every
-RANSAC all-point hypothesis, and :func:`epnp`) they come from a memo keyed
-by the world points' bytes, which holds read-only arrays and is emptied at
-64 entries, so frames that keep the same keypoints of one model compute them
-once. A hit returns the arrays a miss computes, so no result changes.
-Stacks of more than one problem compute them inline.
+problem never fails the others. EPnP serves :func:`epnp`, the
+single-problem entry point over a correspondence list; no RANSAC
+hypothesis comes from it, since every one goes to the P3P kernel
+(:mod:`satpose.pnp.p3p`). This module also holds the helpers both solvers
+share: the status codes, :func:`point_errors` and the guarded stacked
+solves.
 """
 
 from __future__ import annotations
@@ -54,10 +48,6 @@ _BETA_GN_STEPS = 10
 _BETA_GN_DAMPING = 1e-12
 # a row stops once its distance residual norm is at most this times |rho|
 _BETA_GN_ROUNDOFF = 1e-12
-# restart offsets along each curvature direction, in units of |beta|
-_RESTART_OFFSETS = np.array(
-    [sign * step for step in (0.05, 0.2, 0.5, 1.0) for sign in (1.0, -1.0)]
-)
 
 
 def _pair_differences(m: int) -> np.ndarray:
@@ -105,38 +95,6 @@ _GN_DAMPING = {k: (_BETA_GN_DAMPING / 4.0) * np.eye(k) for k in (2, 4)}
 EPNP_OK = 0
 EPNP_DEGENERATE = 1  # collinear or coincident world points
 EPNP_NO_POSE = 2  # every candidate puts the target behind the camera
-
-# results of functions of the world points alone, keyed by function and world
-# bytes; emptied when it holds _WORLD_MEMO_SIZE entries
-_WORLD_MEMO: dict = {}
-_WORLD_MEMO_SIZE = 64
-
-
-def _frozen(terms):
-    """Mark every array in ``terms``, an array or nested tuples of them, read-only."""
-    if isinstance(terms, np.ndarray):
-        terms.setflags(write=False)
-    else:
-        for item in terms:
-            _frozen(item)
-    return terms
-
-
-def _memoised(fn, world: np.ndarray):
-    """``fn(world)`` through the world memo, as read-only arrays.
-
-    Frame after frame, one target model gives the same kept keypoints, so
-    what only they determine is computed once for them. A hit returns the
-    arrays a miss computed from the same bytes, so no result changes.
-    """
-    key = (fn, world.shape, world.tobytes())
-    terms = _WORLD_MEMO.get(key)
-    if terms is None:
-        if len(_WORLD_MEMO) >= _WORLD_MEMO_SIZE:
-            _WORLD_MEMO.clear()
-        terms = _WORLD_MEMO[key] = _frozen(fn(world))
-    return terms
-
 
 @dataclass(frozen=True)
 class Correspondence:
@@ -297,13 +255,6 @@ def _beta_inits(gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return inits
 
 
-def _distance_residual(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray):
-    """Half the Jacobian, ``G_p b`` (N, P, k), and the residuals (N, P) of b^T G_p b - rho_p."""
-    n, p, k = gram.shape[:3]
-    half = (gram.reshape(n, p * k, k) @ beta[:, :, None]).reshape(n, p, k)
-    return half, (half @ beta[:, :, None])[..., 0] - rho
-
-
 def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nk,nk->n", x, x))
 
@@ -329,7 +280,7 @@ def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.nda
     rho = rho[:, :, None]
     floor = _BETA_GN_ROUNDOFF**2 * (rho.swapaxes(1, 2) @ rho)
     for _ in range(_BETA_GN_STEPS):
-        # _distance_residual, with the Gram stack reshaped once
+        # half the Jacobian, G_p b (n, P, k), and the residuals b^T G_p b - rho_p
         half = (flat @ column).reshape(n, p, k)
         residual = half @ column - rho
         live = residual.swapaxes(1, 2) @ residual > floor  # (n, 1, 1); False for NaN
@@ -345,26 +296,6 @@ def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.nda
             live &= finite.all(axis=1, keepdims=True)
             column = np.where(live, column + delta, column)
     return column[..., 0]
-
-
-def _curvature_restarts(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Deterministic restarts (N, 8k, k) along every curvature direction of each row.
-
-    With exactly four points the projection kernel is four-dimensional and
-    the eigen-basis inside it is arbitrary, which gives the distance cost
-    shallow spurious minima. Stepping the stalled solution along the
-    eigendirections of the true Hessian, softest first, crosses the ridge;
-    the softest direction alone misses it for about one problem in ten.
-    """
-    half, residual = _distance_residual(beta, gram, rho)
-    n, p, k = gram.shape[:3]
-    # a quarter of the Hessian: the same eigenvectors
-    curvature = (residual[:, None] @ gram.reshape(n, p, k * k)).reshape(n, k, k)
-    _, vec = _eigh(half.swapaxes(1, 2) @ half + curvature)
-    scale = np.maximum(1.0, _norm(beta))
-    steps = _RESTART_OFFSETS[None, None, :, None] * scale[:, None, None, None]
-    restarts = beta[:, None, None] + steps * vec.swapaxes(1, 2)[:, :, None]
-    return restarts.reshape(beta.shape[0], -1, beta.shape[1])
 
 
 def _procrustes(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -424,7 +355,7 @@ def _world_terms(world: np.ndarray):
 
 def _solve_group(image, world, alphas, rho, cam):
     """Solve problems that share one control-point count m = alphas.shape[2]."""
-    g, n, m = alphas.shape
+    g, _, m = alphas.shape
     k = 4 if m == 4 else 2
     basis = _null_basis(alphas, image, cam, k)
     gram = _distance_terms(basis)
@@ -432,17 +363,6 @@ def _solve_group(image, world, alphas, rho, cam):
     inits = _beta_inits(gram, rho)
     owner = np.repeat(np.arange(g), inits.shape[1])  # problem index of each beta row
     betas = _gauss_newton(inits.reshape(-1, k), gram[owner], rho[owner])
-    if n == 4 and m == 4:  # only n = 4 leaves the whole 4-dim basis degenerate
-        _, residual = _distance_residual(betas, gram[owner], rho[owner])
-        stalled = np.flatnonzero(_norm(residual) > 1e-9 * np.maximum(1.0, _norm(rho[owner])))
-        if stalled.size:
-            who = owner[stalled]
-            restarts = _curvature_restarts(betas[stalled], gram[who], rho[who])
-            who = np.repeat(who, restarts.shape[1])
-            restarts = _gauss_newton(restarts.reshape(-1, k), gram[who], rho[who])
-            betas = np.concatenate([betas, restarts])
-            owner = np.concatenate([owner, who])
-
     rot, t, rms = _candidate_poses(
         betas, basis[owner], alphas[owner], world[owner], image[owner], cam
     )
@@ -456,7 +376,7 @@ def epnp_stack(image, world, cam: CameraIntrinsics):
     """Solve H independent EPnP problems at once.
 
     Takes ``image (H, n, 2)`` pixels and ``world (H, n, 3)`` body-frame points
-    with n >= 4, and returns ``R (H, 3, 3)``, ``t (H, 3)`` and a status per
+    with n >= 5, and returns ``R (H, 3, 3)``, ``t (H, 3)`` and a status per
     problem: :data:`EPNP_OK`, :data:`EPNP_DEGENERATE` for collinear or
     coincident world points, or :data:`EPNP_NO_POSE` when every candidate
     puts the target behind the camera. R and t are NaN where the status is
@@ -464,27 +384,28 @@ def epnp_stack(image, world, cam: CameraIntrinsics):
     """
     image = np.asarray(image, dtype=float)
     world = np.asarray(world, dtype=float)
-    h = world.shape[0]
+    h, n = world.shape[:2]
+    if n < 5:
+        raise ValueError(f"EPnP needs at least 5 points per problem, got {n}")
     rot = np.full((h, 3, 3), np.nan)
     t = np.full((h, 3), np.nan)
     status = np.full(h, EPNP_DEGENERATE, dtype=np.int8)
-    groups = _memoised(_world_terms, world) if h == 1 else _world_terms(world)
-    for idx, alphas, rho in groups:
+    for idx, alphas, rho in _world_terms(world):
         rot[idx], t[idx], found = _solve_group(image[idx], world[idx], alphas, rho, cam)
         status[idx] = np.where(found, EPNP_OK, EPNP_NO_POSE)
     return rot, t, status
 
 
 def epnp(correspondences, cam: CameraIntrinsics) -> Pose:
-    """Closed-form pose from >= 4 correspondences.
+    """Closed-form pose from >= 5 correspondences.
 
     Raises :class:`DegenerateGeometryError` for collinear world points and
     :class:`NoValidPoseError` when every candidate puts the target behind
     the camera.
     """
     corrs = list(correspondences)
-    if len(corrs) < 4:
-        raise ValueError(f"EPnP needs at least 4 correspondences, got {len(corrs)}")
+    if len(corrs) < 5:
+        raise ValueError(f"EPnP needs at least 5 correspondences, got {len(corrs)}")
     ids = [c.id for c in corrs]
     if len(set(ids)) != len(ids):
         raise ValueError("correspondence ids must be unique")

@@ -17,9 +17,10 @@ quadric gives the scale: up to four depth triples. Each pose comes from the
 triangle's orthonormal frames in both coordinate systems, so it is a
 rotation whatever the round-off in the depths.
 
-:func:`p3p_hypotheses` is RANSAC's minimal-sample kernel. It solves P3P on
-each sample's first three points, keeps the root with the lowest summed
-squared reprojection error over all of the sample's points, and takes one
+:func:`p3p_hypotheses` is RANSAC's one hypothesis kernel, for the all-point
+hypothesis and for the random minimal samples alike. It solves P3P on each
+point set's first three points, keeps the root with the lowest summed
+squared reprojection error over all of the set's points, and takes one
 Gauss-Newton step over those points with the right-composed attitude
 increment that :func:`satpose.pnp.refine.reprojection_jacobian`
 differentiates. A row keeps the step only where it is finite and lowers
@@ -219,20 +220,21 @@ def _gauss_newton_step(rot, t, world, cam_pts, residual, cam: CameraIntrinsics):
 
 
 def p3p_hypotheses(image, world, cam: CameraIntrinsics):
-    """Pose hypotheses of H minimal samples, as ``epnp_stack`` returns them.
+    """Pose hypotheses of H point sets, as ``epnp_stack`` returns them.
 
-    Takes ``image (H, n, 2)`` and ``world (H, n, 3)`` with n >= 4. P3P
-    solves each sample's first three points; of its roots, the one with the
-    lowest summed squared reprojection error over all n points is kept, and
-    one Gauss-Newton step over the n points is taken where it is finite and
+    Takes ``image (H, n, 2)`` and ``world (H, n, 3)`` with n >= 4: RANSAC's
+    minimal samples, or one set of all of a record's points. P3P solves each
+    set's first three points; of its roots, the one with the lowest summed
+    squared reprojection error over all n points is kept, and one
+    Gauss-Newton step over the n points is taken where it is finite and
     lowers that error. Returns ``R (H, 3, 3)``, ``t (H, 3)`` and a status per
-    sample: :data:`~satpose.pnp.epnp.EPNP_OK`,
+    set: :data:`~satpose.pnp.epnp.EPNP_OK`,
     :data:`~satpose.pnp.epnp.EPNP_DEGENERATE` when P3P has no valid root
     (the first three world points collinear or coincident, or an input not
     finite), or :data:`~satpose.pnp.epnp.EPNP_NO_POSE` when no root puts
-    every sample point in front of the camera at a finite error. R and t
-    are NaN where the status is not ok. Each sample's result does not
-    depend on the others in the stack.
+    every point of the set in front of the camera at a finite error. R and t
+    are NaN where the status is not ok. Each set's result does not depend
+    on the others in the stack.
     """
     image = np.ascontiguousarray(image, dtype=float)
     world = np.ascontiguousarray(world, dtype=float)

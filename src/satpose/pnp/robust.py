@@ -1,26 +1,29 @@
-"""RANSAC over EPnP and P3P hypotheses.
+"""RANSAC over P3P hypotheses.
 
-The first hypothesis is one EPnP solve over all n correspondences. When all
-n points are its inliers the loop ends there, so clean data stops after one
-solve. Otherwise the standard adaptive stopping rule asks for its full count
-of random minimal samples on top of it: the all-point hypothesis is not a
-random draw, so it does not count toward that number and the confidence
-bound keeps its meaning. ``iterations_used`` counts every hypothesis scored,
-the all-point one included, and ``max_iterations`` caps that count.
+Every hypothesis comes from one stacked kernel,
+:func:`satpose.pnp.p3p.p3p_hypotheses`: P3P on a point set's first three
+points, the root that best fits all of its points, then one Gauss-Newton
+step over them. The first hypothesis is that kernel over all n
+correspondences. When all n points are its inliers the loop ends there, so
+clean data stops after one solve. Otherwise the standard adaptive stopping
+rule asks for its full count of random minimal samples on top of it: the
+all-point hypothesis is not a random draw, so it does not count toward that
+number and the confidence bound keeps its meaning. ``iterations_used``
+counts every hypothesis scored, the all-point one included, and
+``max_iterations`` caps that count.
 
 Minimal samples are drawn without replacement from a seeded Philox stream,
 which is built when the first one is drawn, so clean data builds none. They
-are solved in chunks of up to 16 by one stacked call of the sample kernel,
-:func:`satpose.pnp.p3p.p3p_hypotheses` (P3P on each sample's first three
-points, the root that best fits all of its points, then one Gauss-Newton
-step), and scored together by per-point reprojection error. Until some
-hypothesis reaches consensus, a chunk holds no more samples than the
-stopping rule asks for with two outliers among the n points (11 at
-n = 11), so that fewer rows past the stop are solved; each row's result
-does not depend on its chunk, so the chunk size changes no result.
-Results are taken in order, all-point hypothesis first, then draw order; a
-later hypothesis replaces the best only with more inliers, or as many at a
-lower inlier RMS. Hypotheses drawn past the stop are discarded and not
+are solved in chunks of up to 16 by one stacked call of the kernel and
+scored together by per-point reprojection error. Until some hypothesis
+reaches consensus, a chunk holds no more samples than the stopping rule
+asks for with two outliers among the n points (11 at n = 11), so that fewer
+rows past the stop are solved; each row's result does not depend on its
+chunk, so the chunk size changes no result. Results are taken in order,
+all-point hypothesis first, then draw order; a later hypothesis replaces
+the best only with more inliers, or as many at a lower inlier RMS, so a row
+with fewer inliers than the best so far is passed over before its mask and
+RMS are formed. Hypotheses drawn past the stop are discarded and not
 counted. The returned pose is the winning hypothesis itself; the one fit
 over all of its inliers is left to the nonlinear refinement that follows
 (:func:`satpose.pnp.refine.lm_refine`), as in the gold-standard scheme of
@@ -38,7 +41,7 @@ import numpy as np
 from ..errors import ConsensusFailureError
 from ..geometry import CameraIntrinsics, Pose, quat_from_matrix, whole_number
 from ..rng import MAX_SEED, stream
-from .epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
+from .epnp import point_errors, split_correspondences
 from .p3p import p3p_hypotheses
 
 # not called here: bench/tracing.py wraps this name as the pnp.epnp layer
@@ -111,7 +114,7 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
 
     while iterations < required:
         if not iterations:  # the all-point hypothesis comes first
-            rot, t, status = epnp_stack(image[None], world[None], cam)
+            samples = np.arange(n)[None]
         else:
             if rng is None:
                 rng = stream(cfg.seed, "ransac")
@@ -122,20 +125,20 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
             samples = np.array(
                 [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(chunk)]
             )
-            rot, t, status = p3p_hypotheses(image[samples], world[samples], cam)
+        # a row without a pose is NaN, so every one of its points scores inf
+        rot, t, _ = p3p_hypotheses(image[samples], world[samples], cam)
         errors = point_errors(rot, t, world, image, cam)
-        for h in range(len(status)):
+        counts = (errors < cfg.inlier_threshold).sum(axis=1)
+        for h in range(len(samples)):
             if iterations >= required:
                 break  # the stop came earlier in this chunk
             iterations += 1
-            if status[h] != EPNP_OK:
-                continue
+            count = int(counts[h])
+            if count < max(cfg.min_sample, best_count):
+                continue  # it cannot replace the best
             mask = errors[h] < cfg.inlier_threshold
-            count = int(mask.sum())
-            if count < cfg.min_sample:
-                continue
             rms = float(np.sqrt(np.mean(errors[h, mask] ** 2)))
-            if count > best_count or (count == best_count and rms < best_rms):
+            if count > best_count or rms < best_rms:  # more inliers, or as many at a lower RMS
                 best_mask, best_count, best_rms = mask, count, rms
                 best_rot, best_t = rot[h], t[h]
                 # a full consensus ends the loop; otherwise the rule's count of

@@ -23,7 +23,6 @@ from satpose.pnp.epnp import (
     point_errors,
     split_correspondences,
 )
-from satpose.pnp.refine import lm_refine
 from satpose.rng import stream
 from tests.conftest import random_pose, reprojection_rms, synthesize
 
@@ -55,34 +54,6 @@ def test_oracle_equivalence_sampled_poses(cam, wireframe, make_case):
             np.linalg.norm(est.position - pose.position) < 1e-6 * np.linalg.norm(pose.position)
         )
     assert failures <= 2  # >= 99% solved, the rest raised
-
-
-def test_minimal_four_point_case_exact(cam, wireframe):
-    rng = stream(101, "epnp")
-    world = wireframe.keypoints[[0, 2, 5, 8]]  # non-coplanar subset
-    for _ in range(10):
-        pose = random_pose(rng)
-        pixels = project(pose, cam, world)
-        corrs = [Correspondence(image=pixels[k], world=world[k], id=k) for k in range(4)]
-        assert reprojection_rms(epnp(corrs, cam), corrs, cam) < 1e-6
-
-
-def test_random_four_point_problems_solve_exactly(cam):
-    # n = 4 leaves the projection kernel 4-dimensional, so these exercise the
-    # curvature restarts after the fixed Gauss-Newton steps
-    rng = stream(102, "epnp")
-    worlds = []
-    while len(worlds) < 400:
-        world = rng.uniform(-2.0, 2.0, size=(4, 3))
-        lam = np.linalg.eigvalsh(np.cov(world.T))
-        if lam[0] > 1e-3 * lam[2]:  # well away from planar or collinear
-            worlds.append(world)
-    world = np.array(worlds)
-    image = np.array([project(random_pose(rng), cam, w) for w in world])
-    rot, t, status = epnp_stack(image, world, cam)
-    assert np.all(status == EPNP_OK)
-    rms = np.sqrt(np.mean(point_errors(rot, t, world, image, cam) ** 2, axis=1))
-    assert np.all(rms < 1e-6)
 
 
 def test_planar_target_uses_fallback_and_solves(cam):
@@ -143,10 +114,15 @@ def test_collinear_world_points_rejected(cam):
 
 
 def test_too_few_points_rejected(cam, wireframe):
+    # below 5 points EPnP refuses; 4-point sets go to the P3P kernel
     pose = Pose(position=[0, 0, 40], attitude=[1, 0, 0, 0])
-    corrs = synthesize(pose, cam, wireframe)[:3]
-    with pytest.raises(ValueError):
-        epnp(corrs, cam)
+    corrs = synthesize(pose, cam, wireframe)
+    epnp(corrs[:5], cam)
+    with pytest.raises(ValueError, match="at least 5"):
+        epnp(corrs[:4], cam)
+    image, world = split_correspondences(corrs[:4])
+    with pytest.raises(ValueError, match="at least 5"):
+        epnp_stack(image[None], world[None], cam)
 
 
 def test_duplicate_ids_rejected(cam, wireframe):
@@ -241,7 +217,7 @@ def test_stack_solves_noise_free_minimal_samples_exactly(cam, wireframe):
         assert attitude_error(pose.attitude, quat_from_matrix(r)) < 1e-9
 
 
-@pytest.mark.parametrize("n", [4, 5, 11])
+@pytest.mark.parametrize("n", [5, 11])
 def test_stack_rows_do_not_depend_on_stack_composition(cam, wireframe, n):
     # each row's R, t and status are bitwise the same alone, in any order and
     # next to planar, collinear and non-finite rows
@@ -271,59 +247,6 @@ def test_stack_rows_do_not_depend_on_stack_composition(cam, wireframe, n):
             alone = epnp_stack(image[h : h + 1], world[h : h + 1], cam)
             for full, part in zip((rot, t, status), alone):
                 np.testing.assert_array_equal(full[h : h + 1], part)
-
-
-def _memo_arrays(terms) -> list:
-    if isinstance(terms, np.ndarray):
-        return [terms]
-    return [a for item in terms for a in _memo_arrays(item)]
-
-
-def test_world_memo_changes_no_bit(cam, wireframe, make_case):
-    # one-problem solves read the same bits with the memo emptied (a miss) as
-    # filled (a hit): for a second image of the same world points, and for a
-    # second world of the same shape
-    _, corrs = make_case(130, noise_sigma=1.0)
-    _, other = make_case(131, noise_sigma=1.0)
-    image, world = split_correspondences(corrs)
-    image2, world2 = split_correspondences(other)
-    np.testing.assert_array_equal(world, world2)
-    cases = [(image, world), (image2, world), (image, 1.5 * world)]
-    epnp_mod._WORLD_MEMO.clear()
-    warm = [epnp_stack(img[None], w[None], cam) for img, w in cases + cases]
-    assert len(epnp_mod._WORLD_MEMO) == 2
-    for h, (img, w) in enumerate(cases):
-        epnp_mod._WORLD_MEMO.clear()
-        cold = epnp_stack(img[None], w[None], cam)
-        assert cold[2][0] == EPNP_OK
-        for again in (warm[h], warm[h + len(cases)]):
-            for a, b in zip(cold, again):
-                np.testing.assert_array_equal(a, b)
-
-
-def test_world_memo_holds_read_only_arrays(cam, wireframe, make_case):
-    pose, corrs = make_case(132, noise_sigma=1.0)
-    image, world = split_correspondences(corrs)
-    epnp_mod._WORLD_MEMO.clear()
-    epnp_stack(image[None], world[None], cam)
-    lm_refine(pose, corrs, cam)  # builds its cross-product matrices itself
-    arrays = [a for terms in epnp_mod._WORLD_MEMO.values() for a in _memo_arrays(terms)]
-    assert len(epnp_mod._WORLD_MEMO) == 1 and len(arrays) == 3
-    for a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0
-
-
-def test_world_memo_stays_within_its_bound(cam, wireframe, make_case):
-    _, corrs = make_case(133)
-    image, world = split_correspondences(corrs)
-    rng = stream(134, "epnp")
-    epnp_mod._WORLD_MEMO.clear()
-    sizes = []
-    for _ in range(200):  # a distinct world each time
-        epnp_stack(image[None], (world + rng.normal(size=3))[None], cam)
-        sizes.append(len(epnp_mod._WORLD_MEMO))
-    assert max(sizes) == epnp_mod._WORLD_MEMO_SIZE
 
 
 def test_gauss_newton_keeps_a_non_finite_row_apart():

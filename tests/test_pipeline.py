@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import importlib
 import json
 import time
 from dataclasses import fields, replace
@@ -43,10 +44,11 @@ from satpose.geometry import denormalize_landmarks
 from satpose.metrics import image_score
 from satpose.pipeline import _solve_record, report_payload, write_report
 from satpose.pnp import Correspondence, lm_refine, ransac_pnp
-from satpose.pnp.epnp import _WORLD_MEMO
 from satpose.rng import MAX_SEED, derive_seed, stream
 from satpose.roi import make_roi
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
+
+epnp_module = importlib.import_module("satpose.pnp.epnp")
 
 
 def sampled_manifest(cam, wireframe, n, seed=0) -> Manifest:
@@ -414,8 +416,8 @@ class TestRunPipeline:
             run_pipeline(labeled, provider, wireframe)
         assert issubclass(NoScoredRecordsError, ValueError)  # callers that catch ValueError
 
-    # with dropout, records keep different keypoint sets and meet the EPnP
-    # world memo in another order
+    # with dropout, records keep different keypoint sets, and no solve may
+    # depend on the sets that came before it
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
     def test_scores_do_not_depend_on_record_order(self, labeled, wireframe, dropout_rate):
         noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, dropout_rate=dropout_rate, seed=41)
@@ -436,15 +438,37 @@ class TestRunPipeline:
             permuted.report, len(permuted.failures)
         )
 
-    def test_dropout_free_pass_leaves_one_world_memo_entry(self, labeled, wireframe):
-        # every record keeps every keypoint, so the all-point EPnP solves share
-        # one memo entry; LM's inlier sets and RANSAC's samples add none
-        _WORLD_MEMO.clear()
-        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.05, seed=41)
+    def test_no_solve_reaches_epnp(self, labeled, wireframe, monkeypatch):
+        # every RANSAC hypothesis comes from the P3P kernel: with EPnP made to
+        # raise, a noisy pass with dropout gives the same outcomes
+        noise = NoiseModel(sigma_px=2.0, outlier_rate=0.1, dropout_rate=0.3, seed=41)
         cfg = RansacConfig(seed=7)
-        run = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
-        assert len(run.scores) == len(labeled.records)
-        assert len(_WORLD_MEMO) == 1
+        plain = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
+
+        def refused(*args):
+            raise AssertionError("epnp_stack called on the solve path")
+
+        monkeypatch.setattr(epnp_module, "epnp_stack", refused)
+        patched = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
+        assert plain.failures == patched.failures and plain.scored_ids == patched.scored_ids
+        for a, b in zip(plain.scores, patched.scores):
+            assert (a.e_t, a.e_q, a.score) == (b.e_t, b.e_q, b.score)
+
+    def test_four_kept_landmarks_at_min_sample_four_are_scored(self, labeled, wireframe):
+        # a record that keeps exactly 4 landmarks meets min_sample = 4 and is
+        # solved from one P3P hypothesis over those 4 points
+        class FourKept:
+            def landmarks(self, record, roi):
+                points = OracleProvider(NoiseModel()).landmarks(record, roi)
+                return [p if k in (0, 2, 5, 8) else None for k, p in enumerate(points)]
+
+        records = labeled.records[:5]
+        manifest = Manifest(camera=labeled.camera, records=records)
+        run = run_pipeline(manifest, FourKept(), wireframe, ransac_cfg=RansacConfig(min_sample=4))
+        assert not run.failures and run.scored_ids == [r.id for r in records]
+        assert max(s.e_q for s in run.scores) < 1e-4
+        with pytest.raises(NoScoredRecordsError):
+            run_pipeline(manifest, FourKept(), wireframe)  # min_sample = 5 refuses them
 
     def test_provider_value_error_propagates(self, labeled, wireframe):
         class BrokenProvider:

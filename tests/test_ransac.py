@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from satpose import RansacConfig, attitude_error, ransac_pnp
+from satpose import RansacConfig, attitude_error, project, ransac_pnp
 from satpose.errors import ConsensusFailureError
 from satpose.pnp import Correspondence, robust
-from satpose.pnp.epnp import EPNP_OK, epnp_stack, point_errors, split_correspondences
+from satpose.pnp.epnp import EPNP_DEGENERATE, EPNP_OK, point_errors, split_correspondences
 from satpose.pnp.p3p import p3p_hypotheses
 from satpose.pnp.robust import _required_iterations
 from satpose.rng import stream
@@ -119,9 +119,9 @@ def test_adaptive_stop_on_clean_data(cam, wireframe, make_case, monkeypatch):
 
     def counted(image, world, cam):
         rows.append(image.shape[:2])
-        return epnp_stack(image, world, cam)
+        return p3p_hypotheses(image, world, cam)
 
-    monkeypatch.setattr(robust, "epnp_stack", counted)
+    monkeypatch.setattr(robust, "p3p_hypotheses", counted)
     streams = count_streams(monkeypatch)
     result = ransac_pnp(corrs, cam, RansacConfig(seed=8, max_iterations=1000))
     assert result.iterations_used == 1  # the all-point hypothesis ends the loop
@@ -129,31 +129,62 @@ def test_adaptive_stop_on_clean_data(cam, wireframe, make_case, monkeypatch):
     assert streams == []  # nothing was drawn, so no random stream was built
 
 
+def one_outlier(make_case, seed: int, index: int):
+    """Case ``1400 + seed`` at 0.5 px noise with point ``index`` moved 15 px off."""
+    _, corrs = make_case(1400 + seed, noise_sigma=0.5)
+    noisy = list(corrs)
+    noisy[index] = Correspondence(
+        image=corrs[index].image + [12.0, -9.0], world=corrs[index].world, id=index
+    )
+    return noisy
+
+
 def test_all_point_hypothesis_does_not_count_toward_the_samples(
     cam, wireframe, make_case, monkeypatch
 ):
-    # one 15 px outlier: the all-point hypothesis keeps the other n - 1 points,
+    # one 15 px outlier, off the first three points that the all-point P3P
+    # solve rests on: the all-point hypothesis keeps the other n - 1 points,
     # and the stopping rule still asks for its full count of random samples
     streams = count_streams(monkeypatch)
     for seed in range(5):
-        _, corrs = make_case(1400 + seed, noise_sigma=0.5)
-        n = len(corrs)
-        noisy = list(corrs)
-        noisy[seed] = Correspondence(
-            image=corrs[seed].image + [12.0, -9.0], world=corrs[seed].world, id=seed
-        )
+        outlier = 3 + seed
+        noisy = one_outlier(make_case, seed, outlier)
+        n = len(noisy)
         cfg = RansacConfig(inlier_threshold=5.0, seed=seed)
         image, world = split_correspondences(noisy)
-        rot, t, status = epnp_stack(image[None], world[None], cam)
+        rot, t, status = p3p_hypotheses(image[None], world[None], cam)
         assert status[0] == EPNP_OK
         first = point_errors(rot[0], t[0], world, image, cam) < cfg.inlier_threshold
-        assert first.sum() == n - 1 and not first[seed]
+        assert first.sum() == n - 1 and not first[outlier]
         result = ransac_pnp(noisy, cam, cfg)
         samples = _required_iterations((n - 1) / n, cfg.min_sample, cfg.confidence, 10**6)
         assert samples > 1
         assert result.iterations_used == 1 + samples
         np.testing.assert_array_equal(result.inlier_mask, first)
         assert streams == [("ransac",)] * (seed + 1)  # one stream per call that draws
+
+
+def test_outlier_among_the_first_three_points_is_left_to_the_samples(cam, wireframe, make_case):
+    # an outlier that P3P solves from pulls the all-point hypothesis off, so
+    # that even one Gauss-Newton step over all n points can leave inliers out
+    # of its consensus; the samples still find the n - 1 inliers, and with
+    # them the stopping rule's count for that consensus
+    short = []
+    for seed in range(3):
+        noisy = one_outlier(make_case, seed, seed)
+        n = len(noisy)
+        cfg = RansacConfig(inlier_threshold=5.0, seed=seed)
+        image, world = split_correspondences(noisy)
+        rot, t, _ = p3p_hypotheses(image[None], world[None], cam)
+        first = point_errors(rot[0], t[0], world, image, cam) < cfg.inlier_threshold
+        short.append(int(first.sum()) < n - 1)
+        result = ransac_pnp(noisy, cam, cfg)
+        expected = np.ones(n, dtype=bool)
+        expected[seed] = False
+        np.testing.assert_array_equal(result.inlier_mask, expected)
+        samples = _required_iterations((n - 1) / n, cfg.min_sample, cfg.confidence, 10**6)
+        assert result.iterations_used == 1 + samples
+    assert short == [False, True, True]
 
 
 def test_degenerate_hypotheses_are_counted(cam):
@@ -166,8 +197,8 @@ def test_degenerate_hypotheses_are_counted(cam):
 
 def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
     # the chunked loop keeps the draw order and the stopping rule of a loop
-    # that scores the all-point EPnP hypothesis, then one random sample at a
-    # time from the same stream, each solved alone by the sample kernel, until
+    # that scores the all-point hypothesis, then one random sample at a time
+    # from the same stream, each solved alone by the hypothesis kernel, until
     # the rule's count of random samples is met
     used = []
     for seed in range(6):
@@ -180,9 +211,9 @@ def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
         draws = stream(cfg.seed, "ransac")
         best_mask, best_count, best_rms = None, 0, np.inf
         needed, sampled = cfg.max_iterations, 0  # random samples asked for and scored
-        points, solve = np.arange(n), epnp_stack  # the all-point hypothesis
+        points = np.arange(n)  # the all-point hypothesis
         while True:
-            rot, t, status = solve(image[points][None], world[points][None], cam)
+            rot, t, status = p3p_hypotheses(image[points][None], world[points][None], cam)
             errors = point_errors(rot[0], t[0], world, image, cam)
             mask = errors < cfg.inlier_threshold
             if status[0] == EPNP_OK and mask.sum() >= cfg.min_sample:
@@ -194,7 +225,7 @@ def test_chunked_loop_matches_one_by_one_reference(cam, wireframe, make_case):
                     )
             if best_count == n or sampled >= needed or 1 + sampled >= cfg.max_iterations:
                 break
-            points, solve = draws.choice(n, size=cfg.min_sample, replace=False), p3p_hypotheses
+            points = draws.choice(n, size=cfg.min_sample, replace=False)
             sampled += 1
         result = ransac_pnp(noisy, cam, cfg)
         assert result.iterations_used == 1 + sampled
@@ -210,15 +241,11 @@ def test_first_chunk_without_consensus_is_sized_for_two_outliers(
     # rule asks for with two outliers among n points, not a full chunk
     rows = []
 
-    def counting(kernel):
-        def counted(image, world, cam):
-            rows.append(len(image))
-            return kernel(image, world, cam)
+    def counted(image, world, cam):
+        rows.append(len(image))
+        return p3p_hypotheses(image, world, cam)
 
-        return counted
-
-    monkeypatch.setattr(robust, "epnp_stack", counting(epnp_stack))
-    monkeypatch.setattr(robust, "p3p_hypotheses", counting(p3p_hypotheses))
+    monkeypatch.setattr(robust, "p3p_hypotheses", counted)
     for seed in range(3):
         _, corrs = make_case(1300 + seed, noise_sigma=1.0)
         rng = stream(seed, "outliers")
@@ -226,7 +253,7 @@ def test_first_chunk_without_consensus_is_sized_for_two_outliers(
         cfg = RansacConfig(inlier_threshold=4.0, seed=seed)
         n = len(noisy)
         image, world = split_correspondences(noisy)
-        rot, t, status = epnp_stack(image[None], world[None], cam)
+        rot, t, status = p3p_hypotheses(image[None], world[None], cam)
         first = point_errors(rot[0], t[0], world, image, cam) < cfg.inlier_threshold
         assert status[0] != EPNP_OK or first.sum() < cfg.min_sample  # no consensus
         rows.clear()
@@ -234,6 +261,25 @@ def test_first_chunk_without_consensus_is_sized_for_two_outliers(
         two_out = _required_iterations((n - 2) / n, cfg.min_sample, cfg.confidence, 10**6)
         assert two_out < robust._CHUNK
         assert rows[:2] == [1, two_out]
+
+
+def test_collinear_first_three_points_are_scored_through_samples(
+    cam, wireframe, make_case, monkeypatch
+):
+    # P3P has no pose for a collinear first triangle, so the all-point
+    # hypothesis scores no inlier and the random samples find the consensus
+    pose, corrs = make_case(29)
+    world = np.array([c.world for c in corrs])
+    world[2] = 0.5 * (world[0] + world[1])  # the middle of the first two
+    pixels = project(pose, cam, world)
+    line = [Correspondence(image=pixels[k], world=world[k], id=k) for k in range(len(world))]
+    image, world = split_correspondences(line)
+    assert p3p_hypotheses(image[None], world[None], cam)[2][0] == EPNP_DEGENERATE
+    streams = count_streams(monkeypatch)
+    result = ransac_pnp(line, cam, RansacConfig(seed=2))
+    assert result.inlier_mask.all()
+    assert result.iterations_used > 1 and streams == [("ransac",)]
+    assert attitude_error(pose.attitude, result.pose.attitude) < 1e-6
 
 
 def test_too_few_correspondences_rejected(cam, wireframe, make_case):
