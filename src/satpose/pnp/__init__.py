@@ -1,4 +1,4 @@
-"""Pose recovery from 2D-3D correspondences: EPnP, RANSAC, LM, triangulation."""
+"""Pose recovery from 2D-3D correspondences: P3P-hypothesis RANSAC, LM, EPnP, triangulation."""
 
 from .epnp import Correspondence, epnp
 from .refine import lm_refine, reprojection_jacobian

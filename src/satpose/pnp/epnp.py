@@ -1,29 +1,24 @@
-"""EPnP: non-iterative O(n) Perspective-n-Point solving, stacked over problems.
+"""EPnP: non-iterative O(n) Perspective-n-Point solving of one problem.
 
-Implements the method of Lepetit, Moreno-Noguer and Fua (IJCV 2009) as one
-array kernel, :func:`epnp_stack`, that solves H independent problems given
-as ``image (H, n, 2)`` and ``world (H, n, 3)`` with n >= 5. World points are
+Implements the method of Lepetit, Moreno-Noguer and Fua (IJCV 2009) for one
+correspondence set with n >= 5, as :func:`epnp`. World points are
 expressed as barycentric combinations of four control points (centroid plus
 principal directions); the camera-frame control points are a combination of
 the four smallest eigenvectors of the projection-constraint normal matrix;
 candidate combination weights (betas) are estimated for assumed null-space
 dimensions 1..3, from one zero-padded stack of least-squares systems solved
-through their normal equations, and all of them are refined together by
-Gauss-Newton on the inter-control-point distance constraints, each row
-stopping once its constraints hold to round-off or after 10 steps; the
+through their normal equations, and each candidate is refined by 10
+Gauss-Newton steps on the inter-control-point distance constraints; the
 rigid transform then follows from orthogonal Procrustes alignment with
 det=+1 enforcement, and the candidate with the lowest reprojection RMS wins.
 
 Near-planar point sets fall back to three control points, which keeps the
 barycentric system well conditioned when a face-on solar panel dominates
-the correspondences; problems are grouped by control-point count. Every
-stacked linear-algebra call is guarded per problem, so one degenerate
-problem never fails the others. EPnP serves :func:`epnp`, the
-single-problem entry point over a correspondence list; no RANSAC
-hypothesis comes from it, since every one goes to the P3P kernel
-(:mod:`satpose.pnp.p3p`). This module also holds the helpers both solvers
-share: the status codes, :func:`point_errors` and the guarded stacked
-solves.
+the correspondences. No RANSAC hypothesis comes from EPnP, since every one
+goes to the P3P kernel (:mod:`satpose.pnp.p3p`); :func:`epnp` is the
+reference solver that the acceptance suite checks the pipeline against.
+This module also holds what the solvers share: :class:`Correspondence`,
+:func:`point_errors` and the guarded stacked solves that P3P imports.
 """
 
 from __future__ import annotations
@@ -46,8 +41,6 @@ PLANAR_EIGENVALUE_RATIO = 1e-8
 _COLLINEAR_EIGENVALUE_RATIO = 1e-10
 _BETA_GN_STEPS = 10
 _BETA_GN_DAMPING = 1e-12
-# a row stops once its distance residual norm is at most this times |rho|
-_BETA_GN_ROUNDOFF = 1e-12
 
 
 def _pair_differences(m: int) -> np.ndarray:
@@ -91,10 +84,6 @@ _PAIR_DIFFERENCES = {m: _pair_differences(m) for m in (3, 4)}
 _INIT_SYSTEMS = {k: _init_systems(k) for k in (2, 4)}
 _GN_DAMPING = {k: (_BETA_GN_DAMPING / 4.0) * np.eye(k) for k in (2, 4)}
 
-# per-problem status returned by epnp_stack
-EPNP_OK = 0
-EPNP_DEGENERATE = 1  # collinear or coincident world points
-EPNP_NO_POSE = 2  # every candidate puts the target behind the camera
 
 @dataclass(frozen=True)
 class Correspondence:
@@ -176,46 +165,45 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _control_frame(world: np.ndarray):
-    """Centroid, principal axes (largest first) and eigenvalues per problem.
+    """Centroid, principal axes (largest first) and eigenvalues of world points (n, 3).
 
-    Also returns the degenerate (collinear or coincident) and near-planar masks.
+    Also returns whether the points are degenerate (collinear or coincident)
+    and whether they are near-planar.
     """
-    c0 = world.sum(axis=1) / world.shape[1]  # mean(axis=1)'s arithmetic
-    centered = world - c0[:, None]
-    cov = centered.swapaxes(1, 2) @ centered / world.shape[1]
-    lam, vec = _eigh(cov)  # ascending eigenvalues
-    lam, axes = lam[:, ::-1], vec[:, :, ::-1]
+    c0 = world.mean(axis=0)
+    centered = world - c0
+    lam, vec = _eigh(centered.T @ centered / len(world))  # ascending eigenvalues
+    lam, axes = lam[::-1], vec[:, ::-1]
     # written so that NaN eigenvalues count as degenerate
-    degenerate = ~((lam[:, 0] > 0) & (lam[:, 1] > _COLLINEAR_EIGENVALUE_RATIO * lam[:, 0]))
-    planar = ~degenerate & (lam[:, 2] < PLANAR_EIGENVALUE_RATIO * lam[:, 0])
+    degenerate = not (lam[0] > 0 and lam[1] > _COLLINEAR_EIGENVALUE_RATIO * lam[0])
+    planar = not degenerate and lam[2] < PLANAR_EIGENVALUE_RATIO * lam[0]
     return c0, axes, lam, degenerate, planar
 
 
 def _null_basis(alphas: np.ndarray, image: np.ndarray, cam: CameraIntrinsics, k: int):
-    """Smallest-k eigenvectors (H, 3m, k) of the projection system's normal matrix."""
-    h, n, m = alphas.shape
-    system = np.zeros((h, n, 2, m, 3))  # (point, u/v row, control point, xyz)
-    system[:, :, 0, :, 0] = alphas * cam.fx
-    system[:, :, 1, :, 1] = alphas * cam.fy
-    system[:, :, 0, :, 2] = alphas * (cam.cx - image[:, :, 0:1])
-    system[:, :, 1, :, 2] = alphas * (cam.cy - image[:, :, 1:2])
-    system = system.reshape(h, 2 * n, 3 * m)
-    _, vec = _eigh(system.swapaxes(1, 2) @ system)
-    return vec[:, :, :k]
+    """Smallest-k eigenvectors (3m, k) of the projection system's normal matrix."""
+    n, m = alphas.shape
+    system = np.zeros((n, 2, m, 3))  # (point, u/v row, control point, xyz)
+    system[:, 0, :, 0] = alphas * cam.fx
+    system[:, 1, :, 1] = alphas * cam.fy
+    system[:, 0, :, 2] = alphas * (cam.cx - image[:, 0:1])
+    system[:, 1, :, 2] = alphas * (cam.cy - image[:, 1:2])
+    system = system.reshape(2 * n, 3 * m)
+    _, vec = _eigh(system.T @ system)
+    return vec[:, :k]
 
 
 def _distance_terms(basis: np.ndarray) -> np.ndarray:
-    """Distance Gram matrices (H, P, k, k) of the basis (H, 3m, k).
+    """Distance Gram matrices (P, k, k) of the basis (3m, k).
 
     For betas b, the squared distance between the camera-frame control
     points of pair p is b^T G_p b, with G_p the Gram matrix of the pair's
     basis-vector differences.
     """
-    h, rows, k = basis.shape
-    diff = _PAIR_DIFFERENCES[rows // 3]
-    vectors = basis.swapaxes(1, 2).reshape(h, k, rows // 3, 3)
-    dv = (diff @ vectors).swapaxes(1, 2)  # (H, P, k, 3)
-    return dv @ dv.swapaxes(2, 3)
+    rows, k = basis.shape
+    vectors = basis.T.reshape(k, rows // 3, 3)
+    dv = (_PAIR_DIFFERENCES[rows // 3] @ vectors).swapaxes(0, 1)  # (P, k, 3)
+    return dv @ dv.swapaxes(1, 2)
 
 
 def _leading_pair(sol: np.ndarray) -> np.ndarray:
@@ -228,172 +216,72 @@ def _leading_pair(sol: np.ndarray) -> np.ndarray:
 
 
 def _beta_inits(gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Betas (H, I, k) assuming null-space dimension 1, 2 and, for k = 4, 3."""
-    h, p, k = gram.shape[:3]
+    """Betas (I, k) assuming null-space dimension 1, 2 and, for k = 4, 3."""
+    p, k = gram.shape[:2]
     rows, cols, weights, padding = _INIT_SYSTEMS[k]
-    # (H, S, P, C): system s, pair p, monomial column c. The gather leaves the
-    # problem axis fastest, and matmul picks its kernel by stride, so the
-    # stack is made C-contiguous to keep each row's bits apart from H
-    systems = np.ascontiguousarray(
-        gram[:, np.arange(p)[:, None], rows[:, None], cols[:, None]] * weights[:, None]
-    )
-    systems_t = systems.swapaxes(2, 3)
-    sol = _solve(systems_t @ systems + padding, systems_t @ rho[:, None, :, None])[..., 0]
+    # (S, P, C): system s, pair p, monomial column c
+    systems = gram[np.arange(p)[:, None], rows[:, None], cols[:, None]] * weights[:, None]
+    systems_t = systems.swapaxes(1, 2)
+    sol = _solve(systems_t @ systems + padding, systems_t @ rho[:, None])[..., 0]
 
-    inits = np.zeros((h, len(rows), k))
+    inits = np.zeros((len(rows), k))
     # [b11 b12 .. b1k] -> beta = sign(b11) [b11 b12 .. b1k] / sqrt|b11|
-    dim1 = sol[:, 0, :k]
-    lead = dim1[:, :1]
-    vanished = np.abs(lead) < 1e-15
-    scale = np.sign(lead) / np.sqrt(np.where(vanished, 1.0, np.abs(lead)))
-    inits[:, 0] = np.where(vanished, 0.0, scale * dim1)
-    inits[:, 1:, :2] = _leading_pair(sol[:, 1:, :3])
-    if k == 4:  # beta_3 from the b13 column of the dimension-3 system
-        lead = inits[:, 2, 0]
-        usable = np.abs(lead) > 1e-15
-        inits[:, 2, 2] = np.where(usable, sol[:, 2, 3] / np.where(usable, lead, 1.0), 0.0)
+    dim1 = sol[0, :k]
+    if not abs(dim1[0]) < 1e-15:  # a NaN solution stays NaN
+        inits[0] = np.sign(dim1[0]) / np.sqrt(abs(dim1[0])) * dim1
+    inits[1:, :2] = _leading_pair(sol[1:, :3])
+    if k == 4 and abs(inits[2, 0]) > 1e-15:  # beta_3 from the b13 column of the dimension-3 system
+        inits[2, 2] = sol[2, 3] / inits[2, 0]
     return inits
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("nk,nk->n", x, x))
-
-
 def _gauss_newton(beta: np.ndarray, gram: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Gauss-Newton on the distance constraints b^T G_p b = rho_p, at most 10 steps.
+    """Gauss-Newton on the distance constraints b^T G_p b = rho_p, 10 steps.
 
-    Before each step every row checks its own residual: a row whose squared
-    residual norm is at most ``(_BETA_GN_ROUNDOFF |rho|)^2``, or is not
-    finite, takes no more steps, and the loop ends once no row is live. The
-    stop keys on the constraints, not on the step size, so noisy rows, which
-    cannot meet them, take all 10 steps; each row's betas depend on its own
-    data only. A row whose damped step is not finite keeps its betas. The
-    Jacobian is twice ``G_p b``; the step solves the normal equations with
-    that factor 2 folded into the damping and the gradient.
+    Refines each candidate row of ``beta (R, k)`` against the Gram matrices
+    ``gram (P, k, k)`` and squared distances ``rho (P,)`` of one problem. A
+    row whose damped step is not finite keeps its betas. The Jacobian is
+    twice ``G_p b``; the step solves the normal equations with that factor 2
+    folded into the damping and the gradient.
     """
-    n, p, k = gram.shape[:3]
-    flat = gram.reshape(n, p * k, k)
+    p, k = gram.shape[:2]
+    flat = gram.reshape(p * k, k)
     damping = _GN_DAMPING[k]
-    # betas and residuals as columns: no reindexing per step, and a row's
-    # squared residual norm is one matmul
+    # betas and residuals as columns, so that no step reindexes them
     column = beta[:, :, None]
-    rho = rho[:, :, None]
-    floor = _BETA_GN_ROUNDOFF**2 * (rho.swapaxes(1, 2) @ rho)
+    rho = rho[:, None]
     for _ in range(_BETA_GN_STEPS):
-        # half the Jacobian, G_p b (n, P, k), and the residuals b^T G_p b - rho_p
-        half = (flat @ column).reshape(n, p, k)
+        # half the Jacobian, G_p b (R, P, k), and the residuals b^T G_p b - rho_p
+        half = (flat @ column).reshape(-1, p, k)
         residual = half @ column - rho
-        live = residual.swapaxes(1, 2) @ residual > floor  # (n, 1, 1); False for NaN
-        n_live = np.count_nonzero(live)
-        if not n_live:
-            break
         half_t = half.swapaxes(1, 2)
         delta = _solve(half_t @ half + damping, half_t @ (-0.5 * residual))
-        finite = np.isfinite(delta)
-        if n_live == n and np.count_nonzero(finite) == finite.size:
-            column = column + delta
-        else:
-            live &= finite.all(axis=1, keepdims=True)
-            column = np.where(live, column + delta, column)
+        column = np.where(np.isfinite(delta).all(axis=1, keepdims=True), column + delta, column)
     return column[..., 0]
 
 
 def _procrustes(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-fit rigid maps world -> camera per row, with proper (det=+1) rotations."""
-    # mean(axis=1)'s arithmetic
-    wc = world.sum(axis=1) / world.shape[1]
-    cc = camera.sum(axis=1) / camera.shape[1]
-    h, ok = _finite_or((world - wc[:, None]).swapaxes(1, 2) @ (camera - cc[:, None]), np.eye(3))
+    """Best-fit rigid maps world (n, 3) -> camera (R, n, 3), with proper (det=+1) rotations."""
+    wc = world.mean(axis=0)
+    cc = camera.mean(axis=1)
+    h, ok = _finite_or((world - wc).T @ (camera - cc[:, None]), np.eye(3))
     u, _, vt = np.linalg.svd(h)
     v, ut = vt.swapaxes(1, 2), u.swapaxes(1, 2)
     v[:, :, 2] *= np.where(np.linalg.det(v @ ut) < 0, -1.0, 1.0)[:, None]
     rot = np.where(ok[:, None, None], v @ ut, np.nan)
-    return rot, cc - (rot @ wc[:, :, None])[..., 0]
+    return rot, cc - rot @ wc
 
 
 def _candidate_poses(beta, basis, alphas, world, image, cam):
     """Rotation, translation and reprojection RMS per beta row (inf RMS if invalid)."""
-    ctrl_cam = (basis @ beta[:, :, None]).reshape(beta.shape[0], -1, 3)
-    cam_pts = alphas @ ctrl_cam
+    cam_pts = alphas @ (basis @ beta[:, :, None]).reshape(len(beta), -1, 3)
     # beta sign ambiguity: distances are preserved under negation, cheirality is not
-    behind = np.count_nonzero(cam_pts[:, :, 2] < 0, axis=1) > cam_pts.shape[1] / 2
+    behind = np.count_nonzero(cam_pts[:, :, 2] < 0, axis=1) > len(world) / 2
     cam_pts = np.where(behind[:, None, None], -cam_pts, cam_pts)
     rot, t = _procrustes(world, cam_pts)
-    # mean(axis=1)'s arithmetic
-    rms = np.sqrt((point_errors(rot, t, world, image, cam) ** 2).sum(axis=1) / world.shape[1])
+    rms = np.sqrt(np.mean(point_errors(rot, t, world, image, cam) ** 2, axis=1))
     rms[~(t[:, 2] > 0) | ~np.isfinite(rms)] = np.inf
     return rot, t, rms
-
-
-def _world_terms(world: np.ndarray):
-    """What EPnP takes from the world points (H, n, 3) alone, per control-point group.
-
-    Returns one ``(idx, alphas, rho)`` per group with problems in it, m = 4
-    first, then the near-planar m = 3: the group's problem indices, their
-    barycentric coordinates (g, n, m), which sum to 1, and the squared
-    distances (g, P) between their control points. Degenerate problems are
-    in no group.
-    """
-    c0, axes, lam, degenerate, planar = _control_frame(world)
-    groups = []
-    for m, group in ((4, ~degenerate & ~planar), (3, planar)):
-        idx = np.flatnonzero(group)
-        if not idx.size:
-            continue
-        g_axes, scales = axes[idx, :, : m - 1], np.sqrt(lam[idx, : m - 1])
-        g_c0 = c0[idx]
-        ctrl = g_c0[:, None] + np.concatenate(
-            [np.zeros((idx.size, 1, 3)), scales[:, :, None] * g_axes.swapaxes(1, 2)], axis=1
-        )
-        # barycentric coordinates in the orthonormal principal frame
-        coords = (world[idx] - g_c0[:, None]) @ g_axes / scales[:, None]
-        alphas = np.concatenate([1.0 - coords.sum(axis=2, keepdims=True), coords], axis=2)
-        rho = np.sum((_PAIR_DIFFERENCES[m] @ ctrl) ** 2, axis=-1)
-        groups.append((idx, alphas, rho))
-    return tuple(groups)
-
-
-def _solve_group(image, world, alphas, rho, cam):
-    """Solve problems that share one control-point count m = alphas.shape[2]."""
-    g, _, m = alphas.shape
-    k = 4 if m == 4 else 2
-    basis = _null_basis(alphas, image, cam, k)
-    gram = _distance_terms(basis)
-
-    inits = _beta_inits(gram, rho)
-    owner = np.repeat(np.arange(g), inits.shape[1])  # problem index of each beta row
-    betas = _gauss_newton(inits.reshape(-1, k), gram[owner], rho[owner])
-    rot, t, rms = _candidate_poses(
-        betas, basis[owner], alphas[owner], world[owner], image[owner], cam
-    )
-    # lowest RMS per problem; the stable sort keeps the first row on ties
-    order = np.lexsort((rms, owner))
-    first = order[np.concatenate(([True], owner[order[1:]] != owner[order[:-1]]))]
-    return rot[first], t[first], np.isfinite(rms[first])
-
-
-def epnp_stack(image, world, cam: CameraIntrinsics):
-    """Solve H independent EPnP problems at once.
-
-    Takes ``image (H, n, 2)`` pixels and ``world (H, n, 3)`` body-frame points
-    with n >= 5, and returns ``R (H, 3, 3)``, ``t (H, 3)`` and a status per
-    problem: :data:`EPNP_OK`, :data:`EPNP_DEGENERATE` for collinear or
-    coincident world points, or :data:`EPNP_NO_POSE` when every candidate
-    puts the target behind the camera. R and t are NaN where the status is
-    not ok. Each problem's result does not depend on the others in the stack.
-    """
-    image = np.asarray(image, dtype=float)
-    world = np.asarray(world, dtype=float)
-    h, n = world.shape[:2]
-    if n < 5:
-        raise ValueError(f"EPnP needs at least 5 points per problem, got {n}")
-    rot = np.full((h, 3, 3), np.nan)
-    t = np.full((h, 3), np.nan)
-    status = np.full(h, EPNP_DEGENERATE, dtype=np.int8)
-    for idx, alphas, rho in _world_terms(world):
-        rot[idx], t[idx], found = _solve_group(image[idx], world[idx], alphas, rho, cam)
-        status[idx] = np.where(found, EPNP_OK, EPNP_NO_POSE)
-    return rot, t, status
 
 
 def epnp(correspondences, cam: CameraIntrinsics) -> Pose:
@@ -410,11 +298,24 @@ def epnp(correspondences, cam: CameraIntrinsics) -> Pose:
     if len(set(ids)) != len(ids):
         raise ValueError("correspondence ids must be unique")
     image, world = split_correspondences(corrs)
-    rot, t, status = epnp_stack(image[None], world[None], cam)
-    if status[0] == EPNP_DEGENERATE:
+    c0, axes, lam, degenerate, planar = _control_frame(world)
+    if degenerate:
         raise DegenerateGeometryError(
             "world points are collinear or coincident; control points undefined"
         )
-    if status[0] == EPNP_NO_POSE:
+    m, k = (3, 2) if planar else (4, 4)
+    axes, scales = axes[:, : m - 1], np.sqrt(lam[: m - 1])
+    ctrl = np.vstack([c0, c0 + scales[:, None] * axes.T])
+    # barycentric coordinates in the orthonormal principal frame
+    coords = (world - c0) @ axes / scales
+    alphas = np.column_stack([1.0 - coords.sum(axis=1), coords])
+    rho = np.sum((_PAIR_DIFFERENCES[m] @ ctrl) ** 2, axis=-1)
+
+    basis = _null_basis(alphas, image, cam, k)
+    gram = _distance_terms(basis)
+    betas = _gauss_newton(_beta_inits(gram, rho), gram, rho)
+    rot, t, rms = _candidate_poses(betas, basis, alphas, world, image, cam)
+    best = np.argmin(rms)  # the first candidate on ties
+    if rms[best] == np.inf:
         raise NoValidPoseError("all EPnP candidates place the target behind the camera")
-    return Pose(position=t[0], attitude=quat_from_matrix(rot[0]))
+    return Pose(position=t[best], attitude=quat_from_matrix(rot[best]))

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, pinhole, pinhole_jacobian
-from .epnp import EPNP_DEGENERATE, EPNP_NO_POSE, EPNP_OK, _eigh, _finite_or, _solve
+from .epnp import _eigh, _finite_or, _solve
 from .refine import skew_table
 
 # squared sine below which a triangle's edges count as collinear
@@ -220,27 +220,24 @@ def _gauss_newton_step(rot, t, world, cam_pts, residual, cam: CameraIntrinsics):
 
 
 def p3p_hypotheses(image, world, cam: CameraIntrinsics):
-    """Pose hypotheses of H point sets, as ``epnp_stack`` returns them.
+    """One pose hypothesis for each of H point sets.
 
     Takes ``image (H, n, 2)`` and ``world (H, n, 3)`` with n >= 4: RANSAC's
     minimal samples, or one set of all of a record's points. P3P solves each
     set's first three points; of its roots, the one with the lowest summed
     squared reprojection error over all n points is kept, and one
     Gauss-Newton step over the n points is taken where it is finite and
-    lowers that error. Returns ``R (H, 3, 3)``, ``t (H, 3)`` and a status per
-    set: :data:`~satpose.pnp.epnp.EPNP_OK`,
-    :data:`~satpose.pnp.epnp.EPNP_DEGENERATE` when P3P has no valid root
-    (the first three world points collinear or coincident, or an input not
-    finite), or :data:`~satpose.pnp.epnp.EPNP_NO_POSE` when no root puts
-    every point of the set in front of the camera at a finite error. R and t
-    are NaN where the status is not ok. Each set's result does not depend
-    on the others in the stack.
+    lowers that error. Returns ``R (H, 3, 3)`` and ``t (H, 3)``, NaN for a
+    set without a pose: P3P has no valid root (the first three world points
+    collinear or coincident, or an input not finite), or no root puts every
+    point of the set in front of the camera at a finite error. Each set's
+    result does not depend on the others in the stack.
     """
     image = np.ascontiguousarray(image, dtype=float)
     world = np.ascontiguousarray(world, dtype=float)
     h = len(world)
     rows = np.arange(h)
-    roots, shifts, valid = p3p_stack(image[:, :3], world[:, :3], cam)
+    roots, shifts, _ = p3p_stack(image[:, :3], world[:, :3], cam)
     with np.errstate(all="ignore"):  # rows without a root run to NaN, and score inf
         cam_pts, residual, cost = _residuals(roots, shifts, world[:, None], image[:, None], cam)
         best = cost.argmin(axis=1)
@@ -250,8 +247,6 @@ def p3p_hypotheses(image, world, cam: CameraIntrinsics):
     rot = np.where(better[:, None, None], stepped[0], rot)
     t = np.where(better[:, None], stepped[1], t)
     found = cost < np.inf
-    status = np.full(h, EPNP_OK, dtype=np.int8)
     if not found.all():
-        status[~found] = np.where(valid[~found].any(axis=1), EPNP_NO_POSE, EPNP_DEGENERATE)
         rot[~found], t[~found] = np.nan, np.nan
-    return rot, t, status
+    return rot, t

@@ -126,7 +126,7 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
                 [rng.choice(n, size=cfg.min_sample, replace=False) for _ in range(chunk)]
             )
         # a row without a pose is NaN, so every one of its points scores inf
-        rot, t, _ = p3p_hypotheses(image[samples], world[samples], cam)
+        rot, t = p3p_hypotheses(image[samples], world[samples], cam)
         errors = point_errors(rot, t, world, image, cam)
         counts = (errors < cfg.inlier_threshold).sum(axis=1)
         for h in range(len(samples)):

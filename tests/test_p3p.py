@@ -8,7 +8,7 @@ import pytest
 from satpose import RansacConfig, attitude_error, ransac_pnp
 from satpose.geometry import project, quat_from_matrix
 from satpose.pnp import Correspondence
-from satpose.pnp.epnp import EPNP_DEGENERATE, EPNP_NO_POSE, EPNP_OK, point_errors
+from satpose.pnp.epnp import point_errors
 from satpose.pnp.p3p import _jacobian, _residuals, p3p_hypotheses, p3p_stack
 from satpose.pnp.refine import reprojection_jacobian, skew_table
 from satpose.rng import stream
@@ -41,14 +41,14 @@ def test_noise_free_samples_reproject_exactly(cam, wireframe):
     # sample: at least 99.9 % of them within 1e-6 px RMS, each at the true pose
     poses = _sampler_poses(cam, wireframe, SAMPLES, seed=61)
     image, world = _exact_samples(cam, wireframe, poses, stream(62, "p3p"), 5)
-    rot, t, status = p3p_hypotheses(image, world, cam)
+    rot, t = p3p_hypotheses(image, world, cam)
     rms = _rms(rot, t, world, image, cam)
     close = rms < 1e-6  # False for a failed row
     assert np.count_nonzero(close) >= 0.999 * SAMPLES
     for pose, r, ok in zip(poses, rot, close):
         if ok:
             assert attitude_error(pose.attitude, quat_from_matrix(r)) < 1e-9
-    assert np.all(status[close] == EPNP_OK)
+    assert np.isfinite(rot[close]).all() and np.isfinite(t[close]).all()
 
 
 def test_one_root_is_the_generating_pose(cam, wireframe):
@@ -71,7 +71,7 @@ def test_minimal_four_point_samples(cam, wireframe, make_case):
     # min_sample = 4: three points for P3P and one for the root choice
     poses = _sampler_poses(cam, wireframe, 300, seed=65)
     image, world = _exact_samples(cam, wireframe, poses, stream(66, "p3p"), 4)
-    rot, t, status = p3p_hypotheses(image, world, cam)
+    rot, t = p3p_hypotheses(image, world, cam)
     assert np.count_nonzero(_rms(rot, t, world, image, cam) < 1e-6) >= 0.99 * len(poses)
     # and RANSAC with 4-point samples recovers a 3-outlier mask
     for seed in range(10):
@@ -155,9 +155,8 @@ def test_degenerate_rows_get_a_status_and_no_warning(cam, wireframe):
     world = np.concatenate([world, behind_world[None]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rot, t, status = p3p_hypotheses(image, world, cam)
+        rot, t = p3p_hypotheses(image, world, cam)
         _, _, valid = p3p_stack(image[:, :3], world[:, :3], cam)
-    assert list(status) == [EPNP_DEGENERATE, EPNP_DEGENERATE, EPNP_OK, EPNP_NO_POSE]
     assert not valid[:2].any() and valid[3].any()  # the last row has roots, all behind
     assert np.isnan(rot[[0, 1, 3]]).all() and np.isnan(t[[0, 1, 3]]).all()
     np.testing.assert_allclose(rot[2], pose.rotation_matrix(), atol=1e-9)
@@ -171,8 +170,8 @@ def test_step_never_raises_the_sample_error(cam, wireframe):
     image = image + rng.normal(0.0, 2.0, image.shape)
     roots, shifts, _ = p3p_stack(image[:, :3], world[:, :3], cam)
     best = _residuals(roots, shifts, world[:, None], image[:, None], cam)[2].min(axis=1)
-    rot, t, status = p3p_hypotheses(image, world, cam)
-    assert np.all(status == EPNP_OK)
+    rot, t = p3p_hypotheses(image, world, cam)
+    assert np.isfinite(rot).all() and np.isfinite(t).all()
     kept = _residuals(rot, t, world, image, cam)[2]
     assert np.all(kept <= best)
     assert np.count_nonzero(kept < best) > 0.9 * len(poses)  # the step mostly helps

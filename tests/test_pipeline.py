@@ -446,9 +446,9 @@ class TestRunPipeline:
         plain = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
 
         def refused(*args):
-            raise AssertionError("epnp_stack called on the solve path")
+            raise AssertionError("EPnP called on the solve path")
 
-        monkeypatch.setattr(epnp_module, "epnp_stack", refused)
+        monkeypatch.setattr(epnp_module, "_null_basis", refused)
         patched = run_pipeline(labeled, OracleProvider(noise), wireframe, ransac_cfg=cfg)
         assert plain.failures == patched.failures and plain.scored_ids == patched.scored_ids
         for a, b in zip(plain.scores, patched.scores):
