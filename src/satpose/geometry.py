@@ -329,13 +329,13 @@ def camera_to_pixels(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
 
 
 def pinhole_jacobian(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
-    """(N, 2, 3) derivative of each point's pixel ``(u, v)`` by its camera-frame point."""
-    x, y, z = cam_pts[:, 0], cam_pts[:, 1], cam_pts[:, 2]
-    jac = np.zeros((len(cam_pts), 2, 3))
-    jac[:, 0, 0] = cam.fx / z
-    jac[:, 0, 2] = -cam.fx * x / z**2
-    jac[:, 1, 1] = cam.fy / z
-    jac[:, 1, 2] = -cam.fy * y / z**2
+    """(..., 2, 3) derivatives of pixels ``(u, v)`` by their camera-frame points (..., 3)."""
+    x, y, z = cam_pts[..., 0], cam_pts[..., 1], cam_pts[..., 2]
+    jac = np.zeros(cam_pts.shape[:-1] + (2, 3))
+    jac[..., 0, 0] = cam.fx / z
+    jac[..., 0, 2] = -cam.fx * x / z**2
+    jac[..., 1, 1] = cam.fy / z
+    jac[..., 1, 2] = -cam.fy * y / z**2
     return jac
 
 

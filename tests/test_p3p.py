@@ -9,7 +9,7 @@ from satpose import RansacConfig, attitude_error, ransac_pnp
 from satpose.geometry import project, quat_from_matrix
 from satpose.pnp import Correspondence
 from satpose.pnp.epnp import point_errors
-from satpose.pnp.p3p import _jacobian, _residuals, p3p_hypotheses, p3p_stack
+from satpose.pnp.p3p import _residuals, p3p_hypotheses, p3p_stack
 from satpose.pnp.refine import reprojection_jacobian, skew_table
 from satpose.rng import stream
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
@@ -58,7 +58,8 @@ def test_one_root_is_the_generating_pose(cam, wireframe):
     # a triangle seen near a double root loses digits in any P3P solver
     poses = _sampler_poses(cam, wireframe, 1000, seed=63)
     image, world = _exact_samples(cam, wireframe, poses, stream(64, "p3p"), 3)
-    rot, t, valid = p3p_stack(image, world, cam)
+    rot, t = p3p_stack(image, world, cam)
+    valid = np.isfinite(rot).all(axis=(2, 3))
     truth = np.array([pose.rotation_matrix() for pose in poses])[:, None]
     position = np.array([pose.position for pose in poses])[:, None]
     gap = np.abs(rot - truth).max(axis=(2, 3)) + np.abs(t - position).max(axis=2) / 70
@@ -156,7 +157,8 @@ def test_degenerate_rows_get_a_status_and_no_warning(cam, wireframe):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rot, t = p3p_hypotheses(image, world, cam)
-        _, _, valid = p3p_stack(image[:, :3], world[:, :3], cam)
+        roots, _ = p3p_stack(image[:, :3], world[:, :3], cam)
+    valid = np.isfinite(roots).all(axis=(2, 3))
     assert not valid[:2].any() and valid[3].any()  # the last row has roots, all behind
     assert np.isnan(rot[[0, 1, 3]]).all() and np.isnan(t[[0, 1, 3]]).all()
     np.testing.assert_allclose(rot[2], pose.rotation_matrix(), atol=1e-9)
@@ -168,7 +170,7 @@ def test_step_never_raises_the_sample_error(cam, wireframe):
     poses = [random_pose(rng) for _ in range(200)]
     image, world = _exact_samples(cam, wireframe, poses, rng, 5)
     image = image + rng.normal(0.0, 2.0, image.shape)
-    roots, shifts, _ = p3p_stack(image[:, :3], world[:, :3], cam)
+    roots, shifts = p3p_stack(image[:, :3], world[:, :3], cam)
     best = _residuals(roots, shifts, world[:, None], image[:, None], cam)[2].min(axis=1)
     rot, t = p3p_hypotheses(image, world, cam)
     assert np.isfinite(rot).all() and np.isfinite(t).all()
@@ -178,13 +180,17 @@ def test_step_never_raises_the_sample_error(cam, wireframe):
 
 
 def test_jacobian_matches_the_refinement_jacobian(cam, wireframe):
+    # the kernel's Gauss-Newton step calls LM's Jacobian stacked over
+    # hypotheses: each row has the bits of its one-problem call
     rng = stream(71, "p3p")
     poses = [random_pose(rng) for _ in range(8)]
-    _, world = _exact_samples(cam, wireframe, poses, rng, 5)
     rot = np.array([pose.rotation_matrix() for pose in poses])
     t = np.array([pose.position for pose in poses])
-    cam_pts = world @ rot.swapaxes(1, 2) + t[:, None]
-    stacked = _jacobian(rot, world, cam_pts, cam)
-    for h in range(len(poses)):
-        single = reprojection_jacobian(rot[h], cam_pts[h], skew_table(world[h]), cam)
-        np.testing.assert_allclose(stacked[h], single, rtol=1e-12, atol=1e-9)
+    for size in (5, 11):
+        _, world = _exact_samples(cam, wireframe, poses, rng, size)
+        cam_pts = world @ rot.swapaxes(1, 2) + t[:, None]
+        stacked = reprojection_jacobian(rot, cam_pts, skew_table(world), cam)
+        assert stacked.shape == (len(poses), 2 * size, 6)
+        for h in range(len(poses)):
+            single = reprojection_jacobian(rot[h], cam_pts[h], skew_table(world[h]), cam)
+            np.testing.assert_array_equal(stacked[h], single)

@@ -1,5 +1,6 @@
 """Levenberg-Marquardt refinement and Jacobian tests."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satpose.pnp.refine as refine_mod
-from satpose import attitude_error, epnp, lm_refine
+from satpose import RansacConfig, attitude_error, epnp, lm_refine, ransac_pnp
 from satpose.errors import BehindCameraError, NumericalFailureError
 from satpose.geometry import Pose, project, quat_from_rotvec, quat_multiply
 from satpose.pnp.refine import reprojection_jacobian, skew_table
@@ -30,14 +31,21 @@ def pose_jacobian(pose: Pose, world: np.ndarray, cam) -> np.ndarray:
     return reprojection_jacobian(rot, cam_pts, skew_table(world), cam)
 
 
+def cayley_step(x, delta):
+    """``x = (t, q)`` moved by ``delta``: t + dt, and q times (1, dtheta / 2), normalised."""
+    q = quat_multiply(x[1], np.concatenate([[1.0], 0.5 * delta[3:]]))
+    return x[0] + delta[:3], q / math.hypot(*q.tolist())
+
+
 def reference_lm(initial: Pose, corrs, cam) -> tuple[Pose, str, int, int]:
     """The Pose-based LM that ``lm_refine`` must match to the bit.
 
     One damped loop and its Gauss-Newton finish, with the module's constants,
     that builds a ``Pose`` for every residual, through ``project``, and for
-    every Jacobian. Returns the refined pose, the stop rule the damped loop
-    ended on, the number of trial steps whose points fell at or behind the
-    camera and the number of finish steps kept.
+    every Jacobian, and takes its trial steps by :func:`cayley_step`. Returns
+    the refined pose, the stop rule the damped loop ended on, the number of
+    trial steps whose points fell at or behind the camera and the number of
+    finish steps kept.
     """
     image = np.array([c.image for c in corrs])
     world = np.array([c.world for c in corrs])
@@ -70,7 +78,7 @@ def reference_lm(initial: Pose, corrs, cam) -> tuple[Pose, str, int, int]:
             if np.linalg.norm(delta) < refine_mod._STEP_TOL:
                 stop = "step"
                 break
-            x_new = (x[0] + delta[:3], quat_multiply(x[1], quat_from_rotvec(delta[3:])))
+            x_new = cayley_step(x, delta)
             cost_new = np.inf
             try:
                 r_new = residual(x_new)
@@ -102,7 +110,7 @@ def reference_lm(initial: Pose, corrs, cam) -> tuple[Pose, str, int, int]:
             break
         if not np.linalg.norm(delta) >= refine_mod._STEP_TOL:
             break
-        x_new = (x[0] + delta[:3], quat_multiply(x[1], quat_from_rotvec(delta[3:])))
+        x_new = cayley_step(x, delta)
         try:
             r_new = residual(x_new)
         except BehindCameraError:
@@ -358,3 +366,42 @@ def test_non_finite_trials_are_rejected(cam, make_case, monkeypatch):
     refined = refine_mod.lm_refine(start, corrs, cam)
     np.testing.assert_array_equal(refined.position, start.position)
     np.testing.assert_array_equal(refined.attitude, start.attitude)
+
+
+def test_non_finite_increment_is_a_rejected_trial(cam, make_case, monkeypatch):
+    # a NaN step gives a NaN trial pose, which is rejected like any
+    # non-finite trial: the start comes back, and no ValueError escapes
+    pose, corrs = make_case(53, noise_sigma=2.0)
+    start = perturbed(pose, stream(53, "lm"), angle_deg=3.0, shift=0.3)
+    trial, trials = refine_mod._trial_residuals, []
+
+    def recording(*args):
+        residual, linearised = trial(*args)
+        trials.append(residual)
+        return residual, linearised
+
+    monkeypatch.setattr(refine_mod, "_trial_residuals", recording)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+    refined = refine_mod.lm_refine(start, corrs, cam)
+    assert trials and all(np.isnan(r).all() for r in trials)
+    np.testing.assert_array_equal(refined.position, start.position)
+    np.testing.assert_array_equal(refined.attitude, start.attitude)
+
+
+def test_only_lm_calls_the_traced_jacobian_name(cam, make_case, monkeypatch):
+    # the benchmark counts calls of refine.reprojection_jacobian as LM's
+    # iterations: the P3P kernel's Gauss-Newton step shares the function but
+    # is bound to it at import, so RANSAC adds none to the count
+    jacobian, calls = refine_mod.reprojection_jacobian, Counter()
+
+    def counting(*args):
+        calls["jacobian"] += 1
+        return jacobian(*args)
+
+    monkeypatch.setattr(refine_mod, "reprojection_jacobian", counting)
+    pose, corrs = make_case(54, noise_sigma=2.0)
+    result = ransac_pnp(corrs, cam, RansacConfig(seed=54))
+    assert calls["jacobian"] == 0
+    inliers = [c for c, keep in zip(corrs, result.inlier_mask) if keep]
+    lm_refine(result.pose, inliers, cam)
+    assert calls["jacobian"] > 0
