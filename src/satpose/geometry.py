@@ -72,7 +72,8 @@ def whole_number(value, name: str, lo: int, hi: float = np.inf) -> int:
 
 def _norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of a float 1-D array: ``np.linalg.norm``'s own arithmetic, to the bit."""
-    return np.sqrt(v.dot(v))
+    # vdot, unlike dot, does not warn when the square overflows
+    return np.sqrt(np.vdot(v, v))
 
 
 def quat_normalize(q) -> np.ndarray:

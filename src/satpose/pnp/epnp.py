@@ -18,7 +18,8 @@ the correspondences. No RANSAC hypothesis comes from EPnP, since every one
 goes to the P3P kernel (:mod:`satpose.pnp.p3p`); :func:`epnp` is the
 reference solver that the acceptance suite checks the pipeline against.
 This module also holds what the solvers share: :class:`Correspondence`,
-:func:`point_errors` and the guarded stacked solves that P3P imports.
+:func:`point_errors` and the guarded stacked solve ``_solve``, the one name
+P3P imports from it.
 """
 
 from __future__ import annotations

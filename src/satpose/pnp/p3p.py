@@ -1,17 +1,22 @@
-"""P3P: closed-form poses from three 2D-3D correspondences, stacked over problems.
+"""P3P: closed-form poses from three 2D-3D correspondences, for a stack of problems.
 
-Implements Lambda Twist (Persson and Nordberg, ECCV 2018) as one array
-kernel, :func:`p3p_stack`. For unit bearings ``y_i`` of three pixels and
-world points ``x_i``, the depths ``L = (l1, l2, l3)`` satisfy
+Implements Lambda Twist (Persson and Nordberg, ECCV 2018) in
+:func:`p3p_stack`. For unit bearings ``y_i`` of three pixels and world
+points ``x_i``, the depths ``L = (l1, l2, l3)`` satisfy
 ``l_i^2 + l_j^2 - 2 b_ij l_i l_j = a_ij`` for each pair, with ``b_ij`` the
 bearings' cosine and ``a_ij`` the squared world distance. Two homogeneous
 combinations of these quadrics, ``D1 = a23 M12 - a12 M23`` and
 ``D2 = a23 M13 - a13 M23``, vanish at the solution, and so does every member
 of the pencil ``D1 + g D2``. A real root g of the cubic ``det(D1 + g D2)``
-(a real eigenvalue of its companion matrix) makes that member a degenerate
-conic: with eigenvalues ``s_neg < 0 < s_pos`` it is the pair of planes
-``(u_pos -/+ s u_neg)^T L = 0``, ``s = sqrt(-s_neg / s_pos)``. On each plane
-``l1`` is linear in ``l2`` and ``l3``, so the quadrics combined as
+makes that member a degenerate conic: with eigenvalues ``s_neg < 0 < s_pos``
+it is the pair of planes ``(u_pos -/+ s u_neg)^T L = 0``,
+``s = sqrt(-s_neg / s_pos)``. Both steps are closed forms: the cubic's real
+root smallest in magnitude comes from Cardano's formula or its
+trigonometric form and two Newton steps, and since the conic's third
+eigenvalue is 0, ``s_neg`` and ``s_pos`` are the roots of a quadratic in its
+trace and principal minors, with eigenvectors from the adjugate of
+``D0 - s I`` (the reference code's ``eigwithknown0``). On each plane ``l1``
+is linear in ``l2`` and ``l3``, so the quadrics combined as
 ``a13 (12) - a12 (13)`` give a quadratic in ``l3 / l2``, and the ``23``
 quadric gives the scale: up to four depth triples. Each pose comes from the
 triangle's orthonormal frames in both coordinate systems, so it is a
@@ -25,146 +30,238 @@ step over them with LM's Jacobian and Cayley increment, stacked
 (:mod:`satpose.pnp.refine`). A row keeps the step only where it is finite
 and lowers that error.
 
-Every operation is elementwise, a reduction over a short last axis, or a
-stacked LAPACK or matmul call over slices of one layout, and non-finite or
-singular slices are guarded, so each problem's result does not depend on
-the others in the stack. Only square roots are taken: no transcendental
-function, whose vectorised and scalar forms may round differently, is
-called.
+The P3P problems are solved one by one, by the same scalar code on Python
+floats, so each problem's roots do not depend on the others in the stack by
+construction; a stack costs its rows, with no fixed cost of numpy
+dispatches on short arrays. The root choice and the Gauss-Newton step stay
+stacked: elementwise operations, reductions over a short last axis, and
+stacked matmul and guarded LAPACK calls, each row apart from the others.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, pinhole
-from .epnp import _eigh, _finite_or, _solve
+from .epnp import _solve
 # bound here, so that LM alone calls the name the benchmark's tracer counts
 from .refine import cayley_rotate, reprojection_jacobian, skew_table
 
 # squared sine below which a triangle's edges count as collinear
 _COLLINEAR_SINE_SQ = 1e-10
-
-# the triangle's edges 1-2, 1-3 and 2-3, and the index rolls of a cross product
-_TAIL, _HEAD = np.array([0, 0, 1]), np.array([1, 2, 2])
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
-# the two planes of a degenerate conic, u_pos - s u_neg and u_pos + s u_neg
-_PLANE_SIGNS = np.array([-1.0, 1.0])[:, None]
+_THIRD_TURN = 2.0 * math.pi / 3.0
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products over the last axis, elementwise."""
-    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+def _pencil_root(p2: float, p1: float, p0: float) -> float:
+    """The real root of ``g^3 + p2 g^2 + p1 g + p0`` smallest in magnitude.
 
-
-def _pencil_root(a12, a13, a23, b12, b13, b23) -> np.ndarray:
-    """A real root g (H,) of ``det(D1 + g D2)``; NaN if none is found.
-
-    Divided by ``-a23`` and with ``s_ij = 1 - b_ij^2``, the cubic's
-    coefficients are ``a13 (a23 s13 - a13 s23)`` for g^3 and
-    ``a23 s13 (a12 - a23) - a13 s23 (2 a12 + a13) + 2 a13 a23 (1 - b12 b13 b23)``
-    for g^2; swapping the point labels 2 and 3 turns these into the
-    coefficients of g^0 and g^1. The roots are the eigenvalues of the
-    companion matrix. Of the real ones the smallest in magnitude is taken,
-    so that ``D1 + g D2`` keeps D1's share of the digits.
+    Cardano's formula where the cubic has one real root, the trigonometric
+    form where it has three, then two Newton steps. Not finite where a
+    coefficient is not.
     """
-    h = len(a12)
+    shift = p2 / 3.0
+    # the depressed cubic z^3 + p z + q in z = g + shift
+    third_p = (p1 - 3.0 * shift * shift) / 3.0
+    half_q = 0.5 * (shift * (2.0 * shift * shift - p1) + p0)
+    disc = half_q * half_q + third_p * third_p * third_p
+    if disc > 0.0:
+        # one real root u + v with u v = -p / 3; u is the term free of cancellation
+        u = -math.copysign((abs(half_q) + math.sqrt(disc)) ** (1.0 / 3.0), half_q)
+        g = (u - third_p / u if u != 0.0 else u) - shift
+    elif third_p < 0.0:
+        # three real roots 2 m cos(theta - 2 pi k / 3), cos(3 theta) = -q / (2 m^3)
+        m = math.sqrt(-third_p)
+        cube = m * m * m
+        cos3 = -half_q / cube if cube > 0.0 else 0.0
+        theta = math.acos(min(1.0, max(-1.0, cos3))) / 3.0
+        g = 2.0 * m * math.cos(theta) - shift
+        for other in (2.0 * m * math.cos(theta - _THIRD_TURN) - shift,
+                      2.0 * m * math.cos(theta + _THIRD_TURN) - shift):
+            if abs(other) < abs(g):
+                g = other
+    else:  # a triple root, or a coefficient not finite
+        g = -shift
+    for _ in range(2):
+        slope = (3.0 * g + 2.0 * p2) * g + p1
+        if slope != 0.0:
+            g -= (((g + p2) * g + p1) * g + p0) / slope
+    return g
+
+
+def _eigenvector(m00, m01, m02, m11, m12, m22, lam):
+    """Unit eigenvector of a symmetric 3x3 matrix for its simple eigenvalue ``lam``.
+
+    ``M - lam I`` has rank 2, so every column of its adjugate lies along the
+    eigenvector; the one with the largest diagonal entry is the longest.
+    None where that column is zero or not finite.
+    """
+    a, d, f = m00 - lam, m11 - lam, m22 - lam
+    c00, c11, c22 = d * f - m12 * m12, a * f - m02 * m02, a * d - m01 * m01
+    c01, c02, c12 = m02 * m12 - m01 * f, m01 * m12 - m02 * d, m01 * m02 - a * m12
+    d00, d11, d22 = abs(c00), abs(c11), abs(c22)
+    if d00 >= d11 and d00 >= d22:
+        column = c00, c01, c02
+    elif d11 >= d22:
+        column = c01, c11, c12
+    else:
+        column = c02, c12, c22
+    norm = math.hypot(*column)
+    if not 0.0 < norm < math.inf:
+        return None
+    return column[0] / norm, column[1] / norm, column[2] / norm
+
+
+_NO_ROOTS = (math.nan,) * 48
+
+
+def _lambda_twist(pixels, points, fx, fy, cx, cy):
+    """One problem's four roots as 48 Python floats, each R row-major and then t.
+
+    As :func:`p3p_stack` states, NaN where a root is not valid. Every
+    divisor and square-root argument is checked before use, since Python
+    raises where numpy returns NaN: a degenerate problem has no root.
+    """
+    (u1, v1), (u2, v2), (u3, v3) = pixels
+    x, y = (u1 - cx) / fx, (v1 - cy) / fy
+    norm = math.hypot(x, y, 1.0)  # at least 1, or not finite
+    r10, r11, r12 = x / norm, y / norm, 1.0 / norm
+    x, y = (u2 - cx) / fx, (v2 - cy) / fy
+    norm = math.hypot(x, y, 1.0)
+    r20, r21, r22 = x / norm, y / norm, 1.0 / norm
+    x, y = (u3 - cx) / fx, (v3 - cy) / fy
+    norm = math.hypot(x, y, 1.0)
+    r30, r31, r32 = x / norm, y / norm, 1.0 / norm
+    b12 = r10 * r20 + r11 * r21 + r12 * r22
+    b13 = r10 * r30 + r11 * r31 + r12 * r32
+    b23 = r20 * r30 + r21 * r31 + r22 * r32
+
+    (x10, x11, x12), (x20, x21, x22), (x30, x31, x32) = points
+    # the world frame, rows f1 along the edge 1-2, f2, and f3 along the normal
+    d0, d1, d2 = x20 - x10, x21 - x11, x22 - x12
+    h0, h1, h2 = x30 - x10, x31 - x11, x32 - x12
+    f30, f31, f32 = d1 * h2 - d2 * h1, d2 * h0 - d0 * h2, d0 * h1 - d1 * h0
+    l12, l13, normal = math.hypot(d0, d1, d2), math.hypot(h0, h1, h2), math.hypot(f30, f31, f32)
+    l23 = math.hypot(x30 - x20, x31 - x21, x32 - x22)
+    # a collinear or coincident world triangle has no pose; NaN counts as either
+    if not (0.0 < l12 * l13 < math.inf and 0.0 < l23 < math.inf and normal < math.inf):
+        return _NO_ROOTS
+    sine = normal / (l12 * l13)
+    if not sine * sine > _COLLINEAR_SINE_SQ:
+        return _NO_ROOTS
+    f10, f11, f12 = d0 / l12, d1 / l12, d2 / l12
+    f30, f31, f32 = f30 / normal, f31 / normal, f32 / normal
+    f20, f21, f22 = f31 * f12 - f32 * f11, f32 * f10 - f30 * f12, f30 * f11 - f31 * f10
+    # squared distances a_ij in units of a23
+    a12, a13 = l12 / l23, l13 / l23
+    a12, a13 = a12 * a12, a13 * a13
+
+    # det(D1 + g D2) / -a23^3, with s_ij = 1 - b_ij^2
     s12, s13, s23 = 1.0 - b12 * b12, 1.0 - b13 * b13, 1.0 - b23 * b23
-    c3 = a13 * (a23 * s13 - a13 * s23)
-    both = 2.0 * a23 * (1.0 - b12 * b13 * b23)
-    c2 = a23 * s13 * (a12 - a23) - a13 * s23 * (2.0 * a12 + a13) + a13 * both
-    c1 = a23 * s12 * (a13 - a23) - a12 * s23 * (2.0 * a13 + a12) + a12 * both
-    companion = np.zeros((h, 3, 3))
-    companion[:, 0, 0] = -c2 / c3
-    companion[:, 0, 1] = -c1 / c3
-    companion[:, 0, 2] = -a12 * (a23 * s12 - a12 * s23) / c3
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    companion, ok = _finite_or(companion, np.eye(3))
-    roots = np.linalg.eigvals(companion)
-    # a real 3x3 matrix has a real eigenvalue, which LAPACK returns with imaginary part 0
-    size = np.where(roots.imag == 0.0, np.abs(roots.real), np.inf)
-    root = roots.real[np.arange(h), size.argmin(axis=1)]
-    return np.where(ok, root, np.nan)
+    c3 = a13 * (s13 - a13 * s23)
+    if c3 == 0.0:
+        return _NO_ROOTS
+    both = 2.0 * (1.0 - b12 * b13 * b23)
+    c2 = s13 * (a12 - 1.0) - a13 * s23 * (2.0 * a12 + a13) + a13 * both
+    c1 = s12 * (a13 - 1.0) - a12 * s23 * (2.0 * a13 + a12) + a12 * both
+    c0 = a12 * (s12 - a12 * s23)
+    g = _pencil_root(c2 / c3, c1 / c3, c0 / c3)
+
+    # D0 = (D1 + g D2) / a23, D1 = a23 M12 - a12 M23 and D2 = a23 M13 - a13 M23
+    m00, m01, m02 = 1.0 + g, -b12, -g * b13
+    m11, m12, m22 = 1.0 - a12 - g * a13, b23 * (a12 + g * a13), g * (1.0 - a13) - a12
+    # D0's eigenvalues are 0 and the roots of s^2 - trace s + minors
+    trace = m00 + m11 + m22
+    minors = m00 * m11 - m01 * m01 + m00 * m22 - m02 * m02 + m11 * m22 - m12 * m12
+    if not minors < 0.0:  # no plane pair: the roots do not straddle 0, or NaN
+        return _NO_ROOTS
+    # trace^2 - 4 minors > 0, so the root larger in magnitude is not 0
+    large = 0.5 * (trace + math.copysign(math.sqrt(trace * trace - 4.0 * minors), trace))
+    s_neg, s_pos = (large, minors / large) if large < 0.0 else (minors / large, large)
+    if not s_neg < 0.0 < s_pos:
+        return _NO_ROOTS
+    u_neg = _eigenvector(m00, m01, m02, m11, m12, m22, s_neg)
+    u_pos = _eigenvector(m00, m01, m02, m11, m12, m22, s_pos)
+    if u_neg is None or u_pos is None:
+        return _NO_ROOTS
+    s = math.sqrt(-s_neg / s_pos)
+
+    k, a12b13, a13b12 = a13 - a12, 2.0 * a12 * b13, 2.0 * a13 * b12
+    cw0, cw1, cw2 = (x10 + x20 + x30) / 3.0, (x11 + x21 + x31) / 3.0, (x12 + x22 + x32) / 3.0
+    roots = list(_NO_ROOTS)
+    # the planes (u_pos - s u_neg) . L = 0, then (u_pos + s u_neg) . L = 0
+    for plane, sign in ((0, -s), (24, s)):
+        p0 = u_pos[0] + sign * u_neg[0]
+        if p0 == 0.0:
+            continue
+        # on the plane l1 = w0 l2 + w1 l3
+        w0, w1 = -(u_pos[1] + sign * u_neg[1]) / p0, -(u_pos[2] + sign * u_neg[2]) / p0
+        # a13 (12) - a12 (13) with l1 = (w0 + w1 tau) l2 and l3 = tau l2
+        qa = (k * w1 + a12b13) * w1 - a12
+        qb = 2.0 * k * w0 * w1 - a13b12 * w1 + a12b13 * w0
+        qc = (k * w0 - a13b12) * w0 + a13
+        disc = qb * qb - 4.0 * qa * qc
+        q = -0.5 * (qb + math.copysign(math.sqrt(disc) if disc > 0.0 else 0.0, qb))
+        for at, num, den in ((plane, q, qa), (plane + 12, qc, q)):
+            if den == 0.0:
+                continue
+            tau = num / den
+            scale = (tau - 2.0 * b23) * tau + 1.0  # l2^2 / a23, from the 23 quadric
+            if not scale > 0.0:
+                continue
+            l2 = l23 / math.sqrt(scale)
+            l1, l3 = (w0 + w1 * tau) * l2, tau * l2
+            if not (0.0 < l1 < math.inf and 0.0 < l2 < math.inf and 0.0 < l3 < math.inf):
+                continue
+            p10, p11, p12 = l1 * r10, l1 * r11, l1 * r12
+            p20, p21, p22 = l2 * r20, l2 * r21, l2 * r22
+            p30, p31, p32 = l3 * r30, l3 * r31, l3 * r32
+            # the camera-side frame, rows e1 along the edge 1-2, e2, and e3 along the normal
+            d0, d1, d2 = p20 - p10, p21 - p11, p22 - p12
+            h0, h1, h2 = p30 - p10, p31 - p11, p32 - p12
+            e30, e31, e32 = d1 * h2 - d2 * h1, d2 * h0 - d0 * h2, d0 * h1 - d1 * h0
+            edge, normal = math.hypot(d0, d1, d2), math.hypot(e30, e31, e32)
+            if not (0.0 < edge < math.inf and 0.0 < normal < math.inf):
+                continue
+            e10, e11, e12 = d0 / edge, d1 / edge, d2 / edge
+            e30, e31, e32 = e30 / normal, e31 / normal, e32 / normal
+            e20, e21, e22 = e31 * e12 - e32 * e11, e32 * e10 - e30 * e12, e30 * e11 - e31 * e10
+            # R = E^T F for the camera frame's rows E and the world frame's rows F
+            rot = (e10 * f10 + e20 * f20 + e30 * f30, e10 * f11 + e20 * f21 + e30 * f31,
+                   e10 * f12 + e20 * f22 + e30 * f32, e11 * f10 + e21 * f20 + e31 * f30,
+                   e11 * f11 + e21 * f21 + e31 * f31, e11 * f12 + e21 * f22 + e31 * f32,
+                   e12 * f10 + e22 * f20 + e32 * f30, e12 * f11 + e22 * f21 + e32 * f31,
+                   e12 * f12 + e22 * f22 + e32 * f32)
+            roots[at:at + 12] = rot + (
+                (p10 + p20 + p30) / 3.0 - (rot[0] * cw0 + rot[1] * cw1 + rot[2] * cw2),
+                (p11 + p21 + p31) / 3.0 - (rot[3] * cw0 + rot[4] * cw1 + rot[5] * cw2),
+                (p12 + p22 + p32) / 3.0 - (rot[6] * cw0 + rot[7] * cw1 + rot[8] * cw2),
+            )
+    return roots
 
 
 def p3p_stack(image, world, cam: CameraIntrinsics):
-    """Solve H independent P3P problems at once.
+    """Solve H independent P3P problems, one by one.
 
     Takes ``image (H, 3, 2)`` pixels and ``world (H, 3, 3)`` body-frame
     points, and returns ``R (H, 4, 3, 3)`` and ``t (H, 4, 3)``: up to four
     poses per problem that put the three points on their rays in front of
     the camera and keep their distances. R and t are NaN where a root is not
-    valid, and every root of a collinear or coincident triangle is invalid.
-    A quadratic's discriminant is clamped at zero, so that round-off cannot
-    drop a double root; the spurious roots this can add near one are left
-    for the caller to tell apart by other points. Each problem's result does
-    not depend on the others in the stack.
+    valid, and every root of a collinear or coincident triangle is invalid,
+    as is every root of a problem whose pencil root gives no plane pair (the
+    conic's nonzero eigenvalues share a sign). A quadratic's discriminant is
+    clamped at zero, so that round-off cannot drop a double root; the
+    spurious roots this can add near one are left for the caller to tell
+    apart by other points.
     """
-    image = np.ascontiguousarray(image, dtype=float)
-    world = np.ascontiguousarray(world, dtype=float)
-    h = len(world)
-    with np.errstate(all="ignore"):  # degenerate rows run to NaN and are masked below
-        ray = np.empty((h, 3, 3))
-        ray[..., 0] = (image[..., 0] - cam.cx) / cam.fx
-        ray[..., 1] = (image[..., 1] - cam.cy) / cam.fy
-        ray[..., 2] = 1.0
-        ray /= np.sqrt((ray * ray).sum(axis=-1))[..., None]
-        cosines = ray @ ray.swapaxes(1, 2)
-        b12, b13, b23 = cosines[:, 0, 1], cosines[:, 0, 2], cosines[:, 1, 2]
-        edges = world[:, _HEAD] - world[:, _TAIL]  # x2 - x1, x3 - x1, x3 - x2
-        a12, a13, a23 = (edges * edges).sum(axis=-1).T
-        gamma = _pencil_root(a12, a13, a23, b12, b13, b23)
-
-        # D1 + g D2, D1 = a23 M12 - a12 M23 and D2 = a23 M13 - a13 M23
-        conic = np.empty((h, 3, 3))
-        conic[:, 0, 0] = a23 * (1.0 + gamma)
-        conic[:, 0, 1] = conic[:, 1, 0] = -a23 * b12
-        conic[:, 0, 2] = conic[:, 2, 0] = -gamma * a23 * b13
-        conic[:, 1, 1] = a23 - a12 - gamma * a13
-        conic[:, 1, 2] = conic[:, 2, 1] = b23 * (a12 + gamma * a13)
-        conic[:, 2, 2] = gamma * (a23 - a13) - a12
-        sigma, vec = _eigh(conic)  # ascending: s_neg, ~0, s_pos
-        s = np.sqrt(-sigma[:, 0] / sigma[:, 2])
-        plane = vec[:, None, :, 2] + _PLANE_SIGNS * s[:, None, None] * vec[:, None, :, 0]
-        # on each plane (H, 2): l1 = w0 l2 + w1 l3
-        w0, w1 = -plane[..., 1] / plane[..., 0], -plane[..., 2] / plane[..., 0]
-        # a13 (12) - a12 (13) with l1 = (w0 + w1 tau) l2 and l3 = tau l2
-        k, a12, a13 = (a13 - a12)[:, None], a12[:, None], a13[:, None]
-        a12b13, a13b12 = 2.0 * a12 * b13[:, None], 2.0 * a13 * b12[:, None]
-        qa = (k * w1 + a12b13) * w1 - a12
-        qb = 2.0 * k * w0 * w1 - a13b12 * w1 + a12b13 * w0
-        qc = (k * w0 - a13b12) * w0 + a13
-        root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
-        q = -0.5 * (qb + np.copysign(root, qb))
-        tau = np.empty((h, 2, 2))
-        tau[..., 0], tau[..., 1] = q / qa, qc / q
-        tau = tau.reshape(h, 4)
-        l2 = np.sqrt(a23[:, None] / ((tau - 2.0 * b23[:, None]) * tau + 1.0))
-        lam = np.empty((h, 4, 3))
-        lam[..., 0] = (w0.repeat(2, axis=1) + w1.repeat(2, axis=1) * tau) * l2
-        lam[..., 1], lam[..., 2] = l2, tau * l2
-
-        # orthonormal triangle frames, rows e1 along the first edge, e2, and e3
-        # along the normal: four on the camera side, then the world's
-        cam_pts = lam[..., None] * ray[:, None]  # (H, 4, 3, 3)
-        tri = np.concatenate([cam_pts[:, :, 1:] - cam_pts[:, :, :1], edges[:, None, :2]], axis=1)
-        frames = np.empty((h, 5, 3, 3))
-        e1, normal = tri[:, :, 0], _cross(tri[:, :, 0], tri[:, :, 1])
-        normal_sq = (normal * normal).sum(axis=-1)
-        frames[:, :, 0] = e1 / np.sqrt((e1 * e1).sum(axis=-1))[..., None]
-        frames[:, :, 2] = normal / np.sqrt(normal_sq)[..., None]
-        frames[:, :, 1] = _cross(frames[:, :, 2], frames[:, :, 0])
-        rot = frames[:, :4].swapaxes(-1, -2) @ frames[:, 4:]
-        centre_cam = (cam_pts[:, :, 0] + cam_pts[:, :, 1] + cam_pts[:, :, 2]) / 3.0
-        centre_world = (world[:, 0] + world[:, 1] + world[:, 2]) / 3.0
-        t = centre_cam - (rot @ centre_world[:, None, :, None])[..., 0]
-        # a collinear or coincident world triangle has no pose; written so
-        # that NaN counts as degenerate
-        triangle = normal_sq[:, 4] > _COLLINEAR_SINE_SQ * a12[:, 0] * a13[:, 0]
-        valid = ((lam > 0.0) & (lam < np.inf)).all(axis=-1) & triangle[:, None]
-    rot = np.where(valid[..., None, None], rot, np.nan)
-    t = np.where(valid[..., None], t, np.nan)
-    return rot, t
+    camera = float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy)
+    image, world = np.asarray(image, dtype=float), np.asarray(world, dtype=float)
+    roots = []
+    for pixels, points in zip(image.tolist(), world.tolist()):
+        roots += _lambda_twist(pixels, points, *camera)
+    roots = np.fromiter(roots, float, len(roots)).reshape(-1, 4, 12)
+    return roots[..., :9].reshape(-1, 4, 3, 3), roots[..., 9:]
 
 
 def _residuals(rot, t, world, image, cam: CameraIntrinsics):

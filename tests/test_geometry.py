@@ -1,6 +1,7 @@
 """Quaternion algebra, projection, and landmark-normalization tests."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from satpose import (
 )
 from satpose.errors import DegenerateGeometryError
 from satpose.geometry import (
+    _norm,
     _quat,
     _vec3,
     quat_conjugate,
@@ -451,3 +453,14 @@ BOOLEAN_SETTINGS = {
 def test_booleans_are_not_whole_numbers(build, flag):
     with pytest.raises(ValueError, match=r"must be a whole number in \[\d+, [^\]]+\], got "):
         build(flag)
+
+
+def test_norm_is_linalg_norm_to_the_bit_without_an_overflow_warning():
+    rng = stream(57, "norm")
+    for size in range(1, 12):
+        for _ in range(200):
+            v = rng.normal(size=size) * 10.0 ** rng.uniform(-100.0, 100.0)
+            assert _norm(v).tobytes() == np.linalg.norm(v).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _norm(np.full(6, 1e200)) == np.inf

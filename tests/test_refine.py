@@ -1,6 +1,7 @@
 """Levenberg-Marquardt refinement and Jacobian tests."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -384,6 +385,19 @@ def test_non_finite_increment_is_a_rejected_trial(cam, make_case, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
     refined = refine_mod.lm_refine(start, corrs, cam)
     assert trials and all(np.isnan(r).all() for r in trials)
+    np.testing.assert_array_equal(refined.position, start.position)
+    np.testing.assert_array_equal(refined.attitude, start.attitude)
+
+
+def test_overflowing_increment_is_a_rejected_trial(cam, make_case, monkeypatch):
+    # a step of 1e200 overflows its squared length: measuring it warns
+    # nothing, and the trial is rejected, so the start comes back
+    pose, corrs = make_case(53, noise_sigma=2.0)
+    start = perturbed(pose, stream(53, "lm"), angle_deg=3.0, shift=0.3)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        refined = refine_mod.lm_refine(start, corrs, cam)
     np.testing.assert_array_equal(refined.position, start.position)
     np.testing.assert_array_equal(refined.attitude, start.attitude)
 
