@@ -24,7 +24,6 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     WireframeModel,
-    bbox_from_points,
     denormalize_landmarks,
     example_wireframe,
     normalize_landmarks,
@@ -54,7 +53,6 @@ from .pipeline import (
     OracleProvider,
     TimingReport,
     generate_labels,
-    oracle_landmarks,
     run_pipeline,
 )
 from .pnp import (

@@ -129,11 +129,6 @@ def quat_from_rotvec(rotvec) -> np.ndarray:
     return np.concatenate([[np.cos(0.5 * angle)], np.sin(0.5 * angle) * rv / angle])
 
 
-def quat_to_matrix(q) -> np.ndarray:
-    """3x3 rotation matrix of a unit quaternion."""
-    return _unit_quat_matrix(quat_normalize(q))
-
-
 def _unit_quat_matrix(q: np.ndarray) -> np.ndarray:
     """3x3 rotation matrix of a quaternion already unit to 1e-12, which normalizing keeps."""
     w, x, y, z = q.tolist()
@@ -351,22 +346,6 @@ def project(pose: Pose, cam: CameraIntrinsics, points) -> np.ndarray:
     single = pts.ndim == 1
     uv = camera_to_pixels(pose.transform(np.atleast_2d(pts)), cam)
     return uv[0] if single else uv
-
-
-def bbox_from_points(points, cam: CameraIntrinsics) -> BBox:
-    """Tightest box around pixel points, intersected with the image bounds.
-
-    Degenerate (zero-area) boxes are allowed; a box entirely outside the
-    image raises :class:`OutOfFrameError`.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise ValueError("need at least one point")
-    if pts.shape[1] != 2:
-        raise ValueError("points must have shape (N, 2)")
-    xmin, ymin = pts.min(axis=0)
-    xmax, ymax = pts.max(axis=0)
-    return clamp_box(xmin, ymin, xmax, ymax, cam)
 
 
 def clamp_box(xmin: float, ymin: float, xmax: float, ymax: float, cam: CameraIntrinsics) -> BBox:

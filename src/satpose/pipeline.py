@@ -121,7 +121,7 @@ def generate_labels(
     All records are projected in one stacked pass: one transform, depth test
     and pinhole over ``(N, K)`` points. Each record's landmarks, box and
     reject reason have the bits and text of :func:`project` followed by
-    :func:`bbox_from_points` on that record alone.
+    :func:`clamp_box` of its landmarks' extents, on that record alone.
     """
     cam = manifest.camera
     n, k = len(manifest.records), wireframe.count
@@ -200,8 +200,8 @@ def _oracle_pixels(record: SampleRecord, noise: NoiseModel) -> tuple[np.ndarray,
     return pixels, ~(uniform[:, 0] < noise.dropout_rate)
 
 
-def oracle_landmarks(record: SampleRecord, noise: NoiseModel) -> list[np.ndarray | None]:
-    """Corrupted copies of a record's ground-truth landmark pixels.
+class OracleProvider:
+    """Landmark provider: corrupted ground-truth landmarks, normalised to the ROI.
 
     Per landmark, independently: dropped (``None``) with ``dropout_rate``;
     otherwise with ``outlier_rate`` a uniform point over the ground-truth
@@ -209,12 +209,6 @@ def oracle_landmarks(record: SampleRecord, noise: NoiseModel) -> list[np.ndarray
     landmark consumes the same draws whatever its fate, so changing
     ``sigma_px`` alone never changes which points are outliers or dropped.
     """
-    pixels, kept = _oracle_pixels(record, noise)
-    return [p if keep else None for p, keep in zip(pixels, kept.tolist())]
-
-
-class OracleProvider:
-    """Landmark provider: the landmarks of :func:`oracle_landmarks`, normalised to the ROI."""
 
     def __init__(self, noise: NoiseModel):
         self.noise = noise

@@ -1,7 +1,7 @@
 """Pose recovery from 2D-3D correspondences: P3P-hypothesis RANSAC, LM, EPnP, triangulation."""
 
-from .epnp import Correspondence, epnp
-from .refine import lm_refine, reprojection_jacobian
+from .epnp import epnp
+from .refine import Correspondence, lm_refine, reprojection_jacobian
 from .robust import PnPResult, RansacConfig, ransac_pnp
 from .triangulate import triangulate
 

@@ -17,26 +17,20 @@ barycentric system well conditioned when a face-on solar panel dominates
 the correspondences. No RANSAC hypothesis comes from EPnP, since every one
 goes to the P3P kernel (:mod:`satpose.pnp.p3p`); :func:`epnp` is the
 reference solver that the acceptance suite checks the pipeline against.
-This module also holds what the solvers share: :class:`Correspondence`,
-:func:`point_errors` and the guarded stacked solve ``_solve``, the one name
-P3P imports from it.
+This module is a leaf of the solve path: it takes the correspondence
+stacking from :mod:`satpose.pnp.refine`, and the per-point score
+:func:`~satpose.pnp.p3p.point_errors` and the guarded stacked solve from
+:mod:`satpose.pnp.p3p`, and no solve-path module imports from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import DegenerateGeometryError, NoValidPoseError
-from ..geometry import (
-    MIN_PROJECTION_DEPTH,
-    CameraIntrinsics,
-    Pose,
-    _finite,
-    pinhole,
-    quat_from_matrix,
-)
+from ..geometry import CameraIntrinsics, Pose, quat_from_matrix
+from .p3p import _finite_or, _solve, point_errors
+from .refine import split_correspondences
 
 PLANAR_EIGENVALUE_RATIO = 1e-8
 _COLLINEAR_EIGENVALUE_RATIO = 1e-10
@@ -84,78 +78,6 @@ def _init_systems(k: int):
 _PAIR_DIFFERENCES = {m: _pair_differences(m) for m in (3, 4)}
 _INIT_SYSTEMS = {k: _init_systems(k) for k in (2, 4)}
 _GN_DAMPING = {k: (_BETA_GN_DAMPING / 4.0) * np.eye(k) for k in (2, 4)}
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """One 2D-3D match: pixel observation of a body-frame keypoint."""
-
-    image: np.ndarray  # (2,) pixels
-    world: np.ndarray  # (3,) metres, body frame
-    id: int = 0  # keypoint index, unique within a correspondence set
-
-    def __post_init__(self):
-        img = np.array(self.image, dtype=float).reshape(-1)
-        wld = np.array(self.world, dtype=float).reshape(-1)
-        if img.shape != (2,) or wld.shape != (3,):
-            raise ValueError("Correspondence needs a 2-vector image and 3-vector world point")
-        if not (_finite(img) and _finite(wld)):
-            raise ValueError("Correspondence coordinates must be finite")
-        img.setflags(write=False)
-        wld.setflags(write=False)
-        object.__setattr__(self, "image", img)
-        object.__setattr__(self, "world", wld)
-        object.__setattr__(self, "id", int(self.id))
-
-
-def split_correspondences(correspondences) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a correspondence list into (image (n,2), world (n,3)) arrays."""
-    corrs = list(correspondences)
-    image = np.array([c.image for c in corrs], dtype=float)
-    world = np.array([c.world for c in corrs], dtype=float)
-    return image, world
-
-
-def point_errors(
-    rot: np.ndarray, t: np.ndarray, world: np.ndarray, image: np.ndarray, cam: CameraIntrinsics
-) -> np.ndarray:
-    """Per-point reprojection error norms (..., n); inf at or behind the camera.
-
-    The depth cut is ``MIN_PROJECTION_DEPTH``, the one ``project`` rejects at,
-    so a point scored here as an inlier never fails refinement from this pose.
-
-    ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``
-    and ``image (..., n, 2)``; a non-finite pose gives inf everywhere.
-    """
-    cam_pts = world @ rot.swapaxes(-1, -2) + t[..., None, :]
-    z = cam_pts[..., 2]
-    front = z > MIN_PROJECTION_DEPTH
-    u, v = pinhole(cam_pts[..., 0], cam_pts[..., 1], np.where(front, z, 1.0), cam)
-    return np.where(front, np.hypot(u - image[..., 0], v - image[..., 1]), np.inf)
-
-
-def _finite_or(a: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
-    """Swap matrix slices holding non-finite values for ``fill``; mask of kept slices."""
-    ok = np.isfinite(a).all(axis=(-2, -1))
-    if not ok.all():
-        a = np.where(ok[..., None, None], a, fill)
-    return a, ok
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked ``a x = b`` for columns ``b (..., k, m)``; NaN for non-finite or singular slices."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        # LAPACK fails the whole stack on one bad slice; det factors every
-        # slice the same way and reads exactly 0 for the singular ones
-        eye = np.eye(a.shape[-1])
-        a, ok = _finite_or(a, eye)
-        ok &= np.linalg.det(a) != 0.0
-        ok &= np.isfinite(b).all(axis=(-2, -1))
-        a = np.where(ok[..., None, None], a, eye)
-        x = np.linalg.solve(a, np.where(ok[..., None, None], b, 0.0))
-        return np.where(ok[..., None, None], x, np.nan)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

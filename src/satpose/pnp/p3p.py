@@ -36,6 +36,12 @@ construction; a stack costs its rows, with no fixed cost of numpy
 dispatches on short arrays. The root choice and the Gauss-Newton step stay
 stacked: elementwise operations, reductions over a short last axis, and
 stacked matmul and guarded LAPACK calls, each row apart from the others.
+
+The stacked projection ``_pixels`` (rigid transform, depth cut, pinhole) is
+written once here: the root choice scores through it, and so does
+:func:`point_errors`, RANSAC's per-point inlier score, which the EPnP
+reference solver also uses. The guarded stacked solve ``_solve`` serves the
+Gauss-Newton step and EPnP alike.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ import math
 import numpy as np
 
 from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, pinhole
-from .epnp import _solve
 # bound here, so that LM alone calls the name the benchmark's tracer counts
 from .refine import cayley_rotate, reprojection_jacobian, skew_table
 
@@ -264,21 +269,72 @@ def p3p_stack(image, world, cam: CameraIntrinsics):
     return roots[..., :9].reshape(-1, 4, 3, 3), roots[..., 9:]
 
 
-def _residuals(rot, t, world, image, cam: CameraIntrinsics):
-    """Camera-frame points, pixel residuals (..., n, 2) and their summed squares.
+def _finite_or(a: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
+    """Swap matrix slices holding non-finite values for ``fill``; mask of kept slices."""
+    ok = np.isfinite(a).all(axis=(-2, -1))
+    if not ok.all():
+        a = np.where(ok[..., None, None], a, fill)
+    return a, ok
 
-    The sum is inf where a point's depth is at or below
-    ``MIN_PROJECTION_DEPTH``, the depth ``project`` rejects at, and where it
-    is not finite.
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked ``a x = b`` for columns ``b (..., k, m)``; NaN for non-finite or singular slices."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        # LAPACK fails the whole stack on one bad slice; det factors every
+        # slice the same way and reads exactly 0 for the singular ones
+        eye = np.eye(a.shape[-1])
+        a, ok = _finite_or(a, eye)
+        ok &= np.linalg.det(a) != 0.0
+        ok &= np.isfinite(b).all(axis=(-2, -1))
+        a = np.where(ok[..., None, None], a, eye)
+        x = np.linalg.solve(a, np.where(ok[..., None, None], b, 0.0))
+        return np.where(ok[..., None, None], x, np.nan)
+
+
+def _pixels(rot, t, world, cam: CameraIntrinsics):
+    """Camera-frame points (..., n, 3), pixels ``u, v`` (..., n) and the in-front mask.
+
+    ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``.
+    A point is in front where its depth exceeds ``MIN_PROJECTION_DEPTH``, the
+    depth ``project`` rejects at; the others are projected at depth 1, so that
+    no division warns, and their pixels mean nothing.
     """
     cam_pts = world @ rot.swapaxes(-1, -2) + t[..., None, :]
     z = cam_pts[..., 2]
-    u, v = pinhole(cam_pts[..., 0], cam_pts[..., 1], z, cam)
+    front = z > MIN_PROJECTION_DEPTH
+    u, v = pinhole(cam_pts[..., 0], cam_pts[..., 1], np.where(front, z, 1.0), cam)
+    return cam_pts, u, v, front
+
+
+def point_errors(
+    rot: np.ndarray, t: np.ndarray, world: np.ndarray, image: np.ndarray, cam: CameraIntrinsics
+) -> np.ndarray:
+    """Per-point reprojection error norms (..., n); inf at or behind the camera.
+
+    The depth cut is ``MIN_PROJECTION_DEPTH``, the one ``project`` rejects at,
+    so a point scored here as an inlier never fails refinement from this pose.
+
+    ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``
+    and ``image (..., n, 2)``; a non-finite pose gives inf everywhere.
+    """
+    _, u, v, front = _pixels(rot, t, world, cam)
+    return np.where(front, np.hypot(u - image[..., 0], v - image[..., 1]), np.inf)
+
+
+def _residuals(rot, t, world, image, cam: CameraIntrinsics):
+    """Camera-frame points, pixel residuals (..., n, 2) and their summed squares.
+
+    The sum is inf where a point is not in front of the camera by
+    :func:`_pixels`' depth cut, and where it is not finite.
+    """
+    cam_pts, u, v, front = _pixels(rot, t, world, cam)
     residual = np.empty(u.shape + (2,))
     residual[..., 0] = u - image[..., 0]
     residual[..., 1] = v - image[..., 1]
     cost = (residual * residual).reshape(u.shape[:-1] + (-1,)).sum(axis=-1)
-    cost = np.where((z > MIN_PROJECTION_DEPTH).all(axis=-1) & (cost < np.inf), cost, np.inf)
+    cost = np.where(front.all(axis=-1) & (cost < np.inf), cost, np.inf)
     return cam_pts, residual, cost
 
 

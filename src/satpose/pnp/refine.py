@@ -24,11 +24,16 @@ an accepted trial hands both to the next Jacobian; the world points'
 cross-product matrices are built once per :func:`lm_refine` call. The P3P
 kernel's stacked Gauss-Newton step shares :func:`reprojection_jacobian`, the
 one analytic Jacobian in :mod:`satpose.pnp`, and :func:`cayley_rotate`.
+
+Every other :mod:`satpose.pnp` module imports this one, so the 2D-3D match
+:class:`Correspondence` and :func:`split_correspondences`, which stacks a
+list of them into arrays, live here too.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +41,13 @@ from ..errors import BehindCameraError, NumericalFailureError
 from ..geometry import (
     CameraIntrinsics,
     Pose,
+    _finite,
     _norm,
     _unit_quat_matrix,
     camera_to_pixels,
     pinhole_jacobian,
     project,
 )
-from .epnp import split_correspondences
 
 _MAX_ITERATIONS = 100
 _GRADIENT_TOL = 1e-10
@@ -55,6 +60,36 @@ _INITIAL_DAMPING = 1e-3
 _DAMPING_UP = 10.0
 _DAMPING_DOWN = 0.1
 _DAMPING_MAX = 1e15
+
+
+@dataclass(frozen=True)
+class Correspondence:
+    """One 2D-3D match: pixel observation of a body-frame keypoint."""
+
+    image: np.ndarray  # (2,) pixels
+    world: np.ndarray  # (3,) metres, body frame
+    id: int = 0  # keypoint index, unique within a correspondence set
+
+    def __post_init__(self):
+        img = np.array(self.image, dtype=float).reshape(-1)
+        wld = np.array(self.world, dtype=float).reshape(-1)
+        if img.shape != (2,) or wld.shape != (3,):
+            raise ValueError("Correspondence needs a 2-vector image and 3-vector world point")
+        if not (_finite(img) and _finite(wld)):
+            raise ValueError("Correspondence coordinates must be finite")
+        img.setflags(write=False)
+        wld.setflags(write=False)
+        object.__setattr__(self, "image", img)
+        object.__setattr__(self, "world", wld)
+        object.__setattr__(self, "id", int(self.id))
+
+
+def split_correspondences(correspondences) -> tuple[np.ndarray, np.ndarray]:
+    """Stack a correspondence list into (image (n,2), world (n,3)) arrays."""
+    corrs = list(correspondences)
+    image = np.array([c.image for c in corrs], dtype=float)
+    world = np.array([c.world for c in corrs], dtype=float)
+    return image, world
 
 
 # (w @ _SKEW).reshape(3, 3) is the cross-product matrix [w]_x: each entry

@@ -15,7 +15,8 @@ counts every hypothesis scored, the all-point one included, and
 Minimal samples are drawn without replacement from a seeded Philox stream,
 which is built when the first one is drawn, so clean data builds none. They
 are solved in chunks of up to 16 by one stacked call of the kernel and
-scored together by per-point reprojection error. Until some hypothesis
+scored together by per-point reprojection error, the kernel module's
+:func:`~satpose.pnp.p3p.point_errors`. Until some hypothesis
 reaches consensus, a chunk holds no more samples than the stopping rule
 asks for with two outliers among the n points (11 at n = 11), so that fewer
 rows past the stop are solved; each row's result does not depend on its
@@ -41,8 +42,8 @@ import numpy as np
 from ..errors import ConsensusFailureError
 from ..geometry import CameraIntrinsics, Pose, quat_from_matrix, whole_number
 from ..rng import MAX_SEED, stream
-from .epnp import point_errors, split_correspondences
-from .p3p import p3p_hypotheses
+from .p3p import p3p_hypotheses, point_errors
+from .refine import split_correspondences
 
 # not called here: bench/tracing.py wraps this name as the pnp.epnp layer
 from .epnp import epnp  # noqa: F401

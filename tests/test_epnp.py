@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from satpose import Correspondence, attitude_error, epnp
 from satpose.errors import DegenerateGeometryError
-from satpose.geometry import Pose, project, quat_to_matrix
+from satpose.geometry import Pose, project
 from satpose.pnp.epnp import (
     PLANAR_EIGENVALUE_RATIO,
     _control_frame,
     _distance_terms,
     _gauss_newton,
-    _solve,
-    point_errors,
 )
+from satpose.pnp.p3p import _solve, point_errors
 from satpose.rng import stream
 from tests.conftest import random_pose, reprojection_rms, synthesize
 
@@ -125,7 +124,7 @@ def test_returned_attitude_is_proper_rotation(cam, wireframe, make_case):
         _, corrs = make_case(seed)
         est = epnp(corrs, cam)
         assert abs(np.linalg.norm(est.attitude) - 1.0) < 1e-9
-        rot = quat_to_matrix(est.attitude)
+        rot = est.rotation_matrix()
         assert abs(np.linalg.det(rot) - 1.0) < 1e-9
         assert est.position[2] > 0
 

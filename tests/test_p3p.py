@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from satpose import RansacConfig, attitude_error, ransac_pnp
 from satpose.geometry import pinhole, project, quat_from_matrix
 from satpose.pnp import Correspondence
-from satpose.pnp.epnp import point_errors
-from satpose.pnp.p3p import _pencil_root, _residuals, p3p_hypotheses, p3p_stack
+from satpose.pnp.p3p import _pencil_root, _residuals, p3p_hypotheses, p3p_stack, point_errors
 from satpose.pnp.refine import reprojection_jacobian, skew_table
 from satpose.rng import stream
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose

@@ -23,12 +23,10 @@ from satpose import (
     RansacConfig,
     RoiConfig,
     SampleRecord,
-    bbox_from_points,
     epnp,
     example_wireframe,
     generate_labels,
     load_manifest,
-    oracle_landmarks,
     project,
     run_pipeline,
     save_manifest,
@@ -40,7 +38,7 @@ from satpose.errors import (
     NoScoredRecordsError,
     SatposeError,
 )
-from satpose.geometry import denormalize_landmarks
+from satpose.geometry import clamp_box, denormalize_landmarks
 from satpose.metrics import image_score
 from satpose.pipeline import _solve_record, report_payload, write_report
 from satpose.pnp import Correspondence, lm_refine, ransac_pnp
@@ -49,6 +47,12 @@ from satpose.roi import make_roi
 from satpose.sampler import PoseSamplerConfig, SampleStreams, sample_pose
 
 epnp_module = importlib.import_module("satpose.pnp.epnp")
+
+
+def oracle_landmarks(record: SampleRecord, noise: NoiseModel) -> list:
+    """The oracle's corrupted pixels before ROI normalisation, ``None`` where dropped."""
+    pixels, kept = pipeline._oracle_pixels(record, noise)
+    return [p if keep else None for p, keep in zip(pixels, kept.tolist())]
 
 
 def sampled_manifest(cam, wireframe, n, seed=0) -> Manifest:
@@ -153,7 +157,8 @@ class TestGenerateLabels:
         for record in records:  # the reference: one record at a time
             try:
                 landmarks = project(record.pose_gt, cam, wireframe.keypoints)
-                kept.append((record, landmarks, bbox_from_points(landmarks, cam)))
+                low, high = landmarks.min(axis=0).tolist(), landmarks.max(axis=0).tolist()
+                kept.append((record, landmarks, clamp_box(*low, *high, cam)))
             except SatposeError as exc:
                 reasons.append((record.id, str(exc)))
         assert rejects == reasons

@@ -6,8 +6,8 @@ import pytest
 from satpose import RansacConfig, attitude_error, project, ransac_pnp
 from satpose.errors import ConsensusFailureError
 from satpose.pnp import Correspondence, robust
-from satpose.pnp.epnp import point_errors, split_correspondences
-from satpose.pnp.p3p import p3p_hypotheses
+from satpose.pnp.p3p import p3p_hypotheses, point_errors
+from satpose.pnp.refine import split_correspondences
 from satpose.pnp.robust import _required_iterations
 from satpose.rng import stream
 
