@@ -1,8 +1,10 @@
 """Pose and quaternion algebra, pinhole projection, and label derivation.
 
-The pinhole model and its ``MIN_PROJECTION_DEPTH`` cut live here alone: every
-solver layer projects through :func:`pinhole`, :func:`camera_to_pixels` and
-:func:`pinhole_jacobian`.
+The pinhole model and its ``MIN_PROJECTION_DEPTH`` cut live here alone: labels,
+RANSAC scoring, P3P's root choice, LM and triangulation all project through
+:func:`camera_pixels`, the one masked projection of camera-frame points, and
+linearise through :func:`pinhole_jacobian`. Only :func:`project` raises for a
+point outside the cut.
 
 Conventions
 -----------
@@ -308,20 +310,18 @@ def pinhole(x, y, z, cam: CameraIntrinsics):
     return cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy
 
 
-def camera_to_pixels(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
-    """Pixels (N, 2) of camera-frame points (N, 3).
+def camera_pixels(cam_pts: np.ndarray, cam: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Pixels (..., 2) of camera-frame points (..., 3) and the mask (...) of those in front.
 
-    Raises :class:`BehindCameraError` naming the first point whose depth is at
-    or below ``MIN_PROJECTION_DEPTH``.
+    A point is in front where its depth exceeds ``MIN_PROJECTION_DEPTH``, so
+    not at NaN depth. The others are projected at depth 1, so that no
+    division warns, and their pixels mean nothing.
     """
-    z = cam_pts[:, 2]
-    behind = z <= MIN_PROJECTION_DEPTH
-    if behind.any():
-        first = int(behind.argmax())
-        raise BehindCameraError(first, float(z[first]))
-    uv = np.empty((len(cam_pts), 2))
-    uv[:, 0], uv[:, 1] = pinhole(cam_pts[:, 0], cam_pts[:, 1], z, cam)
-    return uv
+    z = cam_pts[..., 2]
+    front = z > MIN_PROJECTION_DEPTH
+    uv = np.empty(cam_pts.shape[:-1] + (2,))
+    uv[..., 0], uv[..., 1] = pinhole(cam_pts[..., 0], cam_pts[..., 1], np.where(front, z, 1.0), cam)
+    return uv, front
 
 
 def pinhole_jacobian(cam_pts: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
@@ -340,11 +340,15 @@ def project(pose: Pose, cam: CameraIntrinsics, points) -> np.ndarray:
 
     Accepts (3,) or (N, 3); returns (2,) or (N, 2). Points may land outside
     the image bounds. Raises :class:`BehindCameraError` naming the first point
-    whose camera-frame depth is not positive.
+    whose camera-frame depth is at or below ``MIN_PROJECTION_DEPTH``, or NaN.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    uv = camera_to_pixels(pose.transform(np.atleast_2d(pts)), cam)
+    cam_pts = pose.transform(np.atleast_2d(pts))
+    uv, front = camera_pixels(cam_pts, cam)
+    if not front.all():
+        first = int(front.argmin())
+        raise BehindCameraError(first, float(cam_pts[first, 2]))
     return uv[0] if single else uv
 
 

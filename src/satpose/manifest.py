@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ManifestError
-from .geometry import CameraIntrinsics, Pose, WireframeModel, quat_conjugate
+from .geometry import CameraIntrinsics, Pose, WireframeModel, _norm, quat_conjugate
 from .rng import stream
 from .roi import BBox
 
@@ -207,12 +207,9 @@ def _numbers(raw, shape: tuple[int, ...], where: str) -> list:
 
 
 def _parse_quaternion(raw, where: str, convention: str) -> np.ndarray:
-    """``raw`` as a body-to-camera quaternion, not yet normalized; warns when off unit norm.
-
-    Call it with numpy's overflow warning off: an overflowing norm raises here.
-    """
+    """``raw`` as a body-to-camera quaternion, not yet normalized; warns when off unit norm."""
     q = np.array(_numbers(raw, (4,), where), dtype=float)
-    norm = math.sqrt(q.dot(q))  # np.linalg.norm's arithmetic, to the bit
+    norm = _norm(q)
     if not 1e-12 <= norm < math.inf:
         raise ManifestError(f"{where}: quaternion norm {norm:.3g} is zero or overflows")
     if abs(norm - 1.0) > _QUAT_NORM_WARN:
@@ -307,10 +304,9 @@ def load_manifest(path) -> Manifest:
     if not isinstance(raw_records, list):
         raise ManifestError("records: expected a list")
     records = []
-    with np.errstate(over="ignore"):  # an overflowing quaternion norm raises ManifestError
-        # a plain loop, not a comprehension, so warnings skip the same frames on every Python
-        for i, r in enumerate(raw_records):
-            records.append(_parse_record(r, i, convention))
+    # a plain loop, not a comprehension, so warnings skip the same frames on every Python
+    for i, r in enumerate(raw_records):
+        records.append(_parse_record(r, i, convention))
     wireframe = data.get("wireframe")
     if wireframe is not None and not isinstance(wireframe, str):
         raise ManifestError(f"wireframe: expected a file path string, got {wireframe!r}")

@@ -29,13 +29,12 @@ from .errors import (
     SatposeError,
 )
 from .geometry import (
-    MIN_PROJECTION_DEPTH,
     CameraIntrinsics,
     WireframeModel,
+    camera_pixels,
     clamp_box,
     denormalize_landmarks,
     normalize_landmarks,
-    pinhole,
     whole_number,
 )
 
@@ -118,33 +117,28 @@ def generate_labels(
     ``(record id, reason)`` rejects, the shape of
     :attr:`PipelineRun.failures`; the run continues with the rest.
 
-    All records are projected in one stacked pass: one transform, depth test
-    and pinhole over ``(N, K)`` points. Each record's landmarks, box and
-    reject reason have the bits and text of :func:`project` followed by
-    :func:`clamp_box` of its landmarks' extents, on that record alone.
+    All records are projected in one stacked pass: one transform and one
+    :func:`~satpose.geometry.camera_pixels` call over ``(N, K)`` points. Each
+    record's landmarks, box and reject reason have the bits and text of
+    :func:`project` followed by :func:`clamp_box` of its landmarks' extents,
+    on that record alone.
     """
     cam = manifest.camera
-    n, k = len(manifest.records), wireframe.count
+    n = len(manifest.records)
     rot = np.array([r.pose_gt.rotation_matrix() for r in manifest.records]).reshape(n, 3, 3)
     position = np.array([r.pose_gt.position for r in manifest.records]).reshape(n, 1, 3)
     cam_pts = wireframe.keypoints @ rot.transpose(0, 2, 1) + position  # (N, K, 3)
-    z = cam_pts[..., 2]
-    behind = z <= MIN_PROJECTION_DEPTH
-    landmarks = np.empty((n, k, 2))
-    # rejected rows divide by the cut instead, so every row stays finite
-    landmarks[..., 0], landmarks[..., 1] = pinhole(
-        cam_pts[..., 0], cam_pts[..., 1], np.maximum(z, MIN_PROJECTION_DEPTH), cam
-    )
+    landmarks, front = camera_pixels(cam_pts, cam)
     lows, highs = landmarks.min(axis=1).tolist(), landmarks.max(axis=1).tolist()
     labeled: list[SampleRecord] = []
     rejects: list[tuple[str, str]] = []
-    for i, (record, low, high, rejected) in enumerate(
-        zip(manifest.records, lows, highs, behind.any(axis=1).tolist())
+    for i, (record, low, high, kept) in enumerate(
+        zip(manifest.records, lows, highs, front.all(axis=1).tolist())
     ):
         try:
-            if rejected:
-                first = int(behind[i].argmax())
-                raise BehindCameraError(first, float(z[i, first]))
+            if not kept:
+                first = int(front[i].argmin())
+                raise BehindCameraError(first, float(cam_pts[i, first, 2]))
             bbox = clamp_box(*low, *high, cam)
         except SatposeError as exc:
             rejects.append((record.id, str(exc)))

@@ -37,11 +37,11 @@ dispatches on short arrays. The root choice and the Gauss-Newton step stay
 stacked: elementwise operations, reductions over a short last axis, and
 stacked matmul and guarded LAPACK calls, each row apart from the others.
 
-The stacked projection ``_pixels`` (rigid transform, depth cut, pinhole) is
-written once here: the root choice scores through it, and so does
-:func:`point_errors`, RANSAC's per-point inlier score, which the EPnP
-reference solver also uses. The guarded stacked solve ``_solve`` serves the
-Gauss-Newton step and EPnP alike.
+The root choice and :func:`point_errors`, RANSAC's per-point inlier score,
+which the EPnP reference solver also uses, both score a stacked rigid
+transform through :func:`~satpose.geometry.camera_pixels`, the one masked
+projection. The guarded stacked solve ``_solve`` serves the Gauss-Newton
+step and EPnP alike.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from ..geometry import MIN_PROJECTION_DEPTH, CameraIntrinsics, pinhole
+from ..geometry import CameraIntrinsics, camera_pixels
 # bound here, so that LM alone calls the name the benchmark's tracer counts
 from .refine import cayley_rotate, reprojection_jacobian, skew_table
 
@@ -293,47 +293,34 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(ok[..., None, None], x, np.nan)
 
 
-def _pixels(rot, t, world, cam: CameraIntrinsics):
-    """Camera-frame points (..., n, 3), pixels ``u, v`` (..., n) and the in-front mask.
-
-    ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``.
-    A point is in front where its depth exceeds ``MIN_PROJECTION_DEPTH``, the
-    depth ``project`` rejects at; the others are projected at depth 1, so that
-    no division warns, and their pixels mean nothing.
-    """
-    cam_pts = world @ rot.swapaxes(-1, -2) + t[..., None, :]
-    z = cam_pts[..., 2]
-    front = z > MIN_PROJECTION_DEPTH
-    u, v = pinhole(cam_pts[..., 0], cam_pts[..., 1], np.where(front, z, 1.0), cam)
-    return cam_pts, u, v, front
-
-
 def point_errors(
     rot: np.ndarray, t: np.ndarray, world: np.ndarray, image: np.ndarray, cam: CameraIntrinsics
 ) -> np.ndarray:
-    """Per-point reprojection error norms (..., n); inf at or behind the camera.
+    """Per-point reprojection error norms (..., n); inf outside the depth cut.
 
-    The depth cut is ``MIN_PROJECTION_DEPTH``, the one ``project`` rejects at,
-    so a point scored here as an inlier never fails refinement from this pose.
+    The cut is :func:`~satpose.geometry.camera_pixels`', the one ``project``
+    raises at, so a point scored here as an inlier never fails refinement
+    from this pose.
 
     ``rot (..., 3, 3)`` and ``t (..., 3)`` broadcast against ``world (..., n, 3)``
     and ``image (..., n, 2)``; a non-finite pose gives inf everywhere.
     """
-    _, u, v, front = _pixels(rot, t, world, cam)
-    return np.where(front, np.hypot(u - image[..., 0], v - image[..., 1]), np.inf)
+    uv, front = camera_pixels(world @ rot.swapaxes(-1, -2) + t[..., None, :], cam)
+    error = np.hypot(uv[..., 0] - image[..., 0], uv[..., 1] - image[..., 1])
+    return np.where(front, error, np.inf)
 
 
 def _residuals(rot, t, world, image, cam: CameraIntrinsics):
     """Camera-frame points, pixel residuals (..., n, 2) and their summed squares.
 
-    The sum is inf where a point is not in front of the camera by
-    :func:`_pixels`' depth cut, and where it is not finite.
+    ``rot``, ``t`` and ``world`` broadcast as in :func:`point_errors`. The sum
+    is inf where a point is outside the depth cut of
+    :func:`~satpose.geometry.camera_pixels`, and where it is not finite.
     """
-    cam_pts, u, v, front = _pixels(rot, t, world, cam)
-    residual = np.empty(u.shape + (2,))
-    residual[..., 0] = u - image[..., 0]
-    residual[..., 1] = v - image[..., 1]
-    cost = (residual * residual).reshape(u.shape[:-1] + (-1,)).sum(axis=-1)
+    cam_pts = world @ rot.swapaxes(-1, -2) + t[..., None, :]
+    uv, front = camera_pixels(cam_pts, cam)
+    residual = uv - image
+    cost = (residual * residual).reshape(uv.shape[:-2] + (-1,)).sum(axis=-1)
     cost = np.where(front.all(axis=-1) & (cost < np.inf), cost, np.inf)
     return cam_pts, residual, cost
 

@@ -37,14 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BehindCameraError, NumericalFailureError
+from ..errors import NumericalFailureError
 from ..geometry import (
     CameraIntrinsics,
     Pose,
     _finite,
     _norm,
     _unit_quat_matrix,
-    camera_to_pixels,
+    camera_pixels,
     pinhole_jacobian,
     project,
 )
@@ -148,15 +148,25 @@ def _cayley_step(x, delta):
     return x[0] + delta[:3], np.array([w / norm, a / norm, b / norm, c / norm])
 
 
-def _trial_residuals(x, world, image, cam):
-    """Flat residuals at ``x = (t, q)``, with the rotation and camera-frame points there.
+def pixel_residuals(cam_pts: np.ndarray, pixels: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+    """Flat (2n,) residuals, du and dv per point, of camera-frame points (n, 3) at pixels (n, 2).
 
-    Raises :class:`BehindCameraError` naming the first point at or behind the camera.
+    NaN throughout where a point is outside the depth cut of
+    :func:`~satpose.geometry.camera_pixels`: a trial :func:`least_squares` rejects.
     """
+    uv, front = camera_pixels(cam_pts, cam)
+    residual = (uv - pixels).ravel()
+    if not front.all():
+        residual.fill(np.nan)
+    return residual
+
+
+def _trial_residuals(x, world, image, cam):
+    """:func:`pixel_residuals` at ``x = (t, q)``, with the rotation and camera points there."""
     t, q = x
     rot = _unit_quat_matrix(q)
     cam_pts = world @ rot.T + t
-    return (camera_to_pixels(cam_pts, cam) - image).ravel(), (rot, cam_pts)
+    return pixel_residuals(cam_pts, image, cam), (rot, cam_pts)
 
 
 def least_squares(x, start, residual, jacobian, step):
@@ -167,10 +177,11 @@ def least_squares(x, start, residual, jacobian, step):
     the residual at the point whose ``residual`` returned ``at``. ``start`` is
     that pair at the starting ``x``, which the caller computes so that it can
     raise its own errors there. ``step(x, delta)`` applies a k-vector update.
-    A trial whose residual raises :class:`BehindCameraError` or is not finite
-    is rejected like an uphill one. Stops and finishes as the module
-    docstring states, reusing the loop's last Jacobian when ``x`` has not
-    moved since; raises :class:`NumericalFailureError` on non-finite
+    A trial whose residual is not finite, as :func:`pixel_residuals` makes it
+    where a point falls outside the depth cut, has a cost that is not finite
+    either and is rejected like an uphill one. Stops and finishes as the
+    module docstring states, reusing the loop's last Jacobian when ``x`` has
+    not moved since; raises :class:`NumericalFailureError` on non-finite
     residuals at the start.
     """
     r, at = start
@@ -197,14 +208,8 @@ def least_squares(x, start, residual, jacobian, step):
             if _norm(delta) < _STEP_TOL:
                 break
             x_new = step(x, delta)
-            cost_new = np.inf
-            try:
-                r_new, at_new = residual(x_new)
-            except BehindCameraError:
-                pass  # a step that puts points behind a camera is rejected
-            else:
-                if np.isfinite(r_new).all():
-                    cost_new = float(r_new @ r_new)
+            r_new, at_new = residual(x_new)
+            cost_new = float(r_new @ r_new)  # a non-finite r_new fails the test below
             if cost_new < cost:
                 # a relative cost drop below _COST_TOL ends the loop after this step
                 improved = cost - cost_new >= _COST_TOL * max(cost_new, 1e-30)
@@ -233,10 +238,7 @@ def least_squares(x, start, residual, jacobian, step):
         if not _norm(delta) >= _STEP_TOL:  # also ends on a non-finite step
             break
         x_new = step(x, delta)
-        try:
-            r_new, at_new = residual(x_new)
-        except BehindCameraError:
-            break
+        r_new, at_new = residual(x_new)
         cost_new = float(r_new @ r_new)
         if not cost_new <= min(cost * (1.0 + _FINISH_COST_SLACK), start_cost):
             break  # also a non-finite residual
@@ -252,9 +254,9 @@ def least_squares(x, start, residual, jacobian, step):
 def lm_refine(initial: Pose, correspondences, cam: CameraIntrinsics) -> Pose:
     """Minimize the summed squared reprojection error from ``initial``.
 
-    Raises :class:`BehindCameraError` naming the first point at or behind the
-    camera at the starting pose, and :class:`NumericalFailureError` on
-    non-finite residuals there.
+    Raises :class:`BehindCameraError` naming the first point outside the
+    depth cut at the starting pose, which is scored through ``project``, and
+    :class:`NumericalFailureError` on non-finite residuals there.
     """
     image, world = split_correspondences(correspondences)
     if image.shape[0] == 0:

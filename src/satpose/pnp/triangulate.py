@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BehindCameraError, DegenerateBaselineError
-from ..geometry import CameraIntrinsics, camera_to_pixels, pinhole_jacobian
-from .refine import least_squares
+from ..errors import DegenerateBaselineError
+from ..geometry import CameraIntrinsics, camera_pixels, pinhole_jacobian
+from .refine import least_squares, pixel_residuals
 
 _MIN_RAY_SEPARATION = 1e-4  # radians
 
@@ -60,12 +60,9 @@ def _dlt_point(rotations, positions, pixels, cam: CameraIntrinsics) -> np.ndarra
 
 
 def _residuals(point, rotations, positions, pixels, cam: CameraIntrinsics):
-    """Flat (2V,) pixel residuals, du and dv per view, and the point in each camera frame.
-
-    Raises :class:`BehindCameraError` when the point is at or behind a camera.
-    """
+    """Flat (2V,) :func:`~.refine.pixel_residuals` of the views, and the point in each view."""
     cam_pts = rotations @ point + positions
-    return (camera_to_pixels(cam_pts, cam) - pixels).ravel(), cam_pts
+    return pixel_residuals(cam_pts, pixels, cam), cam_pts
 
 
 def _jacobian(cam_pts, rotations, cam: CameraIntrinsics) -> np.ndarray:
@@ -77,19 +74,20 @@ def triangulate(observations, cam: CameraIntrinsics) -> np.ndarray:
     """Body-frame keypoint position from >= 2 (pose, pixel) observations.
 
     Raises :class:`DegenerateBaselineError` when all viewing rays are
-    (near-)parallel, e.g. for repeated identical poses. A DLT estimate at or
-    behind any camera is returned unrefined.
+    (near-)parallel, e.g. for repeated identical poses. A DLT estimate
+    outside the depth cut of any view is returned unrefined.
     """
     rotations, positions, pixels = _unpack(observations)
     _check_baseline(rotations, pixels, cam)
     point = _dlt_point(rotations, positions, pixels, cam)
-    try:
-        return least_squares(
-            point,
-            _residuals(point, rotations, positions, pixels, cam),
-            lambda x: _residuals(x, rotations, positions, pixels, cam),
-            lambda cam_pts: _jacobian(cam_pts, rotations, cam),
-            np.add,
-        )
-    except BehindCameraError:
+    cam_pts = rotations @ point + positions
+    uv, front = camera_pixels(cam_pts, cam)
+    if not front.all():
         return point
+    return least_squares(
+        point,
+        ((uv - pixels).ravel(), cam_pts),
+        lambda x: _residuals(x, rotations, positions, pixels, cam),
+        lambda cam_pts: _jacobian(cam_pts, rotations, cam),
+        np.add,
+    )

@@ -224,12 +224,19 @@ class TestProjection:
         cam_pts[7, 2] = 5e-7  # in front of the camera, but inside the depth cut
         with pytest.raises(BehindCameraError) as projected:
             project(identity, cam, cam_pts)
-        with pytest.raises(BehindCameraError) as triangulated:
-            _residuals(origin, *views, cam)
-        for err in (projected.value, triangulated.value):
-            assert (err.index, err.z) == (7, 5e-7)
+        assert (projected.value.index, projected.value.z) == (7, 5e-7)
+        # a trial with a point inside the cut is one that least_squares rejects as not finite
+        residuals, _ = _residuals(origin, *views, cam)
+        assert np.isnan(residuals).all()
         errors = point_errors(eye, origin, cam_pts, np.zeros((20, 2)), cam)
         assert errors[7] == np.inf and np.isfinite(np.delete(errors, 7)).all()
+
+    def test_nan_depth_is_not_in_front(self, cam):
+        pose = Pose(position=[0.0, 0.0, 30.0], attitude=[1, 0, 0, 0])
+        points = [[0.0, 0.0, 0.0], [0.0, 0.0, np.nan], [1.0, 0.0, 0.0]]
+        with pytest.raises(BehindCameraError) as err:
+            project(pose, cam, points)
+        assert err.value.index == 1 and np.isnan(err.value.z)
 
 
 class TestClampBox:

@@ -41,6 +41,42 @@ def _solve_path_files():
     return pnp + [PACKAGE / "pipeline.py"]
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier a syntax tree uses: names, attributes and imported names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])  # an alias is a Name where it is used
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.rglob("*.py")) if p.name != "geometry.py"],
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_only_geometry_names_the_pinhole_or_its_depth_cut(path):
+    # every other module projects through geometry.camera_pixels or project
+    assert not {"MIN_PROJECTION_DEPTH", "pinhole"} & _names(ast.parse(path.read_text()))
+
+
+@pytest.mark.parametrize("path", sorted((PACKAGE / "pnp").glob("*.py")), ids=lambda p: p.name)
+def test_no_solver_catches_behind_camera_error(path):
+    # a trial outside the depth cut has NaN residuals, which least_squares rejects
+    caught = [
+        ast.unparse(node.type)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "BehindCameraError" in _names(node.type)
+    ]
+    assert not caught, caught
+
+
 def test_import_resolution_reads_relative_imports():
     found = set(_imports(PACKAGE / "pnp" / "robust.py"))
     assert ("satpose.pnp.p3p", "p3p_hypotheses") in found
